@@ -267,10 +267,16 @@ def parse_barcode_json(text: str) -> Barcode:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(v, (int, float)) for v in item)
+            or not all(type(v) in (int, float) for v in item)  # no booleans
         ):
             raise ParseError(f"entry {idx}: expected [birth, death], got {item!r}")
-        pairs.append((float(item[0]), float(item[1])))
+        try:
+            birth, death = float(item[0]), float(item[1])
+        except OverflowError as exc:  # an integer beyond the double range
+            raise ParseError(f"entry {idx}: {exc}") from exc
+        if not (math.isfinite(birth) and math.isfinite(death)):
+            raise ParseError(f"entry {idx}: non-finite value in {item!r}")
+        pairs.append((birth, death))
     try:
         return Barcode.from_pairs(pairs)
     except InvalidBarError as exc:

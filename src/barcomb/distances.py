@@ -2,15 +2,26 @@
 
 Barcodes are compared as persistence diagrams: bar (b, d) is the plane point
 (b, d), the ground metric is the sup norm, and any bar may be matched to the
-diagonal instead of a partner, at cost (d - b) / 2.  Both solvers are exact:
+diagonal instead of a partner, at cost (d - b) / 2.  Both solvers start from
+the same numpy ground costs (the n x m bar-to-bar matrix and each bar's
+diagonal cost) and are exact:
 
-* bottleneck — binary search over the finite set of candidate costs with a
-  perfect-matching feasibility test (augmenting paths) at each candidate;
+* bottleneck — binary search over the distinct candidate costs t.  A bar
+  whose diagonal cost exceeds t must be matched to a near bar (cost <= t)
+  of the other diagram, and a probe asks scipy's Hopcroft–Karp matching
+  whether the near pairs can cover these bars of both sides; the graph has
+  O(near pairs) edges instead of the complete (n+m)^2 augmented graph;
 * wasserstein — a minimum-cost assignment on the (n+m) x (n+m) augmented
-  cost matrix with entries raised to the q-th power.
+  cost matrix.  Costs are divided by a common scale before they are raised
+  to the q-th power, which keeps the optimal assignment: first by the
+  largest cost, so no power overflows, then, while the witness's largest
+  cost powers to almost nothing (smaller costs may have underflowed to
+  ties), by that cost, and the assignment is solved again.
 
 Every distance returns a witness matching, and the reported value is
-recomputed from the witness pairs so the two always agree exactly.
+recomputed from the witness pairs so the two always agree exactly; the
+q-Wasserstein value is M * (sum of (c / M)^q)^(1/q) with M the witness's
+largest pair cost.
 
 ``align`` fits the affine map sending the earliest-born bar of one barcode
 onto that of the other; ``check_convergence_bounds`` verifies that aligned
@@ -24,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .barcode import (
     Barcode,
@@ -41,6 +54,10 @@ from .multiperm import g_k
 from .rng import SplitMix64
 
 BOUND_TOLERANCE = 1e-9
+# A Wasserstein witness whose largest powered cost is at least this sits far
+# above the subnormal range, so terms that underflowed cannot have hidden a
+# better assignment.
+_TINY = 2.0**-900
 
 # A witness pair is (left label, right label) with None meaning the diagonal;
 # diagonal-to-diagonal fillers are dropped from witnesses.
@@ -63,116 +80,139 @@ class Alignment:
     delta: float
 
 
-def _linf(x: tuple[float, float], y: tuple[float, float]) -> float:
-    return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
-
-
-def _diag_cost(x: tuple[float, float]) -> float:
-    return (x[1] - x[0]) / 2.0
+def _cost(xs, ys, pair: Pair) -> float:
+    """Ground cost of one witness pair, given both diagrams' (b, d) pairs."""
+    l, r = pair
+    if l is not None and r is not None:
+        (b1, d1), (b2, d2) = xs[l - 1], ys[r - 1]
+        return max(abs(b1 - b2), abs(d1 - d2))
+    if l is None and r is None:
+        return 0.0
+    b, d = xs[l - 1] if l is not None else ys[r - 1]
+    return (d - b) / 2.0
 
 
 def pair_cost(left: Barcode, right: Barcode, pair: Pair) -> float:
     """Ground cost of one witness pair."""
-    l, r = pair
-    if l is not None and r is not None:
-        return _linf(left.pairs()[l - 1], right.pairs()[r - 1])
-    if l is not None:
-        return _diag_cost(left.pairs()[l - 1])
-    if r is not None:
-        return _diag_cost(right.pairs()[r - 1])
-    return 0.0
+    return _cost(left.pairs(), right.pairs(), pair)
 
 
 def bottleneck_cost(left: Barcode, right: Barcode, pairs) -> float:
     """Max pair cost; how a bottleneck witness's cost is recomputed."""
-    return max((pair_cost(left, right, p) for p in pairs), default=0.0)
+    xs, ys = left.pairs(), right.pairs()
+    return max((_cost(xs, ys, p) for p in pairs), default=0.0)
 
 
 def wasserstein_cost(left: Barcode, right: Barcode, pairs, q: float) -> float:
-    """Sum of pair costs to the q, then the q-th root, in pair order."""
-    total = 0.0
-    for p in pairs:
-        total += pair_cost(left, right, p) ** q
-    return total ** (1.0 / q)
+    """M * (sum of (cost / M)^q)^(1/q) in pair order, M the largest pair cost.
 
-
-def _sorted_pairs(raw: list[Pair]) -> tuple[Pair, ...]:
-    # bar-left pairs by left label first, then diagonal-left pairs by right
-    return tuple(
-        sorted(raw, key=lambda p: (p[0] is None, p[0] or 0, p[1] or 0))
-    )
-
-
-def _feasible_matching(
-    xs: list, ys: list, threshold: float
-) -> list[int] | None:
-    """Perfect matching using only edges of cost <= threshold, or None.
-
-    Left vertices are the n bars of xs then m diagonal slots; right vertices
-    are the m bars of ys then n diagonal slots.  Returns right-to-left
-    assignments when a perfect matching exists.
+    Dividing by M first keeps every power in [0, 1], so no q overflows and
+    the largest pair always contributes exactly 1: the result is at least
+    the witness's bottleneck cost.
     """
-    n, m = len(xs), len(ys)
-    size = n + m
-
-    def edge(l: int, r: int) -> bool:
-        if l < n:
-            if r < m:
-                return _linf(xs[l], ys[r]) <= threshold
-            return _diag_cost(xs[l]) <= threshold
-        if r < m:
-            return _diag_cost(ys[r]) <= threshold
-        return True
-
-    match_right = [-1] * size  # right vertex -> left vertex
-
-    def augment(l: int, visited: list[bool]) -> bool:
-        for r in range(size):
-            if not visited[r] and edge(l, r):
-                visited[r] = True
-                if match_right[r] == -1 or augment(match_right[r], visited):
-                    match_right[r] = l
-                    return True
-        return False
-
-    for l in range(size):
-        if not augment(l, [False] * size):
-            return None
-    return match_right
+    xs, ys = left.pairs(), right.pairs()
+    costs = [_cost(xs, ys, p) for p in pairs]
+    top = max(costs, default=0.0)
+    if top == 0.0:
+        return 0.0
+    total = 0.0
+    for c in costs:
+        total += (c / top) ** q
+    return top * total ** (1.0 / q)
 
 
-def _witness_from_assignment(
-    n: int, m: int, right_to_left: list[int]
-) -> tuple[Pair, ...]:
-    raw: list[Pair] = []
-    for r, l in enumerate(right_to_left):
-        if l < n and r < m:
-            raw.append((l + 1, r + 1))
-        elif l < n:
-            raw.append((l + 1, None))
-        elif r < m:
-            raw.append((None, r + 1))
-    return _sorted_pairs(raw)
+def _ground_costs(xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sup-norm costs between bars (n x m) and each bar's diagonal cost."""
+    a = np.asarray(xs, dtype=float)
+    b = np.asarray(ys, dtype=float)
+    cross = np.maximum(
+        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
+    )
+    return cross, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+
+
+def _witness(y_of: list[int], m: int) -> tuple[Pair, ...]:
+    """Witness pairs of a matching from left bar i to right bar y_of[i].
+
+    y_of[i] is -1 where bar i goes to the diagonal, and right bars no left
+    bar reaches go there too.  Pairs with a left bar come first, by label.
+    """
+    pairs = [(i + 1, j + 1 if j >= 0 else None) for i, j in enumerate(y_of)]
+    matched = set(y_of)
+    return tuple(pairs + [(None, j + 1) for j in range(m) if j not in matched])
+
+
+def _far_covers(cross, dx, dy, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Matchings of bar pairs of cost <= t covering each side's far bars.
+
+    A bar is far when its diagonal cost exceeds t, so it must be matched to a
+    bar of the other diagram.  A perfect matching of cost <= t exists exactly
+    when one matching of the near pairs covers the far bars of both sides,
+    and by the Mendelsohn–Dulmage theorem exactly when one matching covers
+    the far bars of x and another those of y.  One Hopcroft–Karp call finds
+    both: the graph has a row per far bar of x, reaching the bars of y near
+    it (columns 0..m-1), then a row per far bar of y, reaching the bars of x
+    near it (columns m..m+n-1).  Returns y_of (bar of x -> bar of y) and
+    x_of (bar of y -> bar of x), -1 off the covered bars, or None.
+    """
+    n, m = cross.shape
+    near = cross <= t
+    far_x, far_y = np.flatnonzero(dx > t), np.flatnonzero(dy > t)
+    k = len(far_x)
+    rows_x, cols_x = np.nonzero(near[far_x])
+    rows_y, cols_y = np.nonzero(near.T[far_y])
+    rows = np.concatenate([rows_x, k + rows_y])
+    indices = np.concatenate([cols_x, m + cols_y])
+    counts = np.bincount(rows, minlength=k + len(far_y))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    data = np.ones(len(indices), dtype=np.int8)
+    graph = csr_array((data, indices, indptr), shape=(len(counts), m + n))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    if np.any(match < 0):
+        return None
+    y_of, x_of = np.full(n, -1), np.full(m, -1)
+    y_of[far_x] = match[:k]
+    x_of[far_y] = match[k:] - m
+    return y_of, x_of
+
+
+def _merge_covers(y_of: np.ndarray, x_of: np.ndarray) -> list[int]:
+    """One matching covering the bars of x that y_of covers and the bars of
+    y that x_of covers, as a list bar of x -> bar of y or -1.
+
+    Start from y_of.  The union of the two matchings is a set of alternating
+    paths and cycles; a bar of y that x_of covers and y_of does not ends a
+    path, and switching that path to x_of's edges keeps its bars of x
+    covered and leaves uncovered at most a last bar of y that x_of does not
+    cover (Mendelsohn–Dulmage).  Paths are disjoint, so each is switched
+    once.
+    """
+    start = set(np.flatnonzero(x_of >= 0).tolist()) - set(y_of.tolist())
+    y_of, x_of = y_of.tolist(), x_of.tolist()
+    for j in start:
+        while j >= 0 and x_of[j] >= 0:
+            i = x_of[j]
+            y_of[i], j = j, y_of[i]
+    return y_of
 
 
 def bottleneck(left: Barcode, right: Barcode) -> tuple[float, Matching]:
     """Exact bottleneck distance and an optimal witness matching."""
-    xs, ys = left.pairs(), right.pairs()
-    candidates = {0.0}
-    candidates.update(_linf(x, y) for x in xs for y in ys)
-    candidates.update(_diag_cost(x) for x in xs)
-    candidates.update(_diag_cost(y) for y in ys)
-    levels = sorted(candidates)
+    cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
+    n, m = cross.shape
+    levels = np.unique(np.concatenate(([0.0], cross.ravel(), dx, dy)))
     lo, hi = 0, len(levels) - 1
+    # no far bars at the largest level, which the search never probes: every
+    # bar goes to the diagonal
+    covers = np.full(n, -1), np.full(m, -1)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible_matching(xs, ys, levels[mid]) is not None:
-            hi = mid
-        else:
+        probe = _far_covers(cross, dx, dy, levels[mid])
+        if probe is None:
             lo = mid + 1
-    assignment = _feasible_matching(xs, ys, levels[lo])
-    assert assignment is not None
-    pairs = _witness_from_assignment(len(xs), len(ys), assignment)
+        else:
+            hi, covers = mid, probe
+    pairs = _witness(_merge_covers(*covers), m)
     distance = bottleneck_cost(left, right, pairs)
     return distance, Matching(pairs, distance)
 
@@ -182,21 +222,31 @@ def wasserstein(left: Barcode, right: Barcode, q: float) -> tuple[float, Matchin
     q = float(q)
     if not (q >= 1.0 and np.isfinite(q)):
         raise InvalidQError(f"need finite q >= 1, got {q!r}")
-    xs, ys = left.pairs(), right.pairs()
-    n, m = len(xs), len(ys)
-    size = n + m
-    cost = np.zeros((size, size))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            cost[i, j] = _linf(x, y) ** q
-        cost[i, m:] = _diag_cost(x) ** q
-    for j, y in enumerate(ys):
-        cost[n:, j] = _diag_cost(y) ** q
-    rows, cols = linear_sum_assignment(cost)
-    right_to_left = [-1] * size
-    for l, r in zip(rows, cols):
-        right_to_left[int(r)] = int(l)
-    pairs = _witness_from_assignment(n, m, right_to_left)
+    cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
+    n, m = cross.shape
+    cost = np.zeros((n + m, m + n))
+    cost[:n, :m] = cross
+    cost[:n, m:] = dx[:, None]
+    cost[n:, :m] = dy
+    # Dividing every cost by one scale s before the power leaves the optimal
+    # assignment as it is.  Start from the largest cost, so nothing overflows.
+    # If the witness's largest cost t makes (t/s)^q tiny, small costs may
+    # have underflowed to exact ties; solve again with s = t.  Entries that
+    # then overflow to inf each exceed the witness's whole sum (at most n+m)
+    # and cannot be in an optimal assignment.  s falls every round.
+    scale = cost.max() or 1.0
+    while True:
+        with np.errstate(over="ignore"):
+            powered = (cost / scale) ** q
+        rows, cols = linear_sum_assignment(powered)
+        top = cost[rows, cols].max()
+        if top == 0.0 or (top / scale) ** q >= _TINY:
+            break
+        scale = top
+    y_of = np.full(n, -1)
+    bars = (rows < n) & (cols < m)
+    y_of[rows[bars]] = cols[bars]
+    pairs = _witness(y_of.tolist(), m)
     distance = wasserstein_cost(left, right, pairs, q)
     return distance, Matching(pairs, distance)
 

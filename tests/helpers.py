@@ -1,4 +1,5 @@
-"""Shared test fixtures: seeded barcode factories and gap measurement."""
+"""Shared test fixtures: seeded barcode factories, gap measurement and the
+dense bottleneck solver kept as an oracle."""
 
 import random
 
@@ -42,3 +43,74 @@ def fit_slope(xs, ys) -> float:
     return sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
         (x - x_mean) ** 2 for x in xs
     )
+
+
+def feasible_matching(xs: list, ys: list, threshold: float) -> list[int] | None:
+    """Perfect matching using only edges of cost <= threshold, or None.
+
+    The dense augmenting-path search that ``bottleneck`` once used, kept as
+    its oracle.  Left vertices are the n bars of xs then m diagonal slots;
+    right vertices are the m bars of ys then n diagonal slots, and every
+    diagonal slot reaches every other.  Returns right-to-left assignments
+    when a perfect matching exists.
+    """
+    n, m = len(xs), len(ys)
+    size = n + m
+
+    def linf(x, y):
+        return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+
+    def diag(x):
+        return (x[1] - x[0]) / 2.0
+
+    def edge(l: int, r: int) -> bool:
+        if l < n:
+            if r < m:
+                return linf(xs[l], ys[r]) <= threshold
+            return diag(xs[l]) <= threshold
+        if r < m:
+            return diag(ys[r]) <= threshold
+        return True
+
+    match_right = [-1] * size  # right vertex -> left vertex
+
+    def augment(l: int, visited: list[bool]) -> bool:
+        for r in range(size):
+            if not visited[r] and edge(l, r):
+                visited[r] = True
+                if match_right[r] == -1 or augment(match_right[r], visited):
+                    match_right[r] = l
+                    return True
+        return False
+
+    for l in range(size):
+        if not augment(l, [False] * size):
+            return None
+    return match_right
+
+
+def dense_bottleneck(left: Barcode, right: Barcode) -> float:
+    """Bottleneck distance by binary search with ``feasible_matching``."""
+    xs, ys = left.pairs(), right.pairs()
+    levels = sorted(
+        {0.0}
+        | {max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x in xs for y in ys}
+        | {(x[1] - x[0]) / 2.0 for x in xs + ys}
+    )
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible_matching(xs, ys, levels[mid]) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return levels[lo]
+
+
+def noisy_copy(barcode: Barcode, rng: random.Random, noise: float) -> Barcode:
+    """Every endpoint moved by up to ``noise``, keeping birth < death."""
+    pairs = []
+    for b, d in barcode.pairs():
+        b2, d2 = b + rng.uniform(-noise, noise), d + rng.uniform(-noise, noise)
+        pairs.append((b2, d2) if b2 < d2 else (b, d))
+    return Barcode.from_pairs(pairs)

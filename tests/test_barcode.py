@@ -213,6 +213,26 @@ def test_json_round_trip():
         parse_barcode_json("[")
 
 
+@pytest.mark.parametrize(
+    "csv_text, json_text",
+    [
+        ("0,inf\n", "[[0, Infinity]]"),
+        ("-inf,1\n", "[[-Infinity, 1]]"),
+        ("0,nan\n", "[[0, NaN]]"),
+        ("true,2\n", "[[true, 2]]"),
+        ("0,false\n", "[[0, false]]"),
+        ("0,1e400\n", "[[0, 1e400]]"),
+        ("0," + "9" * 400 + "\n", "[[0, " + "9" * 400 + "]]"),
+    ],
+    ids=["inf", "-inf", "nan", "true", "false", "1e400", "400 digits"],
+)
+def test_csv_and_json_reject_the_same_values(csv_text, json_text):
+    with pytest.raises(ParseError):
+        parse_barcode_csv(csv_text)
+    with pytest.raises(ParseError):
+        parse_barcode_json(json_text)
+
+
 def test_read_barcode_detects_format(tmp_path):
     csv = tmp_path / "b.csv"
     csv.write_text(format_barcode_csv(B1))

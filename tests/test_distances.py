@@ -3,6 +3,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barcomb.barcode import Barcode, affine_transform, generate_barcode
 from barcomb.distances import (
@@ -52,15 +54,29 @@ def oracle_bottleneck(left, right):
     )
 
 
+def lq_norm(costs, q):
+    top = max(costs, default=0.0)
+    if top == 0.0:
+        return 0.0
+    return top * sum((c / top) ** q for c in costs) ** (1.0 / q)
+
+
 def oracle_wasserstein(left, right, q):
     lp, rp = left.pairs(), right.pairs()
     return min(
-        sum(oracle_pair_cost(lp, rp, p) ** q for p in pairs)
+        lq_norm([oracle_pair_cost(lp, rp, p) for p in pairs], q)
         for pairs in all_matchings(len(lp), len(rp))
-    ) ** (1.0 / q)
+    )
 
 
-from helpers import fit_slope, min_gap, random_barcode, star_barcode
+from helpers import (
+    dense_bottleneck,
+    fit_slope,
+    min_gap,
+    noisy_copy,
+    random_barcode,
+    star_barcode,
+)
 
 
 def check_witness(left, right, witness):
@@ -270,3 +286,116 @@ def test_pair_cost_diagonal():
     assert pair_cost(left, right, (1, None)) == 2.0
     assert pair_cost(left, right, (None, 1)) == 0.5
     assert pair_cost(left, right, (None, None)) == 0.0
+
+
+def test_bottleneck_matches_dense_oracle_bit_for_bit():
+    rng = random.Random(131)
+    for trial in range(40):
+        n = rng.randint(1, 30)
+        left = random_barcode(rng, n, 0.0, 16.0)
+        if trial % 3 == 0:
+            right = random_barcode(rng, rng.randint(1, 30), 0.0, 16.0)
+        else:
+            right = noisy_copy(left, rng, 0.5)
+        d, w = bottleneck(left, right)
+        assert d == dense_bottleneck(left, right)
+        check_witness(left, right, w)
+        assert bottleneck_cost(left, right, w.pairs) == d == w.cost
+        for q in (1.0, 2.0):
+            dq, wq = wasserstein(left, right, q)
+            check_witness(left, right, wq)
+            assert wasserstein_cost(left, right, wq.pairs, q) == dq == wq.cost
+            assert dq >= d
+
+
+def test_large_q_does_not_overflow():
+    left = generate_barcode(20, seed=1, spread=16.0)
+    right = generate_barcode(20, seed=2, spread=16.0)
+    d_inf = bottleneck(left, right)[0]
+    d_q, w = wasserstein(left, right, 400.0)
+    assert math.isfinite(d_q) and d_q >= d_inf > 0.0
+    assert wasserstein_cost(left, right, w.pairs, 400.0) == d_q
+
+
+def test_large_q_does_not_underflow():
+    left = generate_barcode(20, seed=3, spread=1.0)
+    right = generate_barcode(20, seed=4, spread=1.0)
+    d_inf = bottleneck(left, right)[0]
+    assert wasserstein(left, right, 1000.0)[0] >= d_inf > 0.0
+
+
+def test_huge_coordinates():
+    left = Barcode.from_pairs([(0.0, 2e300)])
+    right = Barcode.from_pairs([(0.0, 4e300)])
+    assert wasserstein(left, right, 2.0)[0] == 2e300
+    assert bottleneck(left, right)[0] == 2e300
+
+
+def test_large_q_matches_exhaustive_oracle():
+    rng = random.Random(137)
+    for _ in range(30):
+        left = random_barcode(rng, rng.randint(1, 3), 0.0, 16.0)
+        right = random_barcode(rng, rng.randint(1, 3), 0.0, 16.0)
+        for q in (8.0, 64.0, 400.0, 1000.0):
+            assert wasserstein(left, right, q)[0] == pytest.approx(
+                oracle_wasserstein(left, right, q), rel=1e-12
+            )
+
+
+def test_wasserstein_falls_toward_bottleneck_as_q_grows():
+    rng = random.Random(139)
+    qs = [2.0**e for e in range(11)]
+    for trial in range(20):
+        left = random_barcode(rng, rng.randint(1, 20), 0.0, 16.0)
+        if trial % 2:
+            right = noisy_copy(left, rng, 0.5)
+        else:
+            right = random_barcode(rng, rng.randint(1, 20), 0.0, 16.0)
+        d_inf = bottleneck(left, right)[0]
+        values = [wasserstein(left, right, q)[0] for q in qs]
+        for big, small in zip(values, values[1:]):
+            assert small <= big * (1 + 1e-12)
+        # the bottleneck witness bounds d_q by (n + m)^(1/q) * d_inf
+        size = len(left) + len(right)
+        assert d_inf <= values[-1] <= d_inf * size ** (1 / qs[-1]) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, noisy", [(1000, True), (600, False)], ids=["1000 noisy", "600 independent"]
+)
+def test_large_pair_smoke(n, noisy):
+    # no time assertion: the suite's run time shows a slow probe graph
+    rng = random.Random(149)
+    left = random_barcode(rng, n, 0.0, 16.0)
+    right = noisy_copy(left, rng, 0.5) if noisy else random_barcode(rng, n, 0.0, 16.0)
+    d, w = bottleneck(left, right)
+    check_witness(left, right, w)
+    assert bottleneck_cost(left, right, w.pairs) == d > 0.0
+    if noisy:
+        assert d <= 0.5
+
+
+# --- hypothesis properties -------------------------------------------------
+
+# coordinates on a 2^-10 grid keep every cost exact, so the axioms hold
+# without tolerance
+grid = st.integers(0, 1 << 14).map(lambda v: v / 1024.0)
+lengths = st.integers(1, 1 << 13).map(lambda v: v / 1024.0)
+barcodes = st.lists(st.tuples(grid, lengths), min_size=1, max_size=6).map(
+    lambda bars: Barcode.from_pairs([(b, b + w) for b, w in bars])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(barcodes, barcodes, barcodes)
+def test_bottleneck_metric_properties(a, b, c):
+    assert bottleneck(a, a)[0] == 0.0
+    d_ab = bottleneck(a, b)[0]
+    assert d_ab == bottleneck(b, a)[0]
+    assert d_ab <= bottleneck(a, c)[0] + bottleneck(c, b)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(barcodes, barcodes, st.sampled_from([1.0, 1.5, 2.0, 3.0, 64.0, 1000.0]))
+def test_wasserstein_at_least_bottleneck(a, b, q):
+    assert wasserstein(a, b, q)[0] >= bottleneck(a, b)[0]
