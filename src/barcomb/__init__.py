@@ -46,14 +46,12 @@ from .lattice import (
     verify_ideal_isomorphism,
 )
 from .multiperm import (
-    CanonicalInvariant,
     Multipermutation,
     canonicalize,
     delta_k,
     f_k,
     g_k,
     inversion_multiset,
-    inversion_set,
     iota,
     newman_leq,
     phi,
@@ -105,14 +103,12 @@ __all__ = [
     "rank_vector",
     "top_element",
     "verify_ideal_isomorphism",
-    "CanonicalInvariant",
     "Multipermutation",
     "canonicalize",
     "delta_k",
     "f_k",
     "g_k",
     "inversion_multiset",
-    "inversion_set",
     "iota",
     "newman_leq",
     "phi",

@@ -35,12 +35,16 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class Bar:
-    """A single interval; birth < death strictly."""
+    """A single interval; finite endpoints with birth < death strictly."""
 
     birth: float
     death: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.birth) and math.isfinite(self.death)):
+            raise InvalidBarError(
+                f"bar ({self.birth!r}, {self.death!r}) needs finite endpoints"
+            )
         if not (self.birth < self.death):
             raise InvalidBarError(
                 f"bar ({self.birth!r}, {self.death!r}) needs birth < death"
@@ -244,8 +248,6 @@ def parse_barcode_csv(text: str) -> Barcode:
             birth, death = float(fields[0]), float(fields[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        if not (math.isfinite(birth) and math.isfinite(death)):
-            raise ParseError(f"line {lineno}: non-finite value in {raw!r}")
         pairs.append((birth, death))
     if not pairs:
         raise ParseError("no bars found")
@@ -274,8 +276,6 @@ def parse_barcode_json(text: str) -> Barcode:
             birth, death = float(item[0]), float(item[1])
         except OverflowError as exc:  # an integer beyond the double range
             raise ParseError(f"entry {idx}: {exc}") from exc
-        if not (math.isfinite(birth) and math.isfinite(death)):
-            raise ParseError(f"entry {idx}: non-finite value in {item!r}")
         pairs.append((birth, death))
     try:
         return Barcode.from_pairs(pairs)

@@ -164,14 +164,14 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_polytope(args) -> int:
     spec = lat.LatticeSpec(args.n, args.k)
+    vertex_set = poly.vertices(spec, args.cap)
     if args.vertices:
-        vertex_set = poly.vertices(spec, args.cap)
         if os.path.splitext(args.vertices)[1].lower() == ".json":
             _write(args.vertices, poly.format_vertices_json(vertex_set) + "\n")
         else:
             _write(args.vertices, poly.format_vertices_csv(vertex_set))
     if args.dim or not args.vertices:
-        _print_json(poly.dimension_report(spec, args.cap))
+        _print_json(poly._dimension_report(spec, vertex_set))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Enumeration of the power-k barcode lattices with full order operations.
+"""Enumeration of the power-k barcode lattices, and their meets and joins.
 
 The level-k lattice on n bars consists of all canonical multipermutations
 with alphabet size n and multiplicity m = 2^k + 1, ordered by the Newman
@@ -9,19 +9,26 @@ Newman lattice.
 Enumeration is deterministic: elements are produced in lexicographic word
 order, so indices, Hasse diagrams, and DOT/JSON output are byte-stable.
 Covers are adjacent swaps of an increasing symbol pair whose result is still
-canonical.  Meets and joins are found by search over the enumerated diagram;
-their uniqueness is asserted, which is the lattice property itself.
+canonical.
+
+Meets and joins need no enumeration.  Because the canonical words are a
+principal ideal, they are the meets and joins of the multinomial Newman
+lattice (Bennett and Birkhoff, "Two families of Newman lattices"): the join
+of two words has as its inversion set the transitive closure of the union of
+theirs, computed on interleaving profiles in ``barcomb.multiperm``, and
+reversing words reverses the order, so the meet of s and t is the reversed
+join of their reversals.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator
 
 from .errors import NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, newman_leq, rank
+from .multiperm import Multipermutation, _newman_join, newman_leq, rank
 
 DEFAULT_POSITION_CAP = 16
 
@@ -91,18 +98,6 @@ def _iter_words(n: int, m: int, canonical_only: bool) -> Iterator[tuple[int, ...
     return backtrack()
 
 
-def _canonical_after_swap(word: tuple[int, ...]) -> bool:
-    want = 1
-    seen = set()
-    for sym in word:
-        if sym not in seen:
-            if sym != want:
-                return False
-            seen.add(sym)
-            want += 1
-    return True
-
-
 @dataclass(frozen=True)
 class HasseDiagram:
     """An enumerated barcode lattice with cover edges and rank labels."""
@@ -125,63 +120,13 @@ class HasseDiagram:
     def __contains__(self, s: Multipermutation) -> bool:
         return s.word in self._index
 
-    @cached_property
-    def _down_masks(self) -> tuple[int, ...]:
-        """Bitmask per element of everything below-or-equal to it."""
-        order = sorted(range(len(self.elements)), key=self.ranks.__getitem__)
-        masks = [0] * len(self.elements)
-        children: list[list[int]] = [[] for _ in self.elements]
-        for lo, hi in self.covers:
-            children[hi].append(lo)
-        for i in order:
-            mask = 1 << i
-            for c in children[i]:
-                mask |= masks[c]
-            masks[i] = mask
-        return tuple(masks)
-
-    @cached_property
-    def _up_masks(self) -> tuple[int, ...]:
-        order = sorted(
-            range(len(self.elements)), key=self.ranks.__getitem__, reverse=True
-        )
-        masks = [0] * len(self.elements)
-        parents: list[list[int]] = [[] for _ in self.elements]
-        for lo, hi in self.covers:
-            parents[lo].append(hi)
-        for i in order:
-            mask = 1 << i
-            for p in parents[i]:
-                mask |= masks[p]
-            masks[i] = mask
-        return tuple(masks)
-
-    def leq(self, s: Multipermutation, t: Multipermutation) -> bool:
-        """Order by reachability in the diagram."""
-        return bool(self._down_masks[self.index_of(t)] >> self.index_of(s) & 1)
-
-    def _extremum(self, s, t, masks, comasks) -> Multipermutation:
-        common = masks[self.index_of(s)] & masks[self.index_of(t)]
-        found = []
-        probe = common
-        while probe:
-            low = probe & -probe
-            i = low.bit_length() - 1
-            probe ^= low
-            if comasks[i] & common == low:
-                found.append(i)
-        # a lattice has exactly one extremal common bound; anything else
-        # means the enumeration is corrupt
-        assert len(found) == 1, f"expected unique bound, got {len(found)}"
-        return self.elements[found[0]]
-
     def meet(self, s: Multipermutation, t: Multipermutation) -> Multipermutation:
-        """Unique maximal common lower bound."""
-        return self._extremum(s, t, self._down_masks, self._up_masks)
+        """Greatest common lower bound; the module-level ``meet``."""
+        return meet(s, t, self.spec, self.spec.positions)
 
     def join(self, s: Multipermutation, t: Multipermutation) -> Multipermutation:
-        """Unique minimal common upper bound."""
-        return self._extremum(s, t, self._up_masks, self._down_masks)
+        """Least common upper bound; the module-level ``join``."""
+        return join(s, t, self.spec, self.spec.positions)
 
     def rank_vector(self) -> list[int]:
         counts = [0] * (max(self.ranks) + 1)
@@ -217,7 +162,6 @@ def _check_cap(spec: LatticeSpec, cap: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def enumerate_lattice(
     spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP
 ) -> HasseDiagram:
@@ -233,10 +177,17 @@ def enumerate_lattice(
         for p in range(len(word) - 1):
             if word[p] < word[p + 1]:
                 swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
-                if _canonical_after_swap(swapped):
-                    covers.append((i, index[swapped]))
+                upper = index.get(swapped)  # None when not canonical
+                if upper is not None:
+                    covers.append((i, upper))
     ranks = tuple(rank(s) for s in elements)
     return HasseDiagram(spec, tuple(elements), tuple(sorted(covers)), ranks)
+
+
+def _element_word(s: Multipermutation, spec: LatticeSpec) -> tuple[int, ...]:
+    if s.n != spec.n or s.m != spec.m or not s.is_canonical:
+        raise NotAnElementError(f"{s} is not an element of the lattice {spec}")
+    return s.word
 
 
 def meet(
@@ -245,7 +196,10 @@ def meet(
     spec: LatticeSpec,
     cap: int = DEFAULT_POSITION_CAP,
 ) -> Multipermutation:
-    return enumerate_lattice(spec, cap).meet(s, t)
+    """Greatest common lower bound: the reversed join of the reversals."""
+    _check_cap(spec, cap)
+    a, b = _element_word(s, spec), _element_word(t, spec)
+    return Multipermutation(_newman_join(a[::-1], b[::-1], spec.n)[::-1])
 
 
 def join(
@@ -254,7 +208,10 @@ def join(
     spec: LatticeSpec,
     cap: int = DEFAULT_POSITION_CAP,
 ) -> Multipermutation:
-    return enumerate_lattice(spec, cap).join(s, t)
+    """Least common upper bound, from the closed union of inversion sets."""
+    _check_cap(spec, cap)
+    a, b = _element_word(s, spec), _element_word(t, spec)
+    return Multipermutation(_newman_join(a, b, spec.n))
 
 
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:

@@ -1,11 +1,24 @@
 """Multipermutation algebra behind the barcode invariants.
 
 A multipermutation over alphabet {1..n} with uniform multiplicity m is a word
-of length n*m in which every symbol occurs exactly m times.  Words are
-compared in the multinomial Newman order through the embedding ``iota`` that
-distinguishes the copies of each symbol: the r-th occurrence of i becomes
-i_r, copies of a symbol always staying in increasing copy order, and
-s <= t iff the inversion set of iota(s) is contained in that of iota(t).
+of length n*m in which every symbol occurs exactly m times.  The embedding
+``iota`` distinguishes the copies of each symbol: the r-th occurrence of i
+becomes i_r, copies of a symbol always staying in increasing copy order.
+
+Every order question reads one encoding of a word, its *interleaving
+profile*: for each symbol i, each copy of i and each larger symbol j, the
+number of copies of j that precede that copy of i.  Copies of j stay in
+order, so the profile is exactly the inversion set of ``iota(s)``, and
+
+* ``rank`` is the profile's total, the inversion count of the word;
+* ``inversion_multiset`` sums the profile over copies, and ``prec`` compares
+  those sums;
+* ``newman_leq``, the multinomial Newman order (s <= t iff the inversion set
+  of iota(s) is contained in that of iota(t)), compares profiles entrywise;
+* the join of two words has the transitively closed entrywise maximum of
+  their profiles as its profile, since the join's inversion set is the
+  transitive closure of the union of theirs.  ``barcomb.lattice`` builds
+  meet and join on it.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -21,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import le
 from typing import Sequence
 
 from .barcode import Barcode, require_k_strict, sample_points
@@ -50,10 +64,10 @@ class Multipermutation:
         if not word:
             raise InvalidWordError("empty word")
         counts = Counter(word)
-        n = max(counts)
+        n = len(counts)
+        if counts.keys() != set(range(1, n + 1)):
+            raise InvalidWordError(f"symbols must be 1..n for some n: {word}")
         m = len(word) // n
-        if sorted(counts) != list(range(1, n + 1)):
-            raise InvalidWordError(f"symbols must be exactly 1..{n}: {word}")
         if any(c != m for c in counts.values()):
             raise InvalidWordError(f"multiplicities must be uniform: {word}")
 
@@ -106,11 +120,6 @@ class Multipermutation:
         return s
 
 
-# Canonical representatives are plain multipermutations whose ``is_canonical``
-# holds; operations that need one check the flag.
-CanonicalInvariant = Multipermutation
-
-
 def _check_same_shape(s: Multipermutation, t: Multipermutation) -> None:
     if s.n != t.n or s.m != t.m:
         raise ShapeMismatchError(
@@ -151,7 +160,7 @@ def invert_permutation(pi: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def canonicalize(s: Multipermutation) -> CanonicalInvariant:
+def canonicalize(s: Multipermutation) -> Multipermutation:
     """The canonical representative of the relabeling orbit of ``s``.
 
     Relabels by the inverse of the first-occurrence permutation, so first
@@ -171,7 +180,7 @@ def canonicalize(s: Multipermutation) -> CanonicalInvariant:
     return relabel(s, invert_permutation(tau))
 
 
-def g_k(barcode: Barcode, k: int) -> CanonicalInvariant:
+def g_k(barcode: Barcode, k: int) -> Multipermutation:
     """The level-k invariant: canonicalized ``f_k``.
 
     Unchanged under bar relabeling and under increasing affine maps of the
@@ -198,47 +207,69 @@ def iota(s: Multipermutation | Sequence[int]) -> EmbeddedPermutation:
     return tuple(out)
 
 
-def inversion_set(
-    p: EmbeddedPermutation,
-) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
-    """All pairs (x, y) with x > y in the copy order but x preceding y."""
-    out = set()
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                out.add((p[a], p[b]))
-    return frozenset(out)
+def _profile(word: Sequence[int], n: int) -> list[list[list[int]]]:
+    """The interleaving profile of a word over {1..n}.
 
-
-def _inversion_mask(s: Multipermutation) -> int:
-    """Inversion set of iota(s) as a bitmask over unordered value pairs.
-
-    Value of (sym, copy) in the total order is (sym-1)*m + copy, in 1..N.
-    Bit for the pair {u < v} is set iff v precedes u.  Subset tests on these
-    masks implement the Newman order.
+    ``prof[i][r][j - i - 1]`` counts the copies of j > i before the copy of
+    i with index r (counted from 0).  Copies of j stay in order, so copy c of
+    j (counted from 1) precedes that copy of i exactly when c is at most this
+    count: the profile is the inversion set of ``iota(word)``.
     """
-    m = s.m
-    counts: Counter[int] = Counter()
-    values = []
-    for sym in s.word:
+    counts = [0] * (n + 1)
+    prof: list[list[list[int]]] = [[] for _ in range(n + 1)]
+    for sym in word:
+        prof[sym].append(counts[sym + 1 :])
         counts[sym] += 1
-        values.append((sym - 1) * m + counts[sym])
-    mask = 0
-    for a in range(len(values)):
-        va = values[a]
-        for b in range(a + 1, len(values)):
-            vb = values[b]
-            if va > vb:
-                # pair index for {vb < va}
-                mask |= 1 << ((va - 1) * (va - 2) // 2 + (vb - 1))
-    return mask
+    return prof
+
+
+def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
+    """Join of two words of one shape in the multinomial Newman lattice.
+
+    Its inversion set is the transitive closure of the union of theirs: the
+    entrywise maximum P of the two profiles, closed under
+    P[i][r][l] >= P[j][P[i][r][j] - 1][l] for symbols i < j < l.  Rows
+    of larger symbols are closed first and each row is raised in ascending
+    j, so every count is final before it is read and one pass suffices.
+    The word is rebuilt from the row sums, which count the larger symbols
+    before each copy: inserting symbols from n down to 1 puts each copy
+    after exactly that many larger symbols and the earlier copies of itself.
+    """
+    prof = [
+        [list(map(max, a, b)) for a, b in zip(rows_s, rows_t)]
+        for rows_s, rows_t in zip(_profile(s, n), _profile(t, n))
+    ]
+    for i in range(n - 1, 0, -1):
+        for row in prof[i]:
+            for j in range(i + 1, n):
+                c = row[j - i - 1]
+                if c:
+                    row[j - i :] = map(max, row[j - i :], prof[j][c - 1])
+    word: list[int] = []
+    for i in range(n, 0, -1):
+        for r, row in enumerate(prof[i]):
+            word.insert(sum(row) + r, i)
+    return tuple(word)
 
 
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
-    """Multinomial Newman order: inversions of iota(s) within iota(t)."""
+    """Multinomial Newman order: inversions of iota(s) within iota(t).
+
+    Holds iff the profile of s is at most that of t at every entry.
+    """
     _check_same_shape(s, t)
-    ms, mt = _inversion_mask(s), _inversion_mask(t)
-    return ms & ~mt == 0
+    n = s.n
+    return all(
+        all(map(le, row_s, row_t))
+        for rows_s, rows_t in zip(_profile(s.word, n), _profile(t.word, n))
+        for row_s, row_t in zip(rows_s, rows_t)
+    )
+
+
+def _pair_counts(s: Multipermutation) -> list[list[int]]:
+    """The profile summed over copies: ``counts[i][j - i - 1]`` position
+    pairs where a copy of j > i precedes a copy of i."""
+    return [list(map(sum, zip(*rows))) for rows in _profile(s.word, s.n)]
 
 
 def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
@@ -249,30 +280,35 @@ def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
     [((2, 1), 2), ((3, 1), 1), ((3, 2), 1), ((4, 1), 2), ((4, 3), 2)]
     """
     counts: Counter[tuple[int, int]] = Counter()
-    word = s.word
-    for a in range(len(word)):
-        for b in range(a + 1, len(word)):
-            if word[a] > word[b]:
-                counts[(word[a], word[b])] += 1
+    for i, row in enumerate(_pair_counts(s)):
+        for j, total in enumerate(row, start=i + 1):
+            if total:
+                counts[(j, i)] = total
     return counts
 
 
-def prec(s: CanonicalInvariant, t: CanonicalInvariant) -> bool:
+def prec(s: Multipermutation, t: Multipermutation) -> bool:
     """Order on canonical representatives via inversion-multiset containment.
 
-    Agrees with ``newman_leq`` on canonical words (for multiplicity 2 this is
-    the classical statement; it is verified exhaustively by the test suite).
+    Agrees with ``newman_leq`` on canonical words of multiplicity 2, the
+    classical statement; the test suite checks this exhaustively.
     """
     _check_same_shape(s, t)
     for u in (s, t):
         if not u.is_canonical:
             raise NotCanonicalError(f"not canonical: {u}")
-    return inversion_multiset(s) <= inversion_multiset(t)
+    return all(all(map(le, a, b)) for a, b in zip(_pair_counts(s), _pair_counts(t)))
 
 
-def rank(s: CanonicalInvariant) -> int:
-    """Total inversion count; the grading of the barcode lattices."""
-    return sum(inversion_multiset(s).values())
+def rank(s: Multipermutation) -> int:
+    """Total inversion count, the sum of the profile; the grading of the
+    barcode lattices."""
+    counts = [0] * (s.n + 1)
+    total = 0
+    for sym in s.word:
+        total += sum(counts[sym + 1 :])
+        counts[sym] += 1
+    return total
 
 
 def delta_k(s: Multipermutation) -> Multipermutation:
@@ -299,7 +335,7 @@ def delta_k(s: Multipermutation) -> Multipermutation:
     return Multipermutation(tuple(kept))
 
 
-def second_occurrence_subword(s: CanonicalInvariant) -> tuple[int, ...]:
+def second_occurrence_subword(s: Multipermutation) -> tuple[int, ...]:
     """The symbols at their second occurrences, in word order."""
     counts: Counter[int] = Counter()
     out = []

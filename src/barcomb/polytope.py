@@ -119,9 +119,14 @@ def pi_partition_blocks(spec: LatticeSpec) -> int:
 
 def dimension_report(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> dict:
     """JSON-ready summary: ambient dimension, exact dim, formula, blocks."""
+    return _dimension_report(spec, vertices(spec, cap))
+
+
+def _dimension_report(spec: LatticeSpec, vertex_set: VertexSet) -> dict:
+    """``dimension_report`` for vertices already computed for ``spec``."""
     return {
         "ambient": spec.positions,
-        "dim": affine_dimension(vertices(spec, cap)),
+        "dim": affine_dimension(vertex_set),
         "expected": spec.positions - 2,
         "blocks": pi_partition_blocks(spec),
     }

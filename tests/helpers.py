@@ -1,9 +1,12 @@
-"""Shared test fixtures: seeded barcode factories, gap measurement and the
-dense bottleneck solver kept as an oracle."""
+"""Shared test fixtures: seeded barcode factories, gap measurement, and the
+slow paths kept as oracles: the dense bottleneck solver, inversion sets of
+embedded permutations, and order, meet and join by reachability over the
+covers of an enumerated lattice."""
 
 import random
 
 from barcomb.barcode import Barcode, sample_points
+from barcomb.multiperm import EmbeddedPermutation
 
 
 def random_barcode(rng: random.Random, n: int, lo=0.0, hi=1.0) -> Barcode:
@@ -114,3 +117,63 @@ def noisy_copy(barcode: Barcode, rng: random.Random, noise: float) -> Barcode:
         b2, d2 = b + rng.uniform(-noise, noise), d + rng.uniform(-noise, noise)
         pairs.append((b2, d2) if b2 < d2 else (b, d))
     return Barcode.from_pairs(pairs)
+
+
+def inversion_set(
+    p: EmbeddedPermutation,
+) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
+    """All pairs (x, y) with x > y in the copy order but x preceding y."""
+    out = set()
+    for a in range(len(p)):
+        for b in range(a + 1, len(p)):
+            if p[a] > p[b]:
+                out.add((p[a], p[b]))
+    return frozenset(out)
+
+
+class ReachabilityOrder:
+    """Order, meet and join of an enumerated lattice from its cover edges.
+
+    Each element gets bitmasks of everything below and above it.  The meet
+    of s and t is the common lower bound whose own down-set is the whole set
+    of common lower bounds; there must be exactly one.  Joins are dual.
+    """
+
+    def __init__(self, diagram):
+        self.diagram = diagram
+        size = len(diagram.elements)
+        below = [[] for _ in range(size)]
+        above = [[] for _ in range(size)]
+        for lo, hi in diagram.covers:
+            below[hi].append(lo)
+            above[lo].append(hi)
+        by_rank = sorted(range(size), key=diagram.ranks.__getitem__)
+        self.down = self._closure(by_rank, below)
+        self.up = self._closure(by_rank[::-1], above)
+
+    @staticmethod
+    def _closure(order, neighbours):
+        masks = [0] * len(order)
+        for i in order:
+            mask = 1 << i
+            for j in neighbours[i]:
+                mask |= masks[j]
+            masks[i] = mask
+        return masks
+
+    def leq(self, s, t) -> bool:
+        index = self.diagram.index_of
+        return bool(self.down[index(t)] >> index(s) & 1)
+
+    def _bound(self, s, t, masks):
+        index = self.diagram.index_of
+        common = masks[index(s)] & masks[index(t)]
+        found = [i for i, mask in enumerate(masks) if mask == common]
+        assert len(found) == 1, f"expected one extremal bound, got {len(found)}"
+        return self.diagram.elements[found[0]]
+
+    def meet(self, s, t):
+        return self._bound(s, t, self.down)
+
+    def join(self, s, t):
+        return self._bound(s, t, self.up)

@@ -30,6 +30,8 @@ from barcomb.distances import (
 from barcomb.lattice import (
     LatticeSpec,
     enumerate_lattice,
+    join,
+    meet,
     top_element,
     verify_ideal_isomorphism,
 )
@@ -175,13 +177,15 @@ def test_criterion_05_principal_ideal():
 def test_criterion_06_lattice_laws():
     with criterion(6, "lattice laws", 10.0):
         for n, k in [(3, 0), (2, 1)]:
-            d = enumerate_lattice(LatticeSpec(n, k))
+            spec = LatticeSpec(n, k)
+            d = enumerate_lattice(spec)
             for s in d.elements:
-                assert d.meet(s, s) == s and d.join(s, s) == s
+                assert meet(s, s, spec) == s and join(s, s, spec) == s
                 for t in d.elements:
-                    lo, hi = d.meet(s, t), d.join(s, t)  # uniqueness asserted inside
-                    assert lo == d.meet(t, s) and hi == d.join(t, s)
-                    assert d.meet(s, hi) == s and d.join(s, lo) == s
+                    lo, hi = meet(s, t, spec), join(s, t, spec)
+                    assert lo in d and hi in d
+                    assert lo == meet(t, s, spec) and hi == join(t, s, spec)
+                    assert meet(s, hi, spec) == s and join(s, lo, spec) == s
 
 
 def test_criterion_07_invariance_suite():

@@ -47,6 +47,17 @@ def test_bar_invariant():
     assert Bar(0.0, 1.0).length == 1.0
 
 
+@pytest.mark.parametrize(
+    "pair", [(0.0, float("inf")), (float("-inf"), 1.0), (float("-inf"), float("inf")),
+             (float("nan"), 1.0), (0.0, float("nan"))]
+)
+def test_bar_rejects_non_finite_endpoints(pair):
+    with pytest.raises(InvalidBarError):
+        Bar(*pair)
+    with pytest.raises(InvalidBarError):
+        Barcode.from_pairs([(0.0, 1.0), pair])
+
+
 def test_barcode_needs_a_bar():
     with pytest.raises(InvalidBarError):
         Barcode(())

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import barcomb.polytope
 from barcomb.cli import main
+from barcomb.multiperm import Multipermutation, newman_leq
 
 B1_CSV = "1.0,2.0\n1.5,3.0\n2.5,2.75\n"
 B2_CSV = "1.5,3.0\n1.0,2.0\n2.5,2.75\n"
@@ -154,6 +160,75 @@ def test_meetjoin(capsys):
         "2 1 1 2", "1 2 2 1",
     )
     assert code == 3  # not canonical, so not an element
+
+
+def test_meetjoin_beyond_enumeration(capsys):
+    # (5,1) has 1.4 million elements; meet and join must not enumerate them
+    s, t = "1 2 3 1 4 5 2 3 4 5 1 2 3 4 5", "1 1 2 3 2 4 4 5 3 5 1 2 5 3 4"
+    words = [Multipermutation.from_string(w) for w in (s, t)]
+    for op in ("meet", "join"):
+        code, out = run(capsys, "meetjoin", "--n", "5", "--k", "1", "--op", op, s, t)
+        assert code == 0
+        bound = Multipermutation.from_string(out)
+        assert bound.is_canonical
+        for w in words:
+            assert newman_leq(bound, w) if op == "meet" else newman_leq(w, bound)
+
+
+def run_isolated(argv):
+    """Exit code and stderr of ``main``, counting argparse's exit as a code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+word_text = st.one_of(
+    st.lists(st.integers(-1, 5), max_size=20).map(lambda xs: " ".join(map(str, xs))),
+    st.text(alphabet=st.sampled_from("0123456789 -+_x"), max_size=30),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+sizes = st.one_of(st.integers(-1, 5), st.integers(-2, 70)).map(str)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["meet", "join"]), sizes, sizes, word_text, word_text)
+def test_meetjoin_fuzz_exits_cleanly(op, n, k, s, t):
+    code, err = run_isolated(["meetjoin", "--n", n, "--k", k, "--op", op, "--", s, t])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@settings(deadline=None)
+@given(sizes, word_text, word_text)
+def test_compare_fuzz_exits_cleanly(tmp_path_factory, k, s, t):
+    directory = tmp_path_factory.mktemp("words")
+    a, b = directory / "a.txt", directory / "b.txt"
+    a.write_text(s, encoding="utf-8")
+    b.write_text(t, encoding="utf-8")
+    code, err = run_isolated(["compare", "--k", k, str(a), str(b)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+def test_polytope_enumerates_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    enumerate_lattice = barcomb.polytope.enumerate_lattice
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_lattice(*args)
+
+    monkeypatch.setattr(barcomb.polytope, "enumerate_lattice", counted)
+    out_file = tmp_path / "v.csv"
+    code, out = run(
+        capsys, "polytope", "--n", "3", "--k", "0", "--vertices", str(out_file), "--dim"
+    )
+    assert code == 0 and json.loads(out)["dim"] == 4
+    assert len(calls) == 1
 
 
 def test_distance(capsys, tmp_path):

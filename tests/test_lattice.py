@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+from helpers import ReachabilityOrder
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barcomb.errors import NotAnElementError, TooLargeError
 from barcomb.lattice import (
@@ -16,6 +19,7 @@ from barcomb.lattice import (
 )
 from barcomb.multiperm import (
     Multipermutation,
+    canonicalize,
     inversion_multiset,
     newman_leq,
     rank,
@@ -122,10 +126,11 @@ def test_exactly_one_bottom_and_top():
 def test_reachability_agrees_with_newman(n, k):
     # multiset containment is the same order only at multiplicity 2
     d = enumerate_lattice(LatticeSpec(n, k))
+    order = ReachabilityOrder(d)
     multisets = [inversion_multiset(s) for s in d.elements]
     for i, s in enumerate(d.elements):
         for j, t in enumerate(d.elements):
-            reach = d.leq(s, t)
+            reach = order.leq(s, t)
             assert reach == newman_leq(s, t)
             if k == 0:
                 assert reach == (multisets[i] <= multisets[j])
@@ -161,34 +166,95 @@ def test_meet_join_examples():
     d = enumerate_lattice(spec)
     top = top_element(spec)
     for s in d.elements:
-        assert d.meet(s, top) == s
-        assert d.join(s, top) == top
+        assert meet(s, top, spec) == s
+        assert join(s, top, spec) == top
 
 
 @pytest.mark.parametrize("n,k", [(3, 0), (2, 1)])
 def test_lattice_laws(n, k):
-    d = enumerate_lattice(LatticeSpec(n, k))
+    spec = LatticeSpec(n, k)
+    d = enumerate_lattice(spec)
+    order = ReachabilityOrder(d)
     elems = d.elements
     for s in elems:
-        assert d.meet(s, s) == s and d.join(s, s) == s
+        assert meet(s, s, spec) == s and join(s, s, spec) == s
     for s in elems:
         for t in elems:
-            lo, hi = d.meet(s, t), d.join(s, t)
-            assert lo == d.meet(t, s) and hi == d.join(t, s)
-            assert d.leq(lo, s) and d.leq(s, hi)
-            assert d.meet(s, d.join(s, t)) == s  # absorption
-            assert d.join(s, d.meet(s, t)) == s
+            lo, hi = meet(s, t, spec), join(s, t, spec)
+            assert lo == meet(t, s, spec) and hi == join(t, s, spec)
+            assert order.leq(lo, s) and order.leq(s, hi)
+            assert meet(s, join(s, t, spec), spec) == s  # absorption
+            assert join(s, meet(s, t, spec), spec) == s
     rng = random.Random(3)
     for _ in range(200):
         s, t, u = (rng.choice(elems) for _ in range(3))
-        assert d.meet(s, d.meet(t, u)) == d.meet(d.meet(s, t), u)
-        assert d.join(s, d.join(t, u)) == d.join(d.join(s, t), u)
+        assert meet(s, meet(t, u, spec), spec) == meet(meet(s, t, spec), u, spec)
+        assert join(s, join(t, u, spec), spec) == join(join(s, t, spec), u, spec)
+
+
+@pytest.mark.parametrize(
+    "n,k,pairs", [(3, 0, None), (2, 1, None), (3, 1, 300), (2, 2, 300), (5, 0, 300)]
+)
+def test_meet_join_match_reachability(n, k, pairs):
+    # every pair where given no count, else that many seeded pairs
+    spec = LatticeSpec(n, k)
+    d = enumerate_lattice(spec)
+    order = ReachabilityOrder(d)
+    elems = d.elements
+    if pairs is None:
+        queries = [(s, t) for s in elems for t in elems]
+    else:
+        rng = random.Random(n * 10 + k)
+        queries = [(rng.choice(elems), rng.choice(elems)) for _ in range(pairs)]
+    for s, t in queries:
+        assert meet(s, t, spec) == order.meet(s, t)
+        assert join(s, t, spec) == order.join(s, t)
+        assert d.meet(s, t) == order.meet(s, t) and d.join(s, t) == order.join(s, t)
 
 
 def test_not_an_element():
-    d = enumerate_lattice(LatticeSpec(2, 0))
-    with pytest.raises(NotAnElementError):
-        d.meet(words(2, 1, 1, 2), words(1, 2, 2, 1))
+    spec = LatticeSpec(2, 0)
+    top = words(1, 2, 2, 1)
+    for bad in (words(2, 1, 1, 2), words(1, 1, 1, 2, 2, 2), words(1, 2, 3, 3, 2, 1)):
+        with pytest.raises(NotAnElementError):
+            meet(bad, top, spec)
+        with pytest.raises(NotAnElementError):
+            join(top, bad, spec)
+    # the size cap is checked first, as enumeration would
+    with pytest.raises(TooLargeError):
+        meet(top, top, LatticeSpec(9, 1))
+
+
+@st.composite
+def canonical_triples(draw):
+    """A spec with n <= 12 and k <= 2 and three canonical words of its shape."""
+    spec = LatticeSpec(draw(st.integers(1, 12)), draw(st.integers(0, 2)))
+    base = [sym for sym in range(1, spec.n + 1) for _ in range(spec.m)]
+    return (spec, *(canonicalize(W(tuple(draw(st.permutations(base))))) for _ in range(3)))
+
+
+@settings(deadline=None)
+@given(canonical_triples())
+def test_meet_join_laws_beyond_enumeration(triple):
+    spec, s, t, u = triple
+    cap = spec.positions
+
+    def m(a, b):
+        return meet(a, b, spec, cap)
+
+    def j(a, b):
+        return join(a, b, spec, cap)
+
+    lo, hi = m(s, t), j(s, t)
+    assert newman_leq(lo, s) and newman_leq(lo, t)
+    assert newman_leq(s, hi) and newman_leq(t, hi)
+    assert newman_leq(hi, top_element(spec)) and hi.is_canonical and lo.is_canonical
+    assert lo == m(t, s) and hi == j(t, s)
+    assert m(s, m(t, u)) == m(m(s, t), u)
+    assert j(s, j(t, u)) == j(j(s, t), u)
+    assert m(s, s) == s and j(s, s) == s
+    assert m(s, hi) == s and j(s, lo) == s  # absorption
+    assert (lo == s) == newman_leq(s, t) == (hi == t)
 
 
 def test_size_cap():

@@ -3,15 +3,19 @@ import random
 from collections import Counter
 
 import pytest
+from helpers import inversion_set
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import barcomb.multiperm
-from barcomb.barcode import Barcode, affine_transform, crossing_number
+from barcomb.barcode import Barcode, affine_transform, crossing_number, is_k_strict
 from barcomb.errors import (
     InvalidWordError,
     NotCanonicalError,
     NotStrictError,
     ShapeMismatchError,
 )
+from barcomb.lattice import LatticeSpec, enumerate_lattice
 from barcomb.multiperm import (
     Multipermutation,
     canonicalize,
@@ -19,7 +23,6 @@ from barcomb.multiperm import (
     f_k,
     g_k,
     inversion_multiset,
-    inversion_set,
     iota,
     newman_leq,
     phi,
@@ -67,6 +70,10 @@ def test_word_validation():
         W((1, 3, 1, 3))  # symbol 2 missing
     with pytest.raises(InvalidWordError):
         W((0, 1))
+    with pytest.raises(InvalidWordError):
+        W((0,))
+    with pytest.raises(InvalidWordError):
+        W((1, 10**12))  # rejected without listing 1..10^12
     s = words(1, 2, 1, 3, 3, 2)
     assert (s.n, s.m) == (3, 2)
 
@@ -208,6 +215,45 @@ def test_multiset_does_not_order_the_full_lattice():
     assert inversion_set(iota(b)) == {((2, 1), (1, 1)), ((2, 1), (1, 2))}
 
 
+def pair_multiset(inversions):
+    """Inversion multiset read off an inversion set of iota(s)."""
+    return Counter((x[0], y[0]) for x, y in inversions)
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (2, 1), (2, 2)])
+def test_orders_match_inversion_sets_on_every_pair(n, k):
+    elems = enumerate_lattice(LatticeSpec(n, k)).elements
+    sets = [inversion_set(iota(s)) for s in elems]
+    multisets = [pair_multiset(inv) for inv in sets]
+    for s, inv, multiset in zip(elems, sets, multisets):
+        assert rank(s) == len(inv)
+        assert inversion_multiset(s) == multiset
+    for s, inv_s, ms_s in zip(elems, sets, multisets):
+        for t, inv_t, ms_t in zip(elems, sets, multisets):
+            assert newman_leq(s, t) == (inv_s <= inv_t)
+            assert prec(s, t) == (ms_s <= ms_t)
+
+
+def test_orders_match_inversion_sets_on_random_words():
+    rng = random.Random(97)
+    for _ in range(300):
+        s = random_word(rng, rng.randint(1, 6), rng.randint(1, 4))
+        # t is above s: a few adjacent swaps of increasing pairs
+        word = list(s.word)
+        for _ in range(rng.randint(0, 8)):
+            p = rng.randrange(max(len(word) - 1, 1))
+            if p + 1 < len(word) and word[p] < word[p + 1]:
+                word[p], word[p + 1] = word[p + 1], word[p]
+        t = W(tuple(word))
+        u = random_word(rng, s.n, s.m)
+        inv_s = inversion_set(iota(s))
+        assert rank(s) == len(inv_s)
+        assert inversion_multiset(s) == pair_multiset(inv_s)
+        assert newman_leq(s, t)
+        for a, b in ((s, t), (t, s), (s, u), (u, s), (t, u)):
+            assert newman_leq(a, b) == (inversion_set(iota(a)) <= inversion_set(iota(b)))
+
+
 def test_newman_leq():
     assert newman_leq(words(1, 1, 2, 1, 2, 2), words(1, 2, 1, 2, 1, 2))
     a, b = words(1, 2, 2, 1, 1, 2), words(1, 1, 2, 2, 2, 1)
@@ -322,3 +368,29 @@ def test_phi_is_second_occurrence_subword():
     for _ in range(100):
         bc = random_strict_barcode(rng, rng.randint(1, 6))
         assert phi(bc) == second_occurrence_subword(g_k(bc, 0))
+
+
+# Endpoints are integers and affine maps have integer coefficients, so every
+# level-k sample point (k <= 3) is exact in binary64 and no rounding can
+# reorder two of them.
+integer_bars = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)), min_size=1, max_size=6
+)
+
+
+@given(integer_bars, st.integers(0, 3), st.integers(1, 1000), st.integers(-10**6, 10**6),
+       st.data())
+def test_g_k_invariant_under_relabeling_and_affine_maps(bars, k, alpha, delta, data):
+    barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
+    assume(is_k_strict(barcode, k))
+    order = data.draw(st.permutations(range(len(bars))))
+    shuffled = Barcode(tuple(barcode.bars[i] for i in order))
+    moved = affine_transform(barcode, alpha, delta)
+    assert g_k(shuffled, k) == g_k(moved, k) == g_k(barcode, k)
+
+
+@given(integer_bars, st.integers(0, 2))
+def test_delta_k_maps_level_k_plus_one_to_level_k(bars, k):
+    barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
+    assume(is_k_strict(barcode, k + 1))
+    assert delta_k(f_k(barcode, k + 1)) == f_k(barcode, k)
