@@ -235,8 +235,15 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _bar(where: str, birth: float, death: float) -> Bar:
+    try:
+        return Bar(birth, death)
+    except InvalidBarError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def parse_barcode_csv(text: str) -> Barcode:
-    pairs = []
+    bars = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -248,13 +255,10 @@ def parse_barcode_csv(text: str) -> Barcode:
             birth, death = float(fields[0]), float(fields[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        pairs.append((birth, death))
-    if not pairs:
+        bars.append(_bar(f"line {lineno}", birth, death))
+    if not bars:
         raise ParseError("no bars found")
-    try:
-        return Barcode.from_pairs(pairs)
-    except InvalidBarError as exc:
-        raise ParseError(str(exc)) from exc
+    return Barcode(tuple(bars))
 
 
 def parse_barcode_json(text: str) -> Barcode:
@@ -264,7 +268,7 @@ def parse_barcode_json(text: str) -> Barcode:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty JSON array of [birth, death] pairs")
-    pairs = []
+    bars = []
     for idx, item in enumerate(data):
         if (
             not isinstance(item, list)
@@ -276,11 +280,8 @@ def parse_barcode_json(text: str) -> Barcode:
             birth, death = float(item[0]), float(item[1])
         except OverflowError as exc:  # an integer beyond the double range
             raise ParseError(f"entry {idx}: {exc}") from exc
-        pairs.append((birth, death))
-    try:
-        return Barcode.from_pairs(pairs)
-    except InvalidBarError as exc:
-        raise ParseError(str(exc)) from exc
+        bars.append(_bar(f"entry {idx}", birth, death))
+    return Barcode(tuple(bars))
 
 
 def format_barcode_csv(barcode: Barcode) -> str:
@@ -292,15 +293,19 @@ def format_barcode_json(barcode: Barcode) -> str:
     return json.dumps([[b.birth, b.death] for b in barcode.bars])
 
 
+_FORMATS_BY_EXTENSION = {".csv": "csv", ".json": "json"}
+
+
+def format_from_extension(path: str) -> str | None:
+    """``"csv"`` or ``"json"`` from the file extension, None for any other."""
+    return _FORMATS_BY_EXTENSION.get(os.path.splitext(path)[1].lower())
+
+
 def read_barcode(path: str, fmt: str | None = None) -> Barcode:
     """Load a barcode file; format from ``fmt`` or the file extension."""
     if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        if ext == ".csv":
-            fmt = "csv"
-        elif ext == ".json":
-            fmt = "json"
-        else:
+        fmt = format_from_extension(path)
+        if fmt is None:
             raise ParseError(f"cannot infer format of {path!r}; pass fmt")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import barcode as bc
@@ -64,8 +63,7 @@ def _cmd_rank(args) -> int:
 def _load_comparand(path: str, k: int, fmt: str | None) -> mp.Multipermutation:
     """A canonical invariant from a barcode file or a word file."""
     if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        fmt = {".csv": "csv", ".json": "json"}.get(ext, "word")
+        fmt = bc.format_from_extension(path) or "word"
     if fmt in ("csv", "json"):
         if fmt == "json":
             # barcode files hold an array; word files hold an object
@@ -166,7 +164,7 @@ def _cmd_polytope(args) -> int:
     spec = lat.LatticeSpec(args.n, args.k)
     vertex_set = poly.vertices(spec, args.cap)
     if args.vertices:
-        if os.path.splitext(args.vertices)[1].lower() == ".json":
+        if bc.format_from_extension(args.vertices) == "json":
             _write(args.vertices, poly.format_vertices_json(vertex_set) + "\n")
         else:
             _write(args.vertices, poly.format_vertices_csv(vertex_set))

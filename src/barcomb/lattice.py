@@ -6,10 +6,10 @@ relation.  Equivalently (and verified by ``verify_ideal_isomorphism``) it is
 the principal ideal below the fully nested word inside the full multinomial
 Newman lattice.
 
-Enumeration is deterministic: elements are produced in lexicographic word
-order, so indices, Hasse diagrams, and DOT/JSON output are byte-stable.
-Covers are adjacent swaps of an increasing symbol pair whose result is still
-canonical.
+Enumeration is deterministic: one private stream produces the words in
+lexicographic order, each with its rank, so indices, Hasse diagrams, vertex
+vectors and DOT/JSON output are byte-stable.  Covers are adjacent swaps of
+an increasing symbol pair whose result is still canonical.
 
 Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman
@@ -23,12 +23,15 @@ join of their reversals.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _newman_join, newman_leq, rank
+from .multiperm import Multipermutation, _newman_join, newman_leq
 
 DEFAULT_POSITION_CAP = 16
 
@@ -67,35 +70,103 @@ def top_element(spec: LatticeSpec) -> Multipermutation:
     return Multipermutation(tuple(word))
 
 
-def _iter_words(n: int, m: int, canonical_only: bool) -> Iterator[tuple[int, ...]]:
-    """All multiset permutations of {1^m .. n^m} in lexicographic order.
+def _word_stream(
+    n: int, m: int, canonical_only: bool = True
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All multiset permutations of {1^m .. n^m} with their ranks, in
+    lexicographic order.
 
     With ``canonical_only``, a symbol may start only after the previous
-    symbol has appeared, which yields exactly the canonical words.
+    symbol has appeared, which yields exactly the canonical words.  The rank
+    is carried along: placing symbol s adds the number of larger symbols
+    already placed.
+
+    The completions of a prefix, and what they add to its rank, depend only
+    on the counts still to place and on the largest symbol placed.  So the
+    first ceil(N/2) positions are walked once per prefix, and the words of the
+    last N/2 positions are built once per such state and shared by every
+    prefix that reaches it.
     """
-    remaining = [m] * (n + 1)  # 1-based
-    word: list[int] = []
-    seen = 0  # largest symbol already placed; canonical words grow it by 1
+    size = n * m
+    split = size - size // 2
 
-    def backtrack() -> Iterator[tuple[int, ...]]:
-        nonlocal seen
-        if len(word) == n * m:
-            yield tuple(word)
-            return
+    def moves(rem: tuple[int, ...], seen: int):
+        """Each next symbol s with the state after it and its rank step."""
         limit = min(n, seen + 1) if canonical_only else n
-        for sym in range(1, limit + 1):
-            if remaining[sym] == 0:
-                continue
-            remaining[sym] -= 1
-            word.append(sym)
-            prev_seen = seen
-            seen = max(seen, sym)
-            yield from backtrack()
-            seen = prev_seen
-            word.pop()
-            remaining[sym] += 1
+        for s in range(1, limit + 1):
+            left = rem[s - 1]
+            if left:
+                larger_placed = m * (n - s) - sum(rem[s:])
+                yield s, rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s), larger_placed
 
-    return backtrack()
+    tails: dict[tuple[tuple[int, ...], int], tuple[list, list]] = {}
+
+    def tail(rem: tuple[int, ...], seen: int) -> tuple[list, list]:
+        """The completions of a state and the rank each adds, in order."""
+        key = (rem, seen)
+        if key not in tails:
+            words, steps = ([], []) if any(rem) else ([()], [0])
+            for s, after, after_seen, step in moves(rem, seen):
+                sub_words, sub_steps = tail(after, after_seen)
+                head = (s,)
+                words += [head + w for w in sub_words]
+                steps += [step + r for r in sub_steps]
+            tails[key] = (words, steps)
+        return tails[key]
+
+    heads: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
+
+    def walk(prefix: tuple[int, ...], rem: tuple[int, ...], seen: int, rnk: int):
+        if len(prefix) == split:
+            heads.append((prefix, rem, seen, rnk))
+            return
+        for s, after, after_seen, step in moves(rem, seen):
+            walk(prefix + (s,), after, after_seen, rnk + step)
+
+    walk((), (m,) * n, 0, 0)
+    for prefix, rem, seen, rnk in heads:
+        words, steps = tail(rem, seen)
+        yield from zip([prefix + w for w in words], [rnk + r for r in steps])
+
+
+def _covers(words: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, int], ...]:
+    """Cover edges (lower index, upper index), sorted, of all canonical words
+    of one shape over symbols 1..n, listed in lexicographic order.
+
+    A cover swaps an adjacent increasing pair a < b.  The result is canonical
+    unless a first occurs at that position (then b, larger, first occurs
+    right after it and would move ahead of a), so the swaps kept are those
+    whose a has already occurred.  Read as base-(n+1) numbers the words sort
+    as they are listed, and the swap at position p adds (b - a) times
+    n (n+1)^(N-2-p), so the upper index is a binary search.  The numbers are
+    int64 while (n+1)^N fits, else Python integers.
+    """
+    symbols = np.array(words, dtype=np.min_scalar_type(n))
+    count, size = symbols.shape
+    dtype = np.int64 if (n + 1) ** size < 2**63 else object
+    keys = np.zeros(count, dtype=dtype)
+    for column in symbols.T:
+        keys = keys * (n + 1) + column
+    seen = np.maximum.accumulate(symbols, axis=1)
+    lows, highs = [], []
+    for p in range(1, size - 1):
+        a, b = symbols[:, p], symbols[:, p + 1]
+        lower = np.flatnonzero((a < b) & (a <= seen[:, p - 1]))
+        step = (b[lower] - a[lower]).astype(dtype) * (n * (n + 1) ** (size - 2 - p))
+        lows.append(lower)
+        highs.append(np.searchsorted(keys, keys[lower] + step))
+    if not lows:
+        return ()
+    low, high = np.concatenate(lows), np.concatenate(highs)
+    order = np.lexsort((high, low))
+    index = list(range(count)).__getitem__  # covers share one int per element
+    return tuple(zip(map(index, low[order]), map(index, high[order])))
+
+
+def _rank_counts(ranks: Iterable[int]) -> list[int]:
+    """Element counts per rank, bottom to top."""
+    counts = Counter(ranks)
+    return [counts[r] for r in range(max(counts) + 1)]
 
 
 @dataclass(frozen=True)
@@ -129,10 +200,7 @@ class HasseDiagram:
         return join(s, t, self.spec, self.spec.positions)
 
     def rank_vector(self) -> list[int]:
-        counts = [0] * (max(self.ranks) + 1)
-        for r in self.ranks:
-            counts[r] += 1
-        return counts
+        return _rank_counts(self.ranks)
 
     def to_dot(self) -> str:
         """Graphviz source; node ids are the lexicographic element indices."""
@@ -152,7 +220,14 @@ class HasseDiagram:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """``json.dumps(self.to_json_dict())``, without copying tuples to lists."""
+        return json.dumps(
+            {
+                "elements": [s.word for s in self.elements],
+                "covers": self.covers,
+                "ranks": self.ranks,
+            }
+        )
 
 
 def _check_cap(spec: LatticeSpec, cap: int) -> None:
@@ -167,21 +242,12 @@ def enumerate_lattice(
 ) -> HasseDiagram:
     """All canonical words with cover edges and ranks, in lexicographic order."""
     _check_cap(spec, cap)
-    elements = [
-        Multipermutation(w) for w in _iter_words(spec.n, spec.m, canonical_only=True)
-    ]
-    index = {s.word: i for i, s in enumerate(elements)}
-    covers = []
-    for i, s in enumerate(elements):
-        word = s.word
-        for p in range(len(word) - 1):
-            if word[p] < word[p + 1]:
-                swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
-                upper = index.get(swapped)  # None when not canonical
-                if upper is not None:
-                    covers.append((i, upper))
-    ranks = tuple(rank(s) for s in elements)
-    return HasseDiagram(spec, tuple(elements), tuple(sorted(covers)), ranks)
+    words, ranks = [], []
+    for word, r in _word_stream(spec.n, spec.m):
+        words.append(word)
+        ranks.append(r)
+    elements = tuple(map(Multipermutation._of_valid_word, words))
+    return HasseDiagram(spec, elements, _covers(words, spec.n), tuple(ranks))
 
 
 def _element_word(s: Multipermutation, spec: LatticeSpec) -> tuple[int, ...]:
@@ -216,7 +282,8 @@ def join(
 
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
     """Element counts per rank, bottom to top."""
-    return enumerate_lattice(spec, cap).rank_vector()
+    _check_cap(spec, cap)
+    return _rank_counts(r for _, r in _word_stream(spec.n, spec.m))
 
 
 @dataclass(frozen=True)
@@ -254,10 +321,10 @@ def verify_ideal_isomorphism(
     """
     _check_cap(spec, cap)
     top = top_element(spec)
-    canonical = {s.word for s in enumerate_lattice(spec, cap).elements}
+    canonical = {w for w, _ in _word_stream(spec.n, spec.m)}
     ideal = set()
     total = 0
-    for w in _iter_words(spec.n, spec.m, canonical_only=False):
+    for w, _ in _word_stream(spec.n, spec.m, canonical_only=False):
         total += 1
         if newman_leq(Multipermutation(w), top):
             ideal.add(w)

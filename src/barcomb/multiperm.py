@@ -71,6 +71,13 @@ class Multipermutation:
         if any(c != m for c in counts.values()):
             raise InvalidWordError(f"multiplicities must be uniform: {word}")
 
+    @classmethod
+    def _of_valid_word(cls, word: tuple[int, ...]) -> "Multipermutation":
+        """Wrap a tuple already known to be a valid word, skipping the checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "word", word)
+        return s
+
     @property
     def n(self) -> int:
         return max(self.word)
@@ -93,7 +100,7 @@ class Multipermutation:
         return True
 
     def __str__(self) -> str:
-        return " ".join(str(s) for s in self.word)
+        return " ".join(map(str, self.word))
 
     @classmethod
     def from_string(cls, text: str) -> "Multipermutation":

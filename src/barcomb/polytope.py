@@ -5,9 +5,13 @@ dimension N = n * (2^k + 1): distinguish copies, identify the symbol-copies
 with 1..N in their total order, and read off the rank occupying each
 position.  The polytope is the convex hull of these vectors.
 
-Its affine dimension is computed two independent ways: exact integer rank of
-the difference vectors (fraction-free Gaussian elimination, no floats), and
-N minus the number of blocks cut out by one maximal sorting chain up to the
+Its affine dimension is computed two independent ways.  The first is the
+exact rank of the difference vectors D (one row per vertex but the first):
+numpy forms the N x N Gram matrix G = D^T D in int64, or over Python
+integers when its entries could reach 2^63, and fraction-free (Bareiss)
+elimination ranks G without floats.  This is exact because Gx = 0 gives
+|Dx|^2 = x^T G x = 0, so G and D have the same kernel.  The second is N
+minus the number of blocks cut out by one maximal sorting chain up to the
 fully nested permutation.  Both equal N - 2 whenever n >= 2.
 """
 
@@ -16,13 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
-    enumerate_lattice,
+    _check_cap,
+    _word_stream,
     top_element,
 )
-from .multiperm import Multipermutation, iota
+from .multiperm import iota
 
 
 @dataclass(frozen=True)
@@ -33,18 +40,23 @@ class VertexSet:
     vectors: tuple[tuple[int, ...], ...]
 
 
-def _vector(s: Multipermutation) -> tuple[int, ...]:
-    m = s.m
-    return tuple((sym - 1) * m + copy for sym, copy in iota(s))
-
-
 def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
-    """One vertex per lattice element, in element (lexicographic) order."""
-    diagram = enumerate_lattice(spec, cap)
-    return VertexSet(
-        ambient_dimension=spec.positions,
-        vectors=tuple(_vector(s) for s in diagram.elements),
-    )
+    """One vertex per lattice element, in element (lexicographic) order.
+
+    Copy r of symbol s becomes (s - 1) * m + r, so each word's vector lists
+    these labels in word order.
+    """
+    _check_cap(spec, cap)
+    first_labels = [0, *range(1, spec.positions, spec.m)]  # indexed by symbol
+    vectors = []
+    for word, _ in _word_stream(spec.n, spec.m):
+        label = first_labels.copy()
+        vec = []
+        for sym in word:
+            vec.append(label[sym])
+            label[sym] += 1
+        vectors.append(tuple(vec))
+    return VertexSet(ambient_dimension=spec.positions, vectors=tuple(vectors))
 
 
 def word_from_vector(vec: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -80,12 +92,46 @@ def integer_rank(rows: list[list[int]]) -> int:
     return pivot_row
 
 
+def _narrow(mat: np.ndarray, largest: int) -> np.ndarray:
+    """An integer array whose entries are at most ``largest`` in absolute
+    value, in the narrowest signed dtype that holds that bound, or over
+    Python integers (``dtype=object``) when int64 does not."""
+    return mat.astype(np.min_scalar_type(-largest - 1), copy=False)
+
+
+def _largest(mat: np.ndarray) -> int:
+    return max(int(mat.max()), -int(mat.min()))
+
+
+def _gram_rank(mat: np.ndarray) -> int:
+    """Rank over the rationals of an integer matrix D (rows x N), as the
+    Bareiss rank of its N x N Gram matrix G = D^T D.
+
+    Gx = 0 gives |Dx|^2 = x^T G x = 0, so G and D have the same kernel and
+    the same rank.  Each entry of G is at most rows * max|D|^2 in absolute
+    value: below 2^63 it is summed in int64, otherwise over Python integers.
+    """
+    if mat.size == 0:
+        return 0
+    largest = _largest(mat)
+    if len(mat) * largest * largest < 2**63:
+        mat = _narrow(mat, largest)
+        gram = np.einsum("ij,ik->jk", mat, mat, dtype=np.int64)
+    else:
+        mat = mat.astype(object)
+        gram = mat.T @ mat
+    return integer_rank(gram.tolist())
+
+
 def affine_dimension(vertex_set: VertexSet) -> int:
-    """Dimension of the affine hull, in exact integer arithmetic."""
-    vecs = vertex_set.vectors
-    base = vecs[0]
-    diffs = [[v - b for v, b in zip(vec, base)] for vec in vecs[1:]]
-    return integer_rank(diffs)
+    """Dimension of the affine hull, in exact integer arithmetic: the rank
+    of the differences to the first vertex, from their Gram matrix."""
+    try:
+        vecs = np.array(vertex_set.vectors, dtype=np.int64)
+    except OverflowError:  # beyond int64
+        vecs = np.array(vertex_set.vectors, dtype=object)
+    vecs = _narrow(vecs, 2 * _largest(vecs))  # room for every difference
+    return _gram_rank(vecs[1:] - vecs[0])
 
 
 def pi_partition_blocks(spec: LatticeSpec) -> int:

@@ -1,12 +1,17 @@
 """Shared test fixtures: seeded barcode factories, gap measurement, and the
 slow paths kept as oracles: the dense bottleneck solver, inversion sets of
-embedded permutations, and order, meet and join by reachability over the
-covers of an enumerated lattice."""
+embedded permutations, order, meet and join by reachability over the covers
+of an enumerated lattice, the recursive word enumerator with its
+swap-and-lookup cover test, and the affine dimension by Bareiss elimination
+on the difference rows."""
 
 import random
+from functools import lru_cache
 
 from barcomb.barcode import Barcode, sample_points
-from barcomb.multiperm import EmbeddedPermutation
+from barcomb.lattice import HasseDiagram, LatticeSpec
+from barcomb.multiperm import EmbeddedPermutation, Multipermutation, iota, rank
+from barcomb.polytope import VertexSet, integer_rank
 
 
 def random_barcode(rng: random.Random, n: int, lo=0.0, hi=1.0) -> Barcode:
@@ -177,3 +182,77 @@ class ReachabilityOrder:
 
     def join(self, s, t):
         return self._bound(s, t, self.up)
+
+
+# every (n, k) with at most 12 positions, and the largest spec the benchmark
+# enumerates
+ORACLE_SPECS = [(n, 0) for n in range(1, 7)] + [(n, 1) for n in range(1, 5)]
+ORACLE_SPECS += [(1, 2), (2, 2), (1, 3), (2, 3)]
+
+
+def recursive_words(n: int, m: int, canonical_only: bool):
+    """All multiset permutations of {1^m .. n^m} in lexicographic order, by
+    backtracking; with ``canonical_only`` a symbol may start only after the
+    previous one has appeared."""
+    remaining = [m] * (n + 1)  # 1-based
+    word: list[int] = []
+    seen = 0
+
+    def backtrack():
+        nonlocal seen
+        if len(word) == n * m:
+            yield tuple(word)
+            return
+        limit = min(n, seen + 1) if canonical_only else n
+        for sym in range(1, limit + 1):
+            if remaining[sym] == 0:
+                continue
+            remaining[sym] -= 1
+            word.append(sym)
+            prev_seen = seen
+            seen = max(seen, sym)
+            yield from backtrack()
+            seen = prev_seen
+            word.pop()
+            remaining[sym] += 1
+
+    return backtrack()
+
+
+@lru_cache(maxsize=None)
+def reference_lattice(n: int, k: int) -> HasseDiagram:
+    """The lattice from ``recursive_words``: covers are the adjacent
+    increasing swaps whose result is found among the canonical words, ranks
+    are ``rank`` of each element."""
+    spec = LatticeSpec(n, k)
+    elements = [Multipermutation(w) for w in recursive_words(n, spec.m, True)]
+    index = {s.word: i for i, s in enumerate(elements)}
+    covers = []
+    for i, s in enumerate(elements):
+        word = s.word
+        for p in range(len(word) - 1):
+            if word[p] < word[p + 1]:
+                swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
+                upper = index.get(swapped)  # None when not canonical
+                if upper is not None:
+                    covers.append((i, upper))
+    ranks = tuple(rank(s) for s in elements)
+    return HasseDiagram(spec, tuple(elements), tuple(sorted(covers)), ranks)
+
+
+def reference_vertices(n: int, k: int) -> VertexSet:
+    """Vertex vectors of the reference lattice, read off ``iota``."""
+    diagram = reference_lattice(n, k)
+    m = diagram.spec.m
+    vectors = tuple(
+        tuple((sym - 1) * m + copy for sym, copy in iota(s)) for s in diagram.elements
+    )
+    return VertexSet(diagram.spec.positions, vectors)
+
+
+def bareiss_affine_dimension(vertex_set: VertexSet) -> int:
+    """Bareiss rank of the differences to the first vertex."""
+    base = vertex_set.vectors[0]
+    return integer_rank(
+        [[v - b for v, b in zip(vec, base)] for vec in vertex_set.vectors[1:]]
+    )

@@ -9,6 +9,7 @@ from barcomb.barcode import (
     crossing_number,
     format_barcode_csv,
     format_barcode_json,
+    format_from_extension,
     generate_barcode,
     has_containing_bar,
     interval_graph,
@@ -256,3 +257,29 @@ def test_read_barcode_detects_format(tmp_path):
     with pytest.raises(ParseError):
         read_barcode(str(odd))
     assert read_barcode(str(odd), "csv") == B1
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_barcode_csv, "0,1\n2,inf\n", "line 2: "),
+        (parse_barcode_json, "[[0, 1], [2, Infinity]]", "entry 1: "),
+        (parse_barcode_csv, "0,1\n2,2\n", "line 2: "),
+        (parse_barcode_json, "[[0, 1], [2, 2]]", "entry 1: "),
+        (parse_barcode_csv, "# bars\n0,1\n\n3,2\n", "line 4: "),
+        (parse_barcode_json, "[[0, 1], [3, 2]]", "entry 1: "),
+    ],
+    ids=["csv-inf", "json-inf", "csv-equal", "json-equal", "csv-reversed", "json-reversed"],
+)
+def test_parse_errors_name_the_line_or_entry(parse, text, where):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).startswith(where)
+
+
+def test_format_from_extension():
+    assert format_from_extension("dir/bars.csv") == "csv"
+    assert format_from_extension("BARS.JSON") == "json"
+    assert format_from_extension("bars.txt") is None
+    assert format_from_extension("bars") is None
+    assert format_from_extension("csv") is None

@@ -214,15 +214,79 @@ def test_compare_fuzz_exits_cleanly(tmp_path_factory, k, s, t):
     assert "Traceback" not in err
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+value = st.one_of(
+    finite,
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "", "x", "true", "0x1p3"]),
+)
+csv_text = st.one_of(
+    st.lists(st.tuples(value, value), max_size=6).map(
+        lambda rows: "\n".join(f"{b},{d}" for b, d in rows)
+    ),
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=6).map(
+        lambda rows: "".join(f"{b},{b + abs(d) + 1}\n" for b, d in rows)
+    ),
+    st.text(max_size=40),
+)
+json_value = st.one_of(
+    st.floats(), st.integers(-(10**400), 10**400), st.booleans(), st.none(), st.text(max_size=3)
+)
+json_text = st.one_of(
+    st.lists(st.lists(json_value, max_size=3), max_size=6).map(json.dumps),
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=6).map(
+        lambda rows: json.dumps([[b, b + abs(d) + 1] for b, d in rows])
+    ),
+    st.dictionaries(st.text(max_size=4), json_value, max_size=3).map(json.dumps),
+    st.text(max_size=40),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_barcode_commands_fuzz_exits_cleanly(tmp_path_factory, data):
+    ext = data.draw(st.sampled_from([".csv", ".json"]))
+    text = csv_text if ext == ".csv" else json_text
+    directory = tmp_path_factory.mktemp("bars")
+    a, b = str(directory / f"a{ext}"), str(directory / f"b{ext}")
+    with open(a, "w", encoding="utf-8") as fh:
+        fh.write(data.draw(text))
+    with open(b, "w", encoding="utf-8") as fh:
+        fh.write(data.draw(text))
+    k = str(data.draw(st.integers(-1, 3)))
+    q = str(data.draw(st.sampled_from([1, 2, 0.5, 0, -1, 1000])))
+    for argv in (
+        ["invariant", "--input", a, "--k", k],
+        ["invariant", "--input", a, "--k", k, "--labeled"],
+        ["rank", "--input", a, "--k", k],
+        ["rank", "--input", a, "--k", "0", "--verbose"],
+        ["distance", a, b],
+        ["distance", "--metric", "wasserstein", "--q", q, "--witness", a, b],
+        ["distance", "--align", a, b],
+        ["bound-check", "--k", k, "--q", q, a, b],
+        ["compare", "--k", k, a, b],
+    ):
+        code, err = run_isolated(argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+
+
+def test_compare_treats_extensionless_files_as_words(capsys, tmp_path):
+    word = tmp_path / "word"
+    word.write_text("1 2 2 1\n")
+    assert run(capsys, "compare", "--k", "0", str(word), str(word)) == (0, "EQ\n")
+
+
 def test_polytope_enumerates_once(capsys, tmp_path, monkeypatch):
     calls = []
-    enumerate_lattice = barcomb.polytope.enumerate_lattice
+    word_stream = barcomb.polytope._word_stream
 
     def counted(*args):
         calls.append(args)
-        return enumerate_lattice(*args)
+        return word_stream(*args)
 
-    monkeypatch.setattr(barcomb.polytope, "enumerate_lattice", counted)
+    monkeypatch.setattr(barcomb.polytope, "_word_stream", counted)
     out_file = tmp_path / "v.csv"
     code, out = run(
         capsys, "polytope", "--n", "3", "--k", "0", "--vertices", str(out_file), "--dim"

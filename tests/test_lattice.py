@@ -1,11 +1,13 @@
+import json
 import math
 import random
 
 import pytest
-from helpers import ReachabilityOrder
+from helpers import ORACLE_SPECS, ReachabilityOrder, recursive_words, reference_lattice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barcomb.lattice
 from barcomb.errors import NotAnElementError, TooLargeError
 from barcomb.lattice import (
     HasseDiagram,
@@ -312,3 +314,49 @@ def test_diagram_is_hashable_value():
     a = enumerate_lattice(LatticeSpec(2, 0))
     b = HasseDiagram(a.spec, a.elements, a.covers, a.ranks)
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("n,k", ORACLE_SPECS)
+def test_enumeration_matches_recursive_oracle(n, k):
+    spec = LatticeSpec(n, k)
+    diagram = enumerate_lattice(spec, cap=spec.positions)
+    reference = reference_lattice(n, k)
+    assert diagram == reference
+    assert rank_vector(spec, cap=spec.positions) == reference.rank_vector()
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)])
+def test_full_word_stream_matches_recursive_oracle(n, k):
+    m = (1 << k) + 1
+    words = [w for w, _ in barcomb.lattice._word_stream(n, m, canonical_only=False)]
+    assert words == list(recursive_words(n, m, False))
+    assert [r for _, r in barcomb.lattice._word_stream(n, m, canonical_only=False)] == [
+        rank(W(w)) for w in words
+    ]
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (2, 2), (4, 0)])
+def test_covers_exact_beyond_int64(n, k):
+    # a larger alphabet bound n' leaves the covers unchanged, and with
+    # (n' + 1)^N >= 2^63 the word keys are Python integers, as lattices too
+    # large to hold would need
+    d = reference_lattice(n, k)
+    words = [s.word for s in d.elements]
+    wide = 2 ** (63 // d.spec.positions + 1)
+    assert (wide + 1) ** d.spec.positions >= 2**63
+    assert barcomb.lattice._covers(words, wide) == barcomb.lattice._covers(words, n)
+    assert barcomb.lattice._covers(words, wide) == d.covers
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1)])
+def test_emitters_keep_their_bytes(n, k):
+    d = enumerate_lattice(LatticeSpec(n, k))
+    assert d.to_json() == json.dumps(d.to_json_dict())
+    want = ["digraph hasse {", "  rankdir=BT;"]
+    want += [
+        f'  n{i} [label="{" ".join(str(x) for x in s.word)} (rank {r})"];'
+        for i, (s, r) in enumerate(zip(d.elements, d.ranks))
+    ]
+    want += [f"  n{lo} -> n{hi};" for lo, hi in d.covers]
+    assert d.to_dot() == "\n".join(want + ["}"]) + "\n"
+    assert d.to_dot() == reference_lattice(n, k).to_dot()

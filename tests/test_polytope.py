@@ -1,7 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from helpers import ORACLE_SPECS, bareiss_affine_dimension, reference_vertices
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import barcomb.polytope
 from barcomb.lattice import LatticeSpec, enumerate_lattice
 from barcomb.multiperm import rank
 from barcomb.polytope import (
@@ -15,6 +20,7 @@ from barcomb.polytope import (
     vertices,
     word_from_vector,
 )
+from barcomb.polytope import _gram_rank
 
 
 def test_integer_rank():
@@ -120,3 +126,78 @@ def test_emitters():
     vs = VertexSet(4, ((1, 2, 3, 4), (1, 3, 2, 4)))
     assert format_vertices_csv(vs) == "1,2,3,4\n1,3,2,4\n"
     assert json.loads(format_vertices_json(vs)) == [[1, 2, 3, 4], [1, 3, 2, 4]]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_SPECS)
+def test_vertices_and_dimension_match_oracles(n, k):
+    spec = LatticeSpec(n, k)
+    vs = vertices(spec, cap=spec.positions)
+    reference = reference_vertices(n, k)
+    assert vs == reference
+    assert affine_dimension(vs) == bareiss_affine_dimension(reference)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows, often dependent: combinations of a few base rows, with
+    repeated, scaled, negated and zero rows among them."""
+    cols = draw(st.integers(1, 7))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+    base = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    coefficients = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    rows = list(base)
+    for coef in draw(st.lists(coefficients, max_size=6)):
+        rows.append([sum(c * row[j] for c, row in zip(coef, base)) for j in range(cols)])
+    return draw(st.permutations(rows))
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_matrices())
+def test_gram_rank_equals_bareiss_rank(rows):
+    assert _gram_rank(np.array(rows, dtype=object)) == integer_rank(rows)
+    vs = VertexSet(len(rows[0]), tuple(map(tuple, [[0] * len(rows[0])] + rows)))
+    assert affine_dimension(vs) == integer_rank(rows)
+
+
+def gram_rank(rows):
+    return _gram_rank(np.array(rows, dtype=object))
+
+
+def test_gram_rank_edge_cases():
+    assert gram_rank([[0, 0, 0]]) == 0
+    assert gram_rank([[0, -4, 7]]) == 1
+    assert gram_rank([[1, 2], [2, 4], [-3, -6], [0, 0]]) == 1
+    assert gram_rank([[2**70, 1], [2**70, 1]]) == 1
+    assert gram_rank([[2**70, 1], [1, 2**70]]) == 2
+    assert _gram_rank(np.zeros((0, 5), dtype=np.int64)) == 0
+
+
+def test_gram_matrix_exact_beyond_int64(monkeypatch):
+    # entries fit int32, but four rows of them give Gram entries near 2^64:
+    # the product must be taken over Python integers
+    big = 2**31 - 1
+    rows = [[big, big, 0], [big, -big, 0], [big, big, 0], [big, 0, big]]
+    grams = []
+
+    def spy(matrix):
+        grams.append(matrix)
+        return integer_rank(matrix)
+
+    monkeypatch.setattr(barcomb.polytope, "integer_rank", spy)
+    assert _gram_rank(np.array(rows, dtype=np.int32)) == integer_rank(rows) == 3
+    exact = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    assert grams == [exact] and exact[0][0] > 2**63
+
+
+@pytest.mark.parametrize(
+    "vectors, dim",
+    [
+        (((2**40, 0, 1), (2**40 + 1, 1, 1), (2**41, 2**40 + 5, 1), (2, 2, 2)), 3),
+        (((2**70, 1), (2**70 + 1, 2), (2**70, 5)), 2),  # beyond int64, small steps
+        (((2**62, 0), (-(2**62), 0), (0, 2**62 - 1)), 2),  # steps beyond int64
+        (((7, 7, 7),), 0),
+    ],
+)
+def test_affine_dimension_of_large_coordinates(vectors, dim):
+    vs = VertexSet(len(vectors[0]), vectors)
+    assert affine_dimension(vs) == bareiss_affine_dimension(vs) == dim
