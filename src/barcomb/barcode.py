@@ -11,7 +11,8 @@ Levels: at level k every bar contributes the 2^k + 1 points
 
 computed directly from this formula (never by repeated addition) so rounding
 cannot drift and flip an ordering.  A barcode is k-strict when all of these
-points, over all bars, are pairwise distinct.
+points, over all bars, are pairwise distinct.  ``require_k_strict`` returns
+the sorted points it checked, so the level-k word needs no second sort.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     NotStrictError,
     ParseError,
     RetriesExhaustedError,
+    TooLargeError,
 )
 from .rng import SplitMix64
 
@@ -90,19 +92,35 @@ class IntervalGraph:
     edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
 
 
+MAX_SAMPLE_POINTS = 1 << 22  # about 0.4 GB of (value, label) tuples
+
+
 def sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
     """All level-k sample points as (value, bar label), grouped by bar.
 
     Within a bar the points appear with l ascending, so the first is the
-    birth and the last the death.
+    birth and the last the death.  Raises TooLargeError, before building
+    any point, when there would be more than ``MAX_SAMPLE_POINTS``.
     """
-    step = 1 << k
+    n, step = len(barcode), 1 << min(k, 63)  # from k = 22 on, one bar exceeds the cap
+    if n * (step + 1) > MAX_SAMPLE_POINTS:
+        raise TooLargeError(
+            f"level {k} has {n} x (2^{k} + 1) sample points, cap is {MAX_SAMPLE_POINTS}"
+        )
     points: list[tuple[float, int]] = []
     for label, bar in enumerate(barcode.bars, start=1):
         length = bar.death - bar.birth
         for ell in range(step + 1):
             points.append((bar.birth + ell * length / step, label))
     return points
+
+
+def _sort_and_scan(barcode: Barcode, k: int, eps: float) -> tuple[list, list]:
+    """The sorted level-k sample points, and the adjacent pairs among them
+    at distance <= eps."""
+    points = sorted(sample_points(barcode, k))
+    pairs = zip(points, points[1:])
+    return points, [(prev, cur) for prev, cur in pairs if cur[0] - prev[0] <= eps]
 
 
 def strictness_collisions(
@@ -113,12 +131,7 @@ def strictness_collisions(
     Only adjacent pairs in sorted order are reported; an empty list means
     the barcode is k-strict at tolerance eps.
     """
-    points = sorted(sample_points(barcode, k))
-    out = []
-    for prev, cur in zip(points, points[1:]):
-        if cur[0] - prev[0] <= eps:
-            out.append((prev, cur))
-    return out
+    return _sort_and_scan(barcode, k, eps)[1]
 
 
 def is_k_strict(barcode: Barcode, k: int, eps: float = 0.0) -> bool:
@@ -131,23 +144,32 @@ def is_k_strict(barcode: Barcode, k: int, eps: float = 0.0) -> bool:
     return not strictness_collisions(barcode, k, eps)
 
 
-def require_k_strict(barcode: Barcode, k: int, eps: float = 0.0) -> None:
-    collisions = strictness_collisions(barcode, k, eps)
+def require_k_strict(
+    barcode: Barcode, k: int, eps: float = 0.0
+) -> list[tuple[float, int]]:
+    """The sorted level-k sample points; NotStrictError if any collide."""
+    points, collisions = _sort_and_scan(barcode, k, eps)
     if collisions:
         raise NotStrictError(k, collisions)
+    return points
 
 
 def crossing_number(barcode: Barcode, i: int, j: int) -> int:
     """How bars i and j interleave: 0 disjoint, 1 stepped, 2 nested.
 
     The pair is ordered internally so the case analysis sees the earlier
-    birth first; the result is symmetric in i and j.  Requires a 0-strict
-    barcode so the three cases are exhaustive.
+    birth first; the result is symmetric in i and j.  Only the four
+    endpoints of bars i and j are read: they must be distinct, so the three
+    cases are exhaustive, else NotStrictError names the tied endpoints.
+    Ties between other bars do not matter.
     """
     if i == j:
         raise InvalidLabelError(f"labels must differ, got i = j = {i}")
     first, second = barcode.bar(i), barcode.bar(j)
-    require_k_strict(barcode, 0)
+    ends = (second.birth, second.death)
+    ties = [((a, i), (a, j)) for a in (first.birth, first.death) if a in ends]
+    if ties:
+        raise NotStrictError(0, ties)
     if second.birth < first.birth:
         first, second = second, first
     if first.death < second.birth:

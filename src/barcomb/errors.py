@@ -2,8 +2,8 @@
 
 Every error raised by barcomb derives from :class:`BarcombError`, so callers
 can catch one base class.  The CLI maps subclasses onto exit codes: input and
-parse problems exit 2, violated operation preconditions exit 3, enumeration
-size caps exit 4.
+parse problems exit 2, violated operation preconditions exit 3, size caps
+exit 4.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class NotCanonicalError(BarcombError):
 
 
 class TooLargeError(BarcombError):
-    """A lattice enumeration exceeds the configured position cap."""
+    """A lattice exceeds the position cap, or a barcode level has more
+    sample points than ``barcode.MAX_SAMPLE_POINTS``."""
 
 
 class NotAnElementError(BarcombError):

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _newman_join, newman_leq
+from .multiperm import Multipermutation, _newman_join, _profile, _profile_leq
 
 DEFAULT_POSITION_CAP = 16
 
@@ -317,16 +317,17 @@ def verify_ideal_isomorphism(
     """Check that canonical words are exactly the ideal below the top.
 
     Enumerates the full multinomial Newman lattice, filters by comparison
-    with the fully nested word, and compares with the canonical enumeration.
+    with the fully nested word's profile, built once, and compares with the
+    canonical enumeration.
     """
     _check_cap(spec, cap)
-    top = top_element(spec)
+    top = _profile(top_element(spec).word, spec.n)
     canonical = {w for w, _ in _word_stream(spec.n, spec.m)}
     ideal = set()
     total = 0
     for w, _ in _word_stream(spec.n, spec.m, canonical_only=False):
         total += 1
-        if newman_leq(Multipermutation(w), top):
+        if _profile_leq(_profile(w, spec.n), top):
             ideal.add(w)
     missing = tuple(sorted(ideal - canonical))
     extra = tuple(sorted(canonical - ideal))

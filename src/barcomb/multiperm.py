@@ -26,8 +26,10 @@ symbol relabeling, so orbits are always materialized as their canonical
 representative and never as a separate type.
 
 Barcode maps: ``f_k`` reads off the bar labels of the sorted level-k sample
-points of a k-strict barcode; ``g_k`` is its canonicalization, the labeling-
-and scale-invariant of the barcode at level k.
+points of a k-strict barcode, sorted once; ``g_k`` is its canonicalization,
+the labeling- and scale-invariant of the barcode at level k.  The
+death-order permutation ``phi`` is read off g_0.  Copy indices come from
+``iota`` alone.
 """
 
 from __future__ import annotations
@@ -37,13 +39,8 @@ from dataclasses import dataclass
 from operator import le
 from typing import Sequence
 
-from .barcode import Barcode, require_k_strict, sample_points
+from .barcode import Barcode, require_k_strict
 from .errors import InvalidWordError, NotCanonicalError, ShapeMismatchError
-
-# A permutation of the totally ordered set {1_1 < ... < 1_m < 2_1 < ... < n_m},
-# written as (symbol, copy_index) pairs with copy_index counted from 1.
-EmbeddedPermutation = tuple[tuple[int, int], ...]
-
 
 @dataclass(frozen=True)
 class Multipermutation:
@@ -89,15 +86,7 @@ class Multipermutation:
     @property
     def is_canonical(self) -> bool:
         """True iff first occurrences of 1..n appear in increasing order."""
-        want = 1
-        seen = set()
-        for sym in self.word:
-            if sym not in seen:
-                if sym != want:
-                    return False
-                seen.add(sym)
-                want += 1
-        return True
+        return all(sym == r for r, sym in enumerate(dict.fromkeys(self.word), start=1))
 
     def __str__(self) -> str:
         return " ".join(map(str, self.word))
@@ -140,9 +129,8 @@ def f_k(barcode: Barcode, k: int) -> Multipermutation:
     The result has alphabet size n = number of bars and multiplicity
     m = 2^k + 1.  Raises NotStrictError when sample points collide.
     """
-    require_k_strict(barcode, k)
-    points = sorted(sample_points(barcode, k))
-    return Multipermutation(tuple(label for _, label in points))
+    points = require_k_strict(barcode, k)
+    return Multipermutation._of_valid_word(tuple(label for _, label in points))
 
 
 def relabel(s: Multipermutation, pi: Sequence[int]) -> Multipermutation:
@@ -159,18 +147,10 @@ def relabel(s: Multipermutation, pi: Sequence[int]) -> Multipermutation:
     return Multipermutation(tuple(pi[sym - 1] for sym in s.word))
 
 
-def invert_permutation(pi: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of a 1-based one-line permutation."""
-    inv = [0] * len(pi)
-    for pos, val in enumerate(pi, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
 def canonicalize(s: Multipermutation) -> Multipermutation:
     """The canonical representative of the relabeling orbit of ``s``.
 
-    Relabels by the inverse of the first-occurrence permutation, so first
+    Relabels each symbol by the order of its first occurrence, so first
     occurrences come out in increasing order.  Idempotent, and constant on
     orbits: two words canonicalize equally iff one is a relabeling of the
     other.
@@ -178,13 +158,8 @@ def canonicalize(s: Multipermutation) -> Multipermutation:
     >>> str(canonicalize(Multipermutation((2, 1, 4, 1, 3, 3, 2, 4))))
     '1 2 3 2 4 4 1 3'
     """
-    tau: list[int] = []
-    seen = set()
-    for sym in s.word:
-        if sym not in seen:
-            seen.add(sym)
-            tau.append(sym)
-    return relabel(s, invert_permutation(tau))
+    labels = {sym: new for new, sym in enumerate(dict.fromkeys(s.word), start=1)}
+    return Multipermutation._of_valid_word(tuple(map(labels.__getitem__, s.word)))
 
 
 def g_k(barcode: Barcode, k: int) -> Multipermutation:
@@ -196,17 +171,18 @@ def g_k(barcode: Barcode, k: int) -> Multipermutation:
     return canonicalize(f_k(barcode, k))
 
 
-def iota(s: Multipermutation | Sequence[int]) -> EmbeddedPermutation:
+def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Distinguish copies: the r-th occurrence of symbol i becomes (i, r).
 
-    Accepts a raw word as well, so it also applies to words with non-uniform
-    multiplicities.
+    The result is a permutation of the totally ordered set
+    {1_1 < ... < 1_m < 2_1 < ... < n_m}.  Accepts a raw word as well, so it
+    also applies to words with non-uniform multiplicities.
 
     >>> iota((1, 2, 1, 3, 2))
     ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2))
     """
     word = s.word if isinstance(s, Multipermutation) else tuple(s)
-    counts: Counter[int] = Counter()
+    counts = dict.fromkeys(word, 0)
     out = []
     for sym in word:
         counts[sym] += 1
@@ -259,18 +235,22 @@ def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _profile_leq(a: list[list[list[int]]], b: list[list[list[int]]]) -> bool:
+    """True iff profile ``a`` is at most profile ``b`` at every entry."""
+    return all(
+        all(map(le, row_a, row_b))
+        for rows_a, rows_b in zip(a, b)
+        for row_a, row_b in zip(rows_a, rows_b)
+    )
+
+
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     """Multinomial Newman order: inversions of iota(s) within iota(t).
 
     Holds iff the profile of s is at most that of t at every entry.
     """
     _check_same_shape(s, t)
-    n = s.n
-    return all(
-        all(map(le, row_s, row_t))
-        for rows_s, rows_t in zip(_profile(s.word, n), _profile(t.word, n))
-        for row_s, row_t in zip(rows_s, rows_t)
-    )
+    return _profile_leq(_profile(s.word, s.n), _profile(t.word, s.n))
 
 
 def _pair_counts(s: Multipermutation) -> list[list[int]]:
@@ -333,35 +313,21 @@ def delta_k(s: Multipermutation) -> Multipermutation:
         raise ShapeMismatchError(
             f"multiplicity {m} is not 2^(k+1)+1 for any k >= 0"
         )
-    counts: Counter[int] = Counter()
-    kept = []
-    for sym in s.word:
-        counts[sym] += 1
-        if counts[sym] % 2 == 1:
-            kept.append(sym)
-    return Multipermutation(tuple(kept))
+    return Multipermutation._of_valid_word(
+        tuple(sym for sym, copy in iota(s) if copy % 2)
+    )
 
 
 def second_occurrence_subword(s: Multipermutation) -> tuple[int, ...]:
     """The symbols at their second occurrences, in word order."""
-    counts: Counter[int] = Counter()
-    out = []
-    for sym in s.word:
-        counts[sym] += 1
-        if counts[sym] == 2:
-            out.append(sym)
-    return tuple(out)
+    return tuple(sym for sym, copy in iota(s) if copy == 2)
 
 
 def phi(barcode: Barcode) -> tuple[int, ...]:
     """Death order relative to birth order, as a permutation of {1..n}.
 
-    With sigma sorting deaths and tau sorting births, this is tau^-1 * sigma;
-    equivalently the second-occurrence subword of the level-0 invariant.
+    With sigma sorting deaths and tau sorting births, this is tau^-1 * sigma:
+    the second-occurrence subword of g_0, which labels each bar by its birth
+    rank.  Raises NotStrictError unless the barcode is 0-strict.
     """
-    require_k_strict(barcode, 0)
-    n = len(barcode)
-    by_birth = sorted(range(1, n + 1), key=lambda i: barcode.bars[i - 1].birth)
-    by_death = sorted(range(1, n + 1), key=lambda i: barcode.bars[i - 1].death)
-    tau_inv = invert_permutation(by_birth)
-    return tuple(tau_inv[by_death[pos] - 1] for pos in range(n))
+    return second_occurrence_subword(g_k(barcode, 0))

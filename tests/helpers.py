@@ -1,6 +1,7 @@
 """Shared test fixtures: seeded barcode factories, gap measurement, and the
-slow paths kept as oracles: the dense bottleneck solver, inversion sets of
-embedded permutations, order, meet and join by reachability over the covers
+slow paths kept as oracles: the dense bottleneck solver, the death-order
+permutation from two sorts of the bars, inversion sets of embedded
+permutations, order, meet and join by reachability over the covers
 of an enumerated lattice, the recursive word enumerator with its
 swap-and-lookup cover test, and the affine dimension by Bareiss elimination
 on the difference rows."""
@@ -8,9 +9,9 @@ on the difference rows."""
 import random
 from functools import lru_cache
 
-from barcomb.barcode import Barcode, sample_points
+from barcomb.barcode import Barcode, require_k_strict, sample_points
 from barcomb.lattice import HasseDiagram, LatticeSpec
-from barcomb.multiperm import EmbeddedPermutation, Multipermutation, iota, rank
+from barcomb.multiperm import Multipermutation, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
 
 
@@ -124,8 +125,19 @@ def noisy_copy(barcode: Barcode, rng: random.Random, noise: float) -> Barcode:
     return Barcode.from_pairs(pairs)
 
 
+def two_sort_phi(barcode: Barcode) -> tuple[int, ...]:
+    """Death order relative to birth order, tau^-1 * sigma, with sigma
+    sorting the deaths and tau the births; the oracle for ``phi``."""
+    require_k_strict(barcode, 0)
+    n = len(barcode)
+    by_birth = sorted(range(1, n + 1), key=lambda i: barcode.bars[i - 1].birth)
+    by_death = sorted(range(1, n + 1), key=lambda i: barcode.bars[i - 1].death)
+    birth_rank = {label: pos for pos, label in enumerate(by_birth, start=1)}
+    return tuple(birth_rank[label] for label in by_death)
+
+
 def inversion_set(
-    p: EmbeddedPermutation,
+    p: tuple[tuple[int, int], ...],
 ) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
     """All pairs (x, y) with x > y in the copy order but x preceding y."""
     out = set()

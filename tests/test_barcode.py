@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import barcomb.barcode
 from barcomb.barcode import (
     Bar,
     Barcode,
@@ -17,6 +18,7 @@ from barcomb.barcode import (
     parse_barcode_csv,
     parse_barcode_json,
     read_barcode,
+    require_k_strict,
     sample_points,
     strictness_collisions,
 )
@@ -26,6 +28,7 @@ from barcomb.errors import (
     InvalidScaleError,
     NotStrictError,
     ParseError,
+    TooLargeError,
 )
 
 B1 = Barcode.from_pairs([(1.0, 2.0), (1.5, 3.0), (2.5, 2.75)])
@@ -148,6 +151,53 @@ def test_crossing_number_errors():
         crossing_number(B1, 1, 9)
     with pytest.raises(NotStrictError):
         crossing_number(Barcode.from_pairs([(0, 1), (0, 2)]), 1, 2)
+
+
+def test_crossing_number_ignores_ties_between_other_bars():
+    # bar 3 shares its birth with bar 1 and its death with bar 2
+    bc = Barcode.from_pairs([(0, 1), (0.5, 2), (0, 2), (3, 4)])
+    assert not is_k_strict(bc, 0)
+    assert crossing_number(bc, 1, 2) == 1  # stepped
+    assert crossing_number(bc, 2, 4) == 0  # disjoint
+    assert crossing_number(bc, 4, 3) == 0
+    nested = Barcode.from_pairs([(0, 10), (1, 9), (1, 5)])
+    assert crossing_number(nested, 1, 2) == crossing_number(nested, 3, 1) == 2
+
+
+@pytest.mark.parametrize("i, j", [(1, 3), (3, 1), (2, 3), (3, 2)])
+def test_crossing_number_names_its_own_tied_bars(i, j):
+    bc = Barcode.from_pairs([(0, 1), (0.5, 2), (0, 2), (3, 4)])
+    with pytest.raises(NotStrictError) as info:
+        crossing_number(bc, i, j)
+    assert info.value.k == 0
+    assert {label for pair in info.value.collisions for _, label in pair} == {i, j}
+    assert f"(bar {i})" in str(info.value) and f"(bar {j})" in str(info.value)
+
+
+def test_require_k_strict_returns_the_sorted_points():
+    rng = random.Random(31)
+    for _ in range(20):
+        bc = random_barcode(rng, rng.randint(1, 6))
+        for k in range(3):
+            assert require_k_strict(bc, k) == sorted(sample_points(bc, k))
+    with pytest.raises(NotStrictError):
+        require_k_strict(Barcode.from_pairs([(-1, 1), (-2, 2)]), 1)
+
+
+def test_sample_points_cap(monkeypatch):
+    bc = Barcode.from_pairs([(0, 1), (2, 3)])
+    with pytest.raises(TooLargeError, match="cap is"):
+        sample_points(bc, 40)  # would be 2^41 points; nothing is built
+    with pytest.raises(TooLargeError):
+        sample_points(bc, 10**6)
+    with pytest.raises(TooLargeError):
+        is_k_strict(bc, 30)
+    monkeypatch.setattr(barcomb.barcode, "MAX_SAMPLE_POINTS", 10)
+    assert len(sample_points(bc, 2)) == 10  # exactly at the cap
+    with pytest.raises(TooLargeError):
+        sample_points(bc, 3)
+    with pytest.raises(TooLargeError):
+        sample_points(Barcode.from_pairs([(0, 1), (2, 3), (4, 5)]), 2)
 
 
 def test_interval_graph():

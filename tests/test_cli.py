@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barcomb.barcode
 import barcomb.polytope
 from barcomb.cli import main
-from barcomb.multiperm import Multipermutation, newman_leq
+from barcomb.multiperm import Multipermutation, f_k, g_k, newman_leq
 
 B1_CSV = "1.0,2.0\n1.5,3.0\n2.5,2.75\n"
 B2_CSV = "1.5,3.0\n1.0,2.0\n2.5,2.75\n"
@@ -82,6 +83,43 @@ def test_rank(capsys, b1, tmp_path):
     disjoint = tmp_path / "disjoint.csv"
     disjoint.write_text("0,1\n2,3\n")
     assert run(capsys, "rank", "--input", str(disjoint), "--k", "0") == (0, "0\n")
+
+
+def test_one_sample_pass_per_barcode(capsys, b1, monkeypatch):
+    # f_k, g_k and rank --verbose build and sort the sample points once;
+    # crossing numbers read only the endpoints of their two bars
+    calls = []
+    sample_points = barcomb.barcode.sample_points
+
+    def counted(barcode, k):
+        calls.append((len(barcode), k))
+        return sample_points(barcode, k)
+
+    monkeypatch.setattr(barcomb.barcode, "sample_points", counted)
+    bc = barcomb.barcode.read_barcode(b1)
+    for word_map in (f_k, g_k):
+        calls.clear()
+        word_map(bc, 0)
+        assert calls == [(3, 0)]
+    calls.clear()
+    code, out = run(capsys, "rank", "--input", b1, "--k", "0", "--verbose")
+    assert code == 0 and len(out.splitlines()) == 4
+    assert calls == [(3, 0)]
+
+
+def test_levels_beyond_the_sample_cap_exit_4(b1, b2):
+    for argv in (
+        ["invariant", "--input", b1, "--k", "40"],
+        ["invariant", "--input", b1, "--k", "40", "--labeled"],
+        ["rank", "--input", b1, "--k", "40"],
+        ["compare", "--k", "40", b1, b2],
+        ["bound-check", "--k", "40", b1, b2],
+        ["gen", "--n", "2", "--seed", "1", "--k", "40"],
+        ["invariant", "--input", b1, "--k", "30"],
+    ):
+        code, err = run_isolated(argv)
+        assert code == 4, (argv, err)
+        assert "sample points" in err and "Traceback" not in err
 
 
 def test_rank_verbose_needs_level_zero(capsys, b1):
