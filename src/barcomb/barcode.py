@@ -95,6 +95,18 @@ class IntervalGraph:
 MAX_SAMPLE_POINTS = 1 << 22  # about 0.4 GB of (value, label) tuples
 
 
+def require_level_size(n: int, k: int, what: str) -> None:
+    """TooLargeError unless n x (2^k + 1) is at most ``MAX_SAMPLE_POINTS``.
+
+    Never builds 2^k for a large k: from k = 22 on, one bar exceeds the cap.
+    ``what`` names the counted items in the message.
+    """
+    if n * ((1 << min(k, 63)) + 1) > MAX_SAMPLE_POINTS:
+        raise TooLargeError(
+            f"level {k} has {n} x (2^{k} + 1) {what}, cap is {MAX_SAMPLE_POINTS}"
+        )
+
+
 def sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
     """All level-k sample points as (value, bar label), grouped by bar.
 
@@ -102,11 +114,8 @@ def sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
     birth and the last the death.  Raises TooLargeError, before building
     any point, when there would be more than ``MAX_SAMPLE_POINTS``.
     """
-    n, step = len(barcode), 1 << min(k, 63)  # from k = 22 on, one bar exceeds the cap
-    if n * (step + 1) > MAX_SAMPLE_POINTS:
-        raise TooLargeError(
-            f"level {k} has {n} x (2^{k} + 1) sample points, cap is {MAX_SAMPLE_POINTS}"
-        )
+    require_level_size(len(barcode), k, "sample points")
+    step = 1 << k
     points: list[tuple[float, int]] = []
     for label, bar in enumerate(barcode.bars, start=1):
         length = bar.death - bar.birth

@@ -90,6 +90,7 @@ def _load_comparand(path: str, k: int, fmt: str | None) -> mp.Multipermutation:
 
 
 def _as_level_word(word: mp.Multipermutation, k: int) -> mp.Multipermutation:
+    bc.require_level_size(word.n, k, "word positions")
     if word.m != (1 << k) + 1:
         raise ShapeMismatchError(
             f"word has multiplicity {word.m}, level {k} needs {(1 << k) + 1}"

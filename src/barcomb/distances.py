@@ -42,15 +42,15 @@ from .barcode import (
     Barcode,
     affine_transform,
     has_containing_bar,
-    is_k_strict,
 )
 from .errors import (
     DegenerateBarError,
     InvalidQError,
+    NotStrictError,
     PreconditionFailedError,
     RetriesExhaustedError,
 )
-from .multiperm import g_k
+from .multiperm import Multipermutation, g_k
 from .rng import SplitMix64
 
 BOUND_TOLERANCE = 1e-9
@@ -291,6 +291,14 @@ class BoundReport:
         }
 
 
+def _strict_invariant(barcode: Barcode, k: int) -> Multipermutation | None:
+    """``g_k`` of a k-strict barcode, or None when it is not k-strict."""
+    try:
+        return g_k(barcode, k)
+    except NotStrictError:
+        return None
+
+
 def check_convergence_bounds(
     left: Barcode, right: Barcode, k: int, q: float
 ) -> BoundReport:
@@ -303,10 +311,11 @@ def check_convergence_bounds(
     true up to solver tolerance.
     """
     failures = []
-    strict = is_k_strict(left, k) and is_k_strict(right, k)
-    if not strict:
+    word = _strict_invariant(left, k)
+    other = None if word is None else _strict_invariant(right, k)
+    if other is None:
         failures.append("strictness")
-    if not strict or len(left) != len(right) or g_k(left, k) != g_k(right, k):
+    if other is None or word != other:
         failures.append("invariant equality")
     if not has_containing_bar(left):
         failures.append("containing bar")
@@ -364,7 +373,7 @@ def perturb_preserving_invariant(
         if not ok:
             continue
         candidate = Barcode.from_pairs(pairs)
-        if is_k_strict(candidate, k) and g_k(candidate, k) == target:
+        if _strict_invariant(candidate, k) == target:
             return candidate
     raise RetriesExhaustedError(
         f"no invariant-preserving perturbation after {max_retries} draws"

@@ -26,19 +26,32 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .barcode import require_level_size
 from .errors import NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _newman_join, _profile, _profile_leq
+from .multiperm import (
+    Multipermutation,
+    _newman_join,
+    _profiles,
+    _word_array,
+    _word_chunks,
+)
 
 DEFAULT_POSITION_CAP = 16
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Bar count n >= 1 and level k >= 0; multiplicity m = 2^k + 1."""
+    """Bar count n >= 1 and level k >= 0; multiplicity m = 2^k + 1.
+
+    TooLargeError when the words would have more than
+    ``barcode.MAX_SAMPLE_POINTS`` positions, the most any barcode of n bars
+    can sample at level k.
+    """
 
     n: int
     k: int
@@ -46,6 +59,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.n < 1 or self.k < 0:
             raise ValueError(f"need n >= 1 and k >= 0, got ({self.n}, {self.k})")
+        require_level_size(self.n, self.k, "word positions")
 
     @property
     def m(self) -> int:
@@ -316,19 +330,22 @@ def verify_ideal_isomorphism(
 ) -> IdealReport:
     """Check that canonical words are exactly the ideal below the top.
 
-    Enumerates the full multinomial Newman lattice, filters by comparison
-    with the fully nested word's profile, built once, and compares with the
-    canonical enumeration.
+    Enumerates the full multinomial Newman lattice and compares it, in
+    chunks of words, with the fully nested word's profile, built once.  The
+    words at or below the top are compared with the canonical enumeration.
     """
     _check_cap(spec, cap)
-    top = _profile(top_element(spec).word, spec.n)
-    canonical = {w for w, _ in _word_stream(spec.n, spec.m)}
-    ideal = set()
+    n = spec.n
+    top = _profiles(_word_array([top_element(spec).word], n), n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
+    canonical = {w for w, _ in _word_stream(n, spec.m)}
+    ideal: set[tuple[int, ...]] = set()
     total = 0
-    for w, _ in _word_stream(spec.n, spec.m, canonical_only=False):
-        total += 1
-        if _profile_leq(_profile(w, spec.n), top):
-            ideal.add(w)
+    stream = (w for w, _ in _word_stream(n, spec.m, canonical_only=False))
+    for batch, words in _word_chunks(stream, n, spec.positions):
+        total += len(batch)
+        above = ((_profiles(words, n) > top) & upper).any(axis=(1, 2, 3))
+        ideal.update(compress(batch, ~above))
     missing = tuple(sorted(ideal - canonical))
     extra = tuple(sorted(canonical - ideal))
     return IdealReport(

@@ -20,6 +20,16 @@ order, so the profile is exactly the inversion set of ``iota(s)``, and
   transitive closure of the union of theirs.  ``barcomb.lattice`` builds
   meet and join on it.
 
+The orders, ``inversion_multiset`` and the lattice's ideal check read the
+profile from one numpy kernel, ``_profiles``, that builds it for a batch of
+words: a scattered one-hot of the symbols, one ``cumsum`` along the word and
+one gather at the positions of the copies.  Symbols and counts take the
+smallest unsigned dtype that holds n and m.  Memory is bounded by
+``_CELLS`` one-hot entries: long words are walked in blocks of symbol
+columns, and the orders stop at the first block that decides them; batches
+of short words come in chunks.  ``rank`` and the join keep pure-Python
+running counts, which are faster on them.
+
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
 symbol relabeling, so orbits are always materialized as their canonical
@@ -36,11 +46,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import le
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .barcode import Barcode, require_k_strict
 from .errors import InvalidWordError, NotCanonicalError, ShapeMismatchError
+
+# One-hot entries per block of ``_profiles``: a few MB at one byte each.
+_CELLS = 1 << 22
 
 @dataclass(frozen=True)
 class Multipermutation:
@@ -235,28 +250,79 @@ def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _profile_leq(a: list[list[list[int]]], b: list[list[list[int]]]) -> bool:
-    """True iff profile ``a`` is at most profile ``b`` at every entry."""
-    return all(
-        all(map(le, row_a, row_b))
-        for rows_a, rows_b in zip(a, b)
-        for row_a, row_b in zip(rows_a, rows_b)
-    )
+def _profiles(
+    words: np.ndarray, n: int, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Interleaving profiles of a batch of words of one shape, as an array.
+
+    ``words`` is a (count, n*m) array of symbols 1..n.  Entry [c, i, r, j]
+    of the (count, n, m, hi - lo) result counts the copies of symbol
+    lo + j + 1 before the copy of i + 1 with index r (counted from 0) in word
+    c.  A one-hot of the symbols lo + 1..hi is scattered, summed along the
+    word, and read at the positions of the copies, which a stable argsort
+    lists symbol by symbol in copy order.  Counts have the smallest
+    unsigned dtype that holds m.
+    """
+    hi = n if hi is None else hi
+    count, size = words.shape
+    m, width = size // n, hi - lo
+    dtype = np.min_scalar_type(m)
+    rows, cols = np.nonzero((words > lo) & (words <= hi))
+    seen = np.zeros((count, size, width), dtype)
+    seen[rows, cols, words[rows, cols] - (lo + 1)] = 1
+    np.cumsum(seen, axis=1, dtype=dtype, out=seen)  # copies up to each position
+    order = np.argsort(words, axis=1, kind="stable")
+    order += np.arange(0, count * size, size)[:, None]  # rows of the flattened batch
+    prof = seen.reshape(-1, width).take(order.ravel(), axis=0)
+    prof = prof.reshape(count, n, m, width)
+    own = np.arange(lo, hi)
+    prof[:, own, :, own - lo] -= 1  # a copy does not precede itself
+    return prof
+
+
+def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The profiles of ``words`` in blocks of symbol columns: each block's
+    first column, its profiles, and its (n, width) mask of the entries
+    with j > i, the only ones the orders read.
+
+    A block holds at most ``_CELLS`` one-hot entries, so memory stays
+    bounded however long the words are.
+    """
+    count, size = words.shape
+    width = max(1, _CELLS // (count * size))
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        yield lo, _profiles(words, n, lo, hi), np.arange(lo, hi) > np.arange(n)[:, None]
+
+
+def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Words of one shape over {1..n} as rows of the smallest unsigned dtype."""
+    return np.array(words, dtype=np.min_scalar_type(n))
+
+
+def _word_chunks(
+    stream: Iterable[tuple[int, ...]], n: int, size: int
+) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
+    """Words of ``size`` positions over {1..n} from ``stream``, in chunks
+    whose full profiles hold at most ``_CELLS`` one-hot entries, each chunk
+    as a list and as an array."""
+    stream = iter(stream)
+    chunk = max(1, _CELLS // (size * n))
+    while batch := list(islice(stream, chunk)):
+        yield batch, _word_array(batch, n)
 
 
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     """Multinomial Newman order: inversions of iota(s) within iota(t).
 
-    Holds iff the profile of s is at most that of t at every entry.
+    Holds iff the profile of s is at most that of t at every entry; stops
+    at the first block of columns where it is not.
     """
     _check_same_shape(s, t)
-    return _profile_leq(_profile(s.word, s.n), _profile(t.word, s.n))
-
-
-def _pair_counts(s: Multipermutation) -> list[list[int]]:
-    """The profile summed over copies: ``counts[i][j - i - 1]`` position
-    pairs where a copy of j > i precedes a copy of i."""
-    return [list(map(sum, zip(*rows))) for rows in _profile(s.word, s.n)]
+    for _, (a, b), upper in _blocks(_word_array([s.word, t.word], s.n), s.n):
+        if ((a > b) & upper[:, None, :]).any():
+            return False
+    return True
 
 
 def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
@@ -267,10 +333,10 @@ def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
     [((2, 1), 2), ((3, 1), 1), ((3, 2), 1), ((4, 1), 2), ((4, 3), 2)]
     """
     counts: Counter[tuple[int, int]] = Counter()
-    for i, row in enumerate(_pair_counts(s)):
-        for j, total in enumerate(row, start=i + 1):
-            if total:
-                counts[(j, i)] = total
+    for lo, prof, upper in _blocks(_word_array([s.word], s.n), s.n):
+        (totals,) = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2)) * upper
+        for i, j in zip(*np.nonzero(totals)):
+            counts[(lo + int(j) + 1, int(i) + 1)] = int(totals[i, j])
     return counts
 
 
@@ -284,7 +350,11 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
     for u in (s, t):
         if not u.is_canonical:
             raise NotCanonicalError(f"not canonical: {u}")
-    return all(all(map(le, a, b)) for a, b in zip(_pair_counts(s), _pair_counts(t)))
+    for _, prof, upper in _blocks(_word_array([s.word, t.word], s.n), s.n):
+        a, b = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2))  # pair counts
+        if ((a > b) & upper).any():
+            return False
+    return True
 
 
 def rank(s: Multipermutation) -> int:

@@ -1,13 +1,16 @@
 """Shared test fixtures: seeded barcode factories, gap measurement, and the
 slow paths kept as oracles: the dense bottleneck solver, the death-order
 permutation from two sorts of the bars, inversion sets of embedded
-permutations, order, meet and join by reachability over the covers
+permutations, the interleaving profile as nested lists with the orders and
+pair counts read off it, order, meet and join by reachability over the covers
 of an enumerated lattice, the recursive word enumerator with its
 swap-and-lookup cover test, and the affine dimension by Bareiss elimination
 on the difference rows."""
 
 import random
+from collections import Counter
 from functools import lru_cache
+from operator import le
 
 from barcomb.barcode import Barcode, require_k_strict, sample_points
 from barcomb.lattice import HasseDiagram, LatticeSpec
@@ -146,6 +149,49 @@ def inversion_set(
             if p[a] > p[b]:
                 out.add((p[a], p[b]))
     return frozenset(out)
+
+
+def list_profile(word, n: int) -> list[list[list[int]]]:
+    """The interleaving profile as nested lists, the array kernel's oracle.
+
+    ``prof[i][r][j - i - 1]`` counts the copies of j > i before the copy of
+    i with index r (counted from 0).
+    """
+    counts = [0] * (n + 1)
+    prof: list[list[list[int]]] = [[] for _ in range(n + 1)]
+    for sym in word:
+        prof[sym].append(counts[sym + 1 :])
+        counts[sym] += 1
+    return prof
+
+
+def list_newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
+    """True iff the list profile of s is at most that of t at every entry."""
+    return all(
+        all(map(le, row_a, row_b))
+        for rows_a, rows_b in zip(list_profile(s.word, s.n), list_profile(t.word, s.n))
+        for row_a, row_b in zip(rows_a, rows_b)
+    )
+
+
+def list_pair_counts(s: Multipermutation) -> list[list[int]]:
+    """The list profile summed over copies: ``counts[i][j - i - 1]``."""
+    return [list(map(sum, zip(*rows))) for rows in list_profile(s.word, s.n)]
+
+
+def list_inversion_multiset(s: Multipermutation) -> Counter:
+    counts: Counter = Counter()
+    for i, row in enumerate(list_pair_counts(s)):
+        for j, total in enumerate(row, start=i + 1):
+            if total:
+                counts[(j, i)] = total
+    return counts
+
+
+def list_prec(s: Multipermutation, t: Multipermutation) -> bool:
+    """Pair counts of s at most those of t; no canonicity check."""
+    pairs = zip(list_pair_counts(s), list_pair_counts(t))
+    return all(all(map(le, a, b)) for a, b in pairs)
 
 
 class ReachabilityOrder:

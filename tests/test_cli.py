@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -120,6 +121,30 @@ def test_levels_beyond_the_sample_cap_exit_4(b1, b2):
         code, err = run_isolated(argv)
         assert code == 4, (argv, err)
         assert "sample points" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hasse", "--n", "2", "--k", "10000000000", "--json", "-"],
+        ["meetjoin", "--n", "2", "--k", "10000000000", "--op", "join", "1 2", "2 1"],
+        ["compare", "--k", "10000000000", "WORD", "WORD"],
+    ],
+)
+def test_oversized_levels_exit_4_before_building_2_to_the_k(tmp_path, argv):
+    # 2^(10^10) alone would take 1.25 GB; the child may use at most 1 GB
+    word = tmp_path / "w.txt"
+    word.write_text("1 2 2 1\n")
+    argv = [str(word) if arg == "WORD" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "barcomb.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "word positions, cap is" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rank_verbose_needs_level_zero(capsys, b1):

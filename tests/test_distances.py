@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barcomb.barcode
 from barcomb.barcode import Barcode, affine_transform, generate_barcode
 from barcomb.distances import (
     align,
@@ -244,6 +245,24 @@ def test_bound_check_rejects_diverged_remark_pair():
     with pytest.raises(PreconditionFailedError) as exc:
         check_convergence_bounds(left, right, 10, 1.0)
     assert "invariant equality" in exc.value.failures
+
+
+def test_bound_check_samples_each_barcode_once(monkeypatch):
+    calls = []
+    real = barcomb.barcode.sample_points
+
+    def spy(barcode, k):
+        calls.append(k)
+        return real(barcode, k)
+
+    b = generate_barcode(4, seed=5, k=2, contained=True)
+    moved = affine_transform(b, 3.0, -7.0)
+    monkeypatch.setattr(barcomb.barcode, "sample_points", spy)
+    check_convergence_bounds(b, moved, 2, 2.0)
+    assert calls == [2, 2]
+    calls.clear()
+    perturb_preserving_invariant(b, 0.0, 2, seed=1)  # the target, then one draw
+    assert calls == [2, 2]
 
 
 def test_perturb_preserving_invariant():

@@ -7,7 +7,9 @@ from helpers import ORACLE_SPECS, ReachabilityOrder, recursive_words, reference_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barcomb.barcode
 import barcomb.lattice
+import barcomb.multiperm
 from barcomb.errors import NotAnElementError, TooLargeError
 from barcomb.lattice import (
     HasseDiagram,
@@ -269,6 +271,17 @@ def test_size_cap():
     assert len(d.elements) == 10395
 
 
+def test_spec_rejects_levels_beyond_the_sample_cap(monkeypatch):
+    with pytest.raises(TooLargeError, match="word positions"):
+        LatticeSpec(2, 10**10)  # 2^k is never built
+    monkeypatch.setattr(barcomb.barcode, "MAX_SAMPLE_POINTS", 10)
+    assert LatticeSpec(2, 2).positions == 10  # exactly at the cap
+    with pytest.raises(TooLargeError):
+        LatticeSpec(2, 3)
+    with pytest.raises(TooLargeError):
+        LatticeSpec(11, 0)
+
+
 def test_rank_vector():
     assert rank_vector(LatticeSpec(2, 1)) == [1, 1, 2, 2, 2, 1, 1]
     assert rank_vector(LatticeSpec(2, 0)) == [1, 1, 1]
@@ -287,6 +300,18 @@ def test_verify_ideal_isomorphism(n, k, count):
     assert not report.missing and not report.extra
     payload = report.to_json_dict()
     assert payload["equal"] is True and payload["canonical_count"] == count
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
+@pytest.mark.parametrize("cells", [1, 352])
+def test_ideal_check_in_small_chunks(monkeypatch, n, k, cells):
+    # 352 cells make chunks of 13 words at (3,1) and 11 at (4,0), neither
+    # dividing the 1680 or 2520 words, so the last chunk is partial
+    spec = LatticeSpec(n, k)
+    want = verify_ideal_isomorphism(spec)
+    assert want.equal and want.total_words in (1680, 2520)
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
+    assert verify_ideal_isomorphism(spec) == want
 
 
 def test_dot_output():

@@ -1,14 +1,24 @@
 import doctest
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
-from helpers import inversion_set, two_sort_phi
-from hypothesis import assume, given
+from helpers import (
+    inversion_set,
+    list_inversion_multiset,
+    list_newman_leq,
+    list_prec,
+    two_sort_phi,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import barcomb.multiperm
 from barcomb.barcode import Barcode, affine_transform, crossing_number, is_k_strict
+from barcomb.cli import main
 from barcomb.errors import (
     InvalidWordError,
     NotCanonicalError,
@@ -30,6 +40,8 @@ from barcomb.multiperm import (
     rank,
     relabel,
     second_occurrence_subword,
+    _profiles,
+    _word_array,
 )
 
 B1 = Barcode.from_pairs([(1.0, 2.0), (1.5, 3.0), (2.5, 2.75)])
@@ -227,11 +239,11 @@ def test_orders_match_inversion_sets_on_every_pair(n, k):
     multisets = [pair_multiset(inv) for inv in sets]
     for s, inv, multiset in zip(elems, sets, multisets):
         assert rank(s) == len(inv)
-        assert inversion_multiset(s) == multiset
+        assert inversion_multiset(s) == multiset == list_inversion_multiset(s)
     for s, inv_s, ms_s in zip(elems, sets, multisets):
         for t, inv_t, ms_t in zip(elems, sets, multisets):
-            assert newman_leq(s, t) == (inv_s <= inv_t)
-            assert prec(s, t) == (ms_s <= ms_t)
+            assert newman_leq(s, t) == (inv_s <= inv_t) == list_newman_leq(s, t)
+            assert prec(s, t) == (ms_s <= ms_t) == list_prec(s, t)
 
 
 def test_orders_match_inversion_sets_on_random_words():
@@ -252,6 +264,91 @@ def test_orders_match_inversion_sets_on_random_words():
         assert newman_leq(s, t)
         for a, b in ((s, t), (t, s), (s, u), (u, s), (t, u)):
             assert newman_leq(a, b) == (inversion_set(iota(a)) <= inversion_set(iota(b)))
+
+
+@pytest.mark.parametrize(
+    "n,k,symbols,counts",
+    [
+        (255, 0, np.uint8, np.uint8),
+        (256, 0, np.uint16, np.uint8),
+        (2, 7, np.uint8, np.uint8),
+        (2, 8, np.uint8, np.uint16),
+        (1, 0, np.uint8, np.uint8),
+    ],
+)
+def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
+    m = (1 << k) + 1
+    words = _word_array([tuple(range(1, n + 1)) * m], n)
+    assert words.dtype == symbols
+    prof = _profiles(words, n)
+    assert prof.dtype == counts and prof.shape == (1, n, m, n)
+    # copy r of i sits in the r-th run of 1..n, after r copies of every j
+    # and one more of every j < i
+    ranks = np.arange(n)
+    want = np.arange(m)[:, None] + (ranks[None, None, :] < ranks[:, None, None])
+    assert (prof[0] == want).all()
+
+
+@st.composite
+def word_triples(draw):
+    """A canonical word s, a canonical t above it, and a canonical u, at
+    shapes on both sides of each dtype edge: n = 255 / 256 for symbols,
+    m = 257 for counts, and n = 1."""
+    n, k = draw(st.sampled_from([(1, 0), (1, 8), (2, 8), (255, 0), (256, 0), (300, 0)]))
+    letters = [sym for sym in range(1, n + 1) for _ in range((1 << k) + 1)]
+    s = canonicalize(W(tuple(draw(st.permutations(letters)))))
+    word = list(s.word)
+    for p in draw(st.lists(st.integers(0, len(word) - 2), max_size=30)):
+        # swapping an increasing pair whose smaller symbol occurred before
+        # goes up one cover and stays canonical
+        if word[p] < word[p + 1] and word[p] in word[:p]:
+            word[p], word[p + 1] = word[p + 1], word[p]
+    u = canonicalize(W(tuple(draw(st.permutations(letters)))))
+    return s, W(tuple(word)), u
+
+
+@settings(deadline=None, max_examples=30)
+@given(word_triples(), st.sampled_from([1, 5000, barcomb.multiperm._CELLS]))
+def test_array_orders_match_list_profile(triple, cells):
+    s, t, u = triple
+    with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        assert newman_leq(s, t) and list_newman_leq(s, t)
+        for x in triple:
+            assert inversion_multiset(x) == list_inversion_multiset(x)
+        for a, b in ((s, t), (t, s), (s, u), (u, s), (t, u), (u, t)):
+            assert newman_leq(a, b) == list_newman_leq(a, b)
+            assert prec(a, b) == list_prec(a, b)
+
+
+def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
+    n = 4000
+    base = list(range(1, n + 1)) * 2
+    low, high = list(base), list(base)
+    low[n : n + 2] = [2, 1]  # one more inversion, in the first block of columns
+    high[-2:] = [n, n - 1]  # one more inversion, in the last block
+    w, u, v = W(tuple(base)), W(tuple(low)), W(tuple(high))
+    tracemalloc.start()
+    try:
+        assert newman_leq(w, u) and newman_leq(w, v)
+        assert not newman_leq(u, v) and not newman_leq(v, u)
+        assert prec(w, u) and not prec(u, v) and not prec(v, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20  # unblocked, one one-hot of both words is 64 MB
+
+    calls = []
+    real = barcomb.multiperm._profiles
+    monkeypatch.setattr(
+        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
+    )
+    assert not newman_leq(u, v) and len(calls) == 1  # stops at the first block
+    a, b = tmp_path / "u.txt", tmp_path / "v.txt"
+    a.write_text(str(u))
+    b.write_text(str(v))
+    capsys.readouterr()
+    assert main(["compare", "--k", "0", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "INCOMPARABLE\n"
 
 
 def test_newman_leq():
