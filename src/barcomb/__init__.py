@@ -21,7 +21,6 @@ from .barcode import (
     is_k_strict,
     read_barcode,
     sample_points,
-    strictness_collisions,
 )
 from .distances import (
     Alignment,
@@ -84,7 +83,6 @@ __all__ = [
     "is_k_strict",
     "read_barcode",
     "sample_points",
-    "strictness_collisions",
     "Alignment",
     "BoundReport",
     "Matching",

@@ -11,8 +11,9 @@ Levels: at level k every bar contributes the 2^k + 1 points
 
 computed directly from this formula (never by repeated addition) so rounding
 cannot drift and flip an ordering.  A barcode is k-strict when all of these
-points, over all bars, are pairwise distinct.  ``require_k_strict`` returns
-the sorted points it checked, so the level-k word needs no second sort.
+points, over all bars, are pairwise distinct as doubles.  The one check,
+``require_k_strict``, returns the sorted points, so the level-k word needs no
+second sort; ``is_k_strict`` is its boolean form.
 """
 
 from __future__ import annotations
@@ -124,43 +125,28 @@ def sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
     return points
 
 
-def _sort_and_scan(barcode: Barcode, k: int, eps: float) -> tuple[list, list]:
-    """The sorted level-k sample points, and the adjacent pairs among them
-    at distance <= eps."""
+def require_k_strict(barcode: Barcode, k: int) -> list[tuple[float, int]]:
+    """The sorted level-k sample points; NotStrictError, listing every
+    adjacent pair of equal points, if any two coincide.
+
+    Doubles are compared exactly.  At k = 0 this is ordinary strictness:
+    distinct births, distinct deaths, and no birth equal to any death.
+    """
     points = sorted(sample_points(barcode, k))
     pairs = zip(points, points[1:])
-    return points, [(prev, cur) for prev, cur in pairs if cur[0] - prev[0] <= eps]
-
-
-def strictness_collisions(
-    barcode: Barcode, k: int, eps: float = 0.0
-) -> list[tuple[tuple[float, int], tuple[float, int]]]:
-    """Pairs of level-k sample points at distance <= eps, if any.
-
-    Only adjacent pairs in sorted order are reported; an empty list means
-    the barcode is k-strict at tolerance eps.
-    """
-    return _sort_and_scan(barcode, k, eps)[1]
-
-
-def is_k_strict(barcode: Barcode, k: int, eps: float = 0.0) -> bool:
-    """True iff all level-k sample points are pairwise distinct.
-
-    Two values collide when |x - y| <= eps; eps = 0 is exact comparison of
-    doubles.  k = 0 with eps = 0 is ordinary strictness: distinct births,
-    distinct deaths, and no birth equal to any death.
-    """
-    return not strictness_collisions(barcode, k, eps)
-
-
-def require_k_strict(
-    barcode: Barcode, k: int, eps: float = 0.0
-) -> list[tuple[float, int]]:
-    """The sorted level-k sample points; NotStrictError if any collide."""
-    points, collisions = _sort_and_scan(barcode, k, eps)
+    collisions = [(prev, cur) for prev, cur in pairs if prev[0] == cur[0]]
     if collisions:
         raise NotStrictError(k, collisions)
     return points
+
+
+def is_k_strict(barcode: Barcode, k: int) -> bool:
+    """True iff all level-k sample points are pairwise distinct."""
+    try:
+        require_k_strict(barcode, k)
+    except NotStrictError:
+        return False
+    return True
 
 
 def crossing_number(barcode: Barcode, i: int, j: int) -> int:
@@ -216,25 +202,26 @@ def has_containing_bar(barcode: Barcode) -> bool:
     return any(b.birth == lo and b.death == hi for b in barcode.bars)
 
 
+_MAX_DRAWS = 1000  # barcodes drawn by ``generate_barcode`` before it gives up
+
+
 def generate_barcode(
-    n: int,
-    seed: int,
-    k: int = 0,
-    spread: float = 10.0,
-    contained: bool = False,
-    max_retries: int = 1000,
+    n: int, seed: int, k: int = 0, spread: float = 10.0, contained: bool = False
 ) -> Barcode:
     """A deterministic pseudo-random k-strict barcode with n bars.
 
     Births fall in [0, spread) and lengths in [spread/10, spread/2).  With
     ``contained`` the first bar is widened to contain all the others.  The
     result is rejection-sampled until it verifies as k-strict, which for
-    continuous draws almost always succeeds on the first try.
+    continuous draws almost always succeeds on the first try; after
+    ``_MAX_DRAWS`` draws RetriesExhaustedError.  TooLargeError, before the
+    first draw, when the level would exceed ``MAX_SAMPLE_POINTS``.
     """
     if n < 1:
         raise InvalidBarError("need n >= 1")
+    require_level_size(n, k, "sample points")
     rng = SplitMix64(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         inner = n - 1 if contained else n
         pairs = []
         for _ in range(inner):
@@ -253,7 +240,7 @@ def generate_barcode(
         candidate = Barcode.from_pairs(pairs)
         if is_k_strict(candidate, k):
             return candidate
-    raise RetriesExhaustedError(f"no {k}-strict barcode after {max_retries} draws")
+    raise RetriesExhaustedError(f"no {k}-strict barcode after {_MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

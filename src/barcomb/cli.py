@@ -3,7 +3,8 @@
 Subcommands: invariant, rank, compare, hasse, meetjoin, distance,
 bound-check, polytope, gen.  Outputs are byte-deterministic given identical
 flags and input files.  Exit codes: 0 success, 2 input or parse problems,
-3 violated preconditions (strictness, canonicity, shape, ...), 4 size caps.
+3 violated preconditions (strictness, canonicity, shape, ...), 4 size caps
+and running out of memory.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _cmd_meetjoin(args) -> int:
     s = mp.Multipermutation.from_string(args.s)
     t = mp.Multipermutation.from_string(args.t)
     op = lat.meet if args.op == "meet" else lat.join
-    print(op(s, t, spec, args.cap))
+    print(op(s, t, spec, spec.positions))  # meet and join never enumerate
     return 0
 
 
@@ -237,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("meet", "join"), required=True)
     p.add_argument("s", help="word, e.g. '1 2 2 1'")
     p.add_argument("t")
-    p.add_argument("--cap", type=int, default=lat.DEFAULT_POSITION_CAP)
     p.set_defaults(func=_cmd_meetjoin)
 
     p = sub.add_parser("distance", help="bottleneck or q-Wasserstein distance")
@@ -297,8 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     except (*_PARSE_ERRORS, ValueError) as exc:
         print(f"barcomb: {exc}", file=sys.stderr)
         return 2
-    except TooLargeError as exc:
-        print(f"barcomb: {exc}", file=sys.stderr)
+    except (TooLargeError, MemoryError) as exc:
+        print(f"barcomb: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"barcomb: {exc}", file=sys.stderr)

@@ -58,6 +58,7 @@ BOUND_TOLERANCE = 1e-9
 # above the subnormal range, so terms that underflowed cannot have hidden a
 # better assignment.
 _TINY = 2.0**-900
+_MAX_DRAWS = 10000  # draws ``perturb_preserving_invariant`` makes before it gives up
 
 # A witness pair is (left label, right label) with None meaning the diagonal;
 # diagonal-to-diagonal fillers are dropped from witnesses.
@@ -345,23 +346,20 @@ def check_convergence_bounds(
 
 
 def perturb_preserving_invariant(
-    barcode: Barcode,
-    magnitude: float,
-    k: int,
-    seed: int,
-    max_retries: int = 10000,
+    barcode: Barcode, magnitude: float, k: int, seed: int
 ) -> Barcode:
     """Jitter endpoints without changing the level-k invariant.
 
     Each endpoint moves independently by uniform noise in
     [-magnitude, magnitude) drawn from a seeded deterministic stream; draws
     are rejected until the result is k-strict with the same level-k
-    invariant as the input.  Deterministic given (barcode, magnitude, k,
+    invariant as the input, and after ``_MAX_DRAWS`` draws
+    RetriesExhaustedError.  Deterministic given (barcode, magnitude, k,
     seed).
     """
     target = g_k(barcode, k)
     rng = SplitMix64(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         pairs = []
         ok = True
         for bar in barcode.bars:
@@ -376,5 +374,5 @@ def perturb_preserving_invariant(
         if _strict_invariant(candidate, k) == target:
             return candidate
     raise RetriesExhaustedError(
-        f"no invariant-preserving perturbation after {max_retries} draws"
+        f"no invariant-preserving perturbation after {_MAX_DRAWS} draws"
     )

@@ -33,13 +33,7 @@ import numpy as np
 
 from .barcode import require_level_size
 from .errors import NotAnElementError, TooLargeError
-from .multiperm import (
-    Multipermutation,
-    _newman_join,
-    _profiles,
-    _word_array,
-    _word_chunks,
-)
+from .multiperm import Multipermutation, _below, _newman_join, _word_chunks
 
 DEFAULT_POSITION_CAP = 16
 
@@ -330,22 +324,21 @@ def verify_ideal_isomorphism(
 ) -> IdealReport:
     """Check that canonical words are exactly the ideal below the top.
 
-    Enumerates the full multinomial Newman lattice and compares it, in
-    chunks of words, with the fully nested word's profile, built once.  The
-    words at or below the top are compared with the canonical enumeration.
+    Enumerates the full multinomial Newman lattice and tests it, in chunks
+    of words, against the fully nested word with the Newman test of
+    ``newman_leq``.  The words at or below the top are compared with the
+    canonical enumeration.
     """
     _check_cap(spec, cap)
     n = spec.n
-    top = _profiles(_word_array([top_element(spec).word], n), n)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
+    top = top_element(spec).word
     canonical = {w for w, _ in _word_stream(n, spec.m)}
     ideal: set[tuple[int, ...]] = set()
     total = 0
     stream = (w for w, _ in _word_stream(n, spec.m, canonical_only=False))
-    for batch, words in _word_chunks(stream, n, spec.positions):
+    for batch in _word_chunks(stream, n, spec.positions):
         total += len(batch)
-        above = ((_profiles(words, n) > top) & upper).any(axis=(1, 2, 3))
-        ideal.update(compress(batch, ~above))
+        ideal.update(compress(batch, _below(batch, top, n)))
     missing = tuple(sorted(ideal - canonical))
     extra = tuple(sorted(canonical - ideal))
     return IdealReport(

@@ -23,12 +23,14 @@ order, so the profile is exactly the inversion set of ``iota(s)``, and
 The orders, ``inversion_multiset`` and the lattice's ideal check read the
 profile from one numpy kernel, ``_profiles``, that builds it for a batch of
 words: a scattered one-hot of the symbols, one ``cumsum`` along the word and
-one gather at the positions of the copies.  Symbols and counts take the
-smallest unsigned dtype that holds n and m.  Memory is bounded by
-``_CELLS`` one-hot entries: long words are walked in blocks of symbol
-columns, and the orders stop at the first block that decides them; batches
-of short words come in chunks.  ``rank`` and the join keep pure-Python
-running counts, which are faster on them.
+one gather at the positions of the copies.  It counts larger symbols only
+and is zero elsewhere, so readers compare and sum whole arrays.  Symbols and
+counts take the smallest unsigned dtype that holds n and m.  Memory is
+bounded by ``_CELLS`` one-hot entries: long words are walked in blocks of
+symbol columns, and batches of short words come in chunks.  One Newman test,
+``_below``, serves ``newman_leq`` and the ideal check; it stops at the first
+block that every word fails.  ``rank`` and the join keep pure-Python running
+counts, which are faster on them.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -258,10 +260,11 @@ def _profiles(
     ``words`` is a (count, n*m) array of symbols 1..n.  Entry [c, i, r, j]
     of the (count, n, m, hi - lo) result counts the copies of symbol
     lo + j + 1 before the copy of i + 1 with index r (counted from 0) in word
-    c.  A one-hot of the symbols lo + 1..hi is scattered, summed along the
-    word, and read at the positions of the copies, which a stable argsort
-    lists symbol by symbol in copy order.  Counts have the smallest
-    unsigned dtype that holds m.
+    c when that symbol is larger than i + 1, and is zero otherwise.  A
+    one-hot of the symbols lo + 1..hi is scattered, summed along the word,
+    and read at the positions of the copies, which a stable argsort lists
+    symbol by symbol in copy order.  Counts have the smallest unsigned dtype
+    that holds m.
     """
     hi = n if hi is None else hi
     count, size = words.shape
@@ -275,15 +278,13 @@ def _profiles(
     order += np.arange(0, count * size, size)[:, None]  # rows of the flattened batch
     prof = seen.reshape(-1, width).take(order.ravel(), axis=0)
     prof = prof.reshape(count, n, m, width)
-    own = np.arange(lo, hi)
-    prof[:, own, :, own - lo] -= 1  # a copy does not precede itself
+    prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]  # larger symbols only
     return prof
 
 
-def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The profiles of ``words`` in blocks of symbol columns: each block's
-    first column, its profiles, and its (n, width) mask of the entries
-    with j > i, the only ones the orders read.
+def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The profiles of ``words`` in blocks of symbol columns, each with its
+    first column.
 
     A block holds at most ``_CELLS`` one-hot entries, so memory stays
     bounded however long the words are.
@@ -292,7 +293,7 @@ def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray, np.nda
     width = max(1, _CELLS // (count * size))
     for lo in range(0, n, width):
         hi = min(lo + width, n)
-        yield lo, _profiles(words, n, lo, hi), np.arange(lo, hi) > np.arange(n)[:, None]
+        yield lo, _profiles(words, n, lo, hi)
 
 
 def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -302,14 +303,28 @@ def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
 
 def _word_chunks(
     stream: Iterable[tuple[int, ...]], n: int, size: int
-) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
+) -> Iterator[list[tuple[int, ...]]]:
     """Words of ``size`` positions over {1..n} from ``stream``, in chunks
-    whose full profiles hold at most ``_CELLS`` one-hot entries, each chunk
-    as a list and as an array."""
+    whose full profiles, with one more word's, hold at most ``_CELLS``
+    one-hot entries."""
     stream = iter(stream)
-    chunk = max(1, _CELLS // (size * n))
-    while batch := list(islice(stream, chunk)):
-        yield batch, _word_array(batch, n)
+    while batch := list(islice(stream, max(1, _CELLS // (size * n) - 1))):
+        yield batch
+
+
+def _below(words: Sequence[Sequence[int]], t: Sequence[int], n: int) -> np.ndarray:
+    """For each of ``words``, whether it lies at or below ``t`` in the
+    Newman order: whether its profile is at most that of t at every entry.
+
+    The words and t share one kernel call per block of columns, and the
+    walk stops after the first block in which every word has failed.
+    """
+    below = np.ones(len(words), dtype=bool)
+    for _, prof in _blocks(_word_array([*words, t], n), n):
+        below &= (prof[:-1] <= prof[-1]).all(axis=(1, 2, 3))
+        if not below.any():
+            break
+    return below
 
 
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
@@ -319,10 +334,7 @@ def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     at the first block of columns where it is not.
     """
     _check_same_shape(s, t)
-    for _, (a, b), upper in _blocks(_word_array([s.word, t.word], s.n), s.n):
-        if ((a > b) & upper[:, None, :]).any():
-            return False
-    return True
+    return bool(_below([s.word], t.word, s.n)[0])
 
 
 def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
@@ -333,8 +345,8 @@ def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
     [((2, 1), 2), ((3, 1), 1), ((3, 2), 1), ((4, 1), 2), ((4, 3), 2)]
     """
     counts: Counter[tuple[int, int]] = Counter()
-    for lo, prof, upper in _blocks(_word_array([s.word], s.n), s.n):
-        (totals,) = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2)) * upper
+    for lo, prof in _blocks(_word_array([s.word], s.n), s.n):
+        (totals,) = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2))
         for i, j in zip(*np.nonzero(totals)):
             counts[(lo + int(j) + 1, int(i) + 1)] = int(totals[i, j])
     return counts
@@ -350,9 +362,9 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
     for u in (s, t):
         if not u.is_canonical:
             raise NotCanonicalError(f"not canonical: {u}")
-    for _, prof, upper in _blocks(_word_array([s.word, t.word], s.n), s.n):
+    for _, prof in _blocks(_word_array([s.word, t.word], s.n), s.n):
         a, b = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2))  # pair counts
-        if ((a > b) & upper).any():
+        if (a > b).any():
             return False
     return True
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import barcomb.barcode
 from barcomb.barcode import (
@@ -20,7 +22,6 @@ from barcomb.barcode import (
     read_barcode,
     require_k_strict,
     sample_points,
-    strictness_collisions,
 )
 from barcomb.errors import (
     InvalidBarError,
@@ -115,12 +116,6 @@ def test_strictness_examples():
     assert not is_k_strict(Barcode.from_pairs([(0, 1), (0, 2)]), 0)
 
 
-def test_strictness_eps():
-    bc = Barcode.from_pairs([(0, 1), (2, 3)])
-    assert is_k_strict(bc, 0, eps=0.5)
-    assert not is_k_strict(bc, 0, eps=1.0)  # gap exactly 1 counts as equal
-
-
 def test_strictness_monotone_in_k():
     rng = random.Random(11)
     for _ in range(100):
@@ -131,10 +126,39 @@ def test_strictness_monotone_in_k():
 
 
 def test_strictness_collisions_reported():
-    collisions = strictness_collisions(Barcode.from_pairs([(-1, 1), (-2, 2)]), 1)
+    with pytest.raises(NotStrictError) as info:
+        require_k_strict(Barcode.from_pairs([(-1, 1), (-2, 2)]), 1)
+    collisions = info.value.collisions
     assert collisions
     values = {v for pair in collisions for v, _ in pair}
     assert values == {0.0}
+
+
+# Small integer endpoints make collisions common; at k <= 3 every sample
+# point is exact in binary64, so any formula for it gives the same double.
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=1, max_size=5),
+    st.integers(0, 3),
+)
+def test_strictness_is_exact_distinctness(bars, k):
+    barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
+    points = sorted(
+        (b + ell * length / 2**k, label)
+        for label, (b, length) in enumerate(bars, start=1)
+        for ell in range(2**k + 1)
+    )
+    distinct = len({v for v, _ in points}) == len(points)
+    adjacent_equal = tuple(
+        (p, q) for p, q in zip(points, points[1:]) if p[0] == q[0]
+    )
+    assert is_k_strict(barcode, k) == distinct
+    if distinct:
+        assert require_k_strict(barcode, k) == points
+    else:
+        with pytest.raises(NotStrictError) as info:
+            require_k_strict(barcode, k)
+        assert info.value.k == k
+        assert info.value.collisions == adjacent_equal
 
 
 def test_crossing_number_cases():
@@ -242,6 +266,25 @@ def test_generate_barcode():
     c = generate_barcode(4, seed=9, k=1, contained=True)
     assert has_containing_bar(c)
     assert c != generate_barcode(4, seed=10, k=1, contained=True)
+
+
+def test_generate_barcode_checks_its_size_before_drawing(monkeypatch):
+    draws = []
+    real = barcomb.barcode.SplitMix64.uniform
+    monkeypatch.setattr(
+        barcomb.barcode.SplitMix64,
+        "uniform",
+        lambda self, lo, hi: draws.append(1) or real(self, lo, hi),
+    )
+    monkeypatch.setattr(barcomb.barcode, "MAX_SAMPLE_POINTS", 10)
+    assert len(generate_barcode(5, seed=1)) == 5  # exactly at the cap
+    assert draws
+    draws.clear()
+    with pytest.raises(TooLargeError, match="sample points"):
+        generate_barcode(6, seed=1)
+    with pytest.raises(TooLargeError):
+        generate_barcode(2, seed=1, k=3)
+    assert draws == []
 
 
 def test_csv_round_trip():

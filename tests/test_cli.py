@@ -147,6 +147,25 @@ def test_oversized_levels_exit_4_before_building_2_to_the_k(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("metric", ["bottleneck", "wasserstein"])
+def test_distance_out_of_memory_exits_4(tmp_path, metric):
+    # the first 12000 x 12000 cost matrix alone takes 1.15 GB; the child may
+    # use at most 1 GB
+    for name, shift in (("a.csv", 0.0), ("b.csv", 0.25)):
+        rows = (f"{i + shift},{i + shift + 3.5}" for i in range(12000))
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "barcomb.cli", "distance", "--metric", metric,
+         str(tmp_path / "a.csv"), str(tmp_path / "b.csv")],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_rank_verbose_needs_level_zero(capsys, b1):
     with pytest.raises(SystemExit):
         main(["rank", "--input", b1, "--k", "1", "--verbose"])
@@ -236,6 +255,17 @@ def test_meetjoin_beyond_enumeration(capsys):
         assert bound.is_canonical
         for w in words:
             assert newman_leq(bound, w) if op == "meet" else newman_leq(w, bound)
+
+
+def test_meetjoin_has_no_position_cap():
+    # 18 positions, past the enumeration cap of 16; meet and join never enumerate
+    s = "1 2 3 4 5 6 1 2 3 4 5 6 1 2 3 4 5 6"
+    t = "1 1 1 2 2 2 3 3 3 4 4 4 5 5 5 6 6 6"
+    argv = ["meetjoin", "--n", "6", "--k", "1", "--op", "join", s, t]
+    code, err = run_isolated(argv)
+    assert code == 0, err
+    code, err = run_isolated([*argv, "--cap", "18"])
+    assert code == 2 and "--cap" in err
 
 
 def run_isolated(argv):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barcomb.barcode
+import barcomb.distances
 from barcomb.barcode import Barcode, affine_transform, generate_barcode
 from barcomb.distances import (
     align,
@@ -265,7 +266,7 @@ def test_bound_check_samples_each_barcode_once(monkeypatch):
     assert calls == [2, 2]
 
 
-def test_perturb_preserving_invariant():
+def test_perturb_preserving_invariant(monkeypatch):
     base = generate_barcode(4, seed=21, k=2, contained=True)
     same = perturb_preserving_invariant(base, 0.0, 2, seed=1)
     assert same == base
@@ -275,8 +276,9 @@ def test_perturb_preserving_invariant():
     assert a == b  # deterministic
     assert a != base
     assert g_k(a, 2) == g_k(base, 2)
+    monkeypatch.setattr(barcomb.distances, "_MAX_DRAWS", 0)
     with pytest.raises(RetriesExhaustedError):
-        perturb_preserving_invariant(base, gap, 2, seed=3, max_retries=0)
+        perturb_preserving_invariant(base, gap, 2, seed=3)
 
 
 def test_aligned_distance_decays_with_level():

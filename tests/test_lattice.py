@@ -303,10 +303,12 @@ def test_verify_ideal_isomorphism(n, k, count):
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
-@pytest.mark.parametrize("cells", [1, 352])
+@pytest.mark.parametrize("cells", [1, 352, 400])
 def test_ideal_check_in_small_chunks(monkeypatch, n, k, cells):
-    # 352 cells make chunks of 13 words at (3,1) and 11 at (4,0), neither
-    # dividing the 1680 or 2520 words, so the last chunk is partial
+    # a chunk leaves room for the top's row.  352 cells make chunks of 12
+    # words at (3,1) and 10 at (4,0), which with the top just fit one block
+    # and divide the 1680 and 2520 words; 400 cells make chunks of 13 and 11,
+    # which do not, so the last chunk is partial
     spec = LatticeSpec(n, k)
     want = verify_ideal_isomorphism(spec)
     assert want.equal and want.total_words in (1680, 2520)

@@ -40,6 +40,7 @@ from barcomb.multiperm import (
     rank,
     relabel,
     second_occurrence_subword,
+    _below,
     _profiles,
     _word_array,
 )
@@ -282,10 +283,10 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
     assert words.dtype == symbols
     prof = _profiles(words, n)
     assert prof.dtype == counts and prof.shape == (1, n, m, n)
-    # copy r of i sits in the r-th run of 1..n, after r copies of every j
-    # and one more of every j < i
+    # copy r of i sits in the r-th run of 1..n, after r copies of every
+    # j > i; entries of j <= i are zero
     ranks = np.arange(n)
-    want = np.arange(m)[:, None] + (ranks[None, None, :] < ranks[:, None, None])
+    want = np.arange(m)[:, None] * (ranks[None, None, :] > ranks[:, None, None])
     assert (prof[0] == want).all()
 
 
@@ -318,6 +319,59 @@ def test_array_orders_match_list_profile(triple, cells):
         for a, b in ((s, t), (t, s), (s, u), (u, s), (t, u), (u, t)):
             assert newman_leq(a, b) == list_newman_leq(a, b)
             assert prec(a, b) == list_prec(a, b)
+
+
+@st.composite
+def batch_and_top(draw):
+    """Words of one shape and a word t, with t itself and words below t
+    (t after a few swaps of adjacent decreasing pairs) in the batch."""
+    n, k = draw(st.sampled_from([(1, 0), (2, 1), (3, 1), (4, 0), (2, 8), (256, 0)]))
+    letters = [sym for sym in range(1, n + 1) for _ in range((1 << k) + 1)]
+    word_of = lambda: tuple(draw(st.permutations(letters)))  # noqa: E731
+    t = word_of()
+    batch = [word_of() for _ in range(draw(st.integers(0, 4)))] + [t]
+    for _ in range(draw(st.integers(0, 3))):
+        word = list(t)
+        for p in draw(st.lists(st.integers(0, len(word) - 2), max_size=20)):
+            if word[p] > word[p + 1]:  # one cover down
+                word[p], word[p + 1] = word[p + 1], word[p]
+        batch.append(tuple(word))
+    return draw(st.permutations(batch)), t, n
+
+
+@settings(deadline=None, max_examples=40)
+@given(batch_and_top(), st.sampled_from([1, 5000, barcomb.multiperm._CELLS]))
+def test_below_matches_list_profile_row_by_row(case, cells):
+    batch, t, n = case
+    with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        got = _below(batch, t, n)
+    assert got.dtype == bool and got.shape == (len(batch),)
+    want = [list_newman_leq(W(w), W(t)) for w in batch]
+    assert got.tolist() == want
+    assert got[batch.index(t)]
+
+
+def test_below_stops_after_the_first_block_every_word_fails(monkeypatch):
+    # a block holds symbol columns (1, 2), (3, 4), (5, 6) for two words and t;
+    # a word fails in the block of the larger symbol of an inversion t lacks
+    n = 6
+    t = (1, 2, 3, 4, 5, 6) * 2
+    first = [(2, 1) + t[2:], t[:6] + (2, 1) + t[8:]]  # a 2 before a 1
+    last = (1, 2, 3, 4, 6, 5) + t[6:]  # a 6 before a 5
+    calls = []
+    real = barcomb.multiperm._profiles
+    monkeypatch.setattr(
+        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
+    )
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 3 * 12 * 2)
+    assert _below(first, t, n).tolist() == [False, False]
+    assert calls == [(0, 2)]
+    calls.clear()
+    assert _below([first[0], last], t, n).tolist() == [False, False]
+    assert calls == [(0, 2), (2, 4), (4, 6)]
+    calls.clear()
+    assert _below([t, first[1]], t, n).tolist() == [True, False]
+    assert calls == [(0, 2), (2, 4), (4, 6)]
 
 
 def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
