@@ -27,6 +27,7 @@ from typing import Iterable
 from .errors import (
     InvalidBarError,
     InvalidLabelError,
+    InvalidLevelError,
     InvalidScaleError,
     NotStrictError,
     ParseError,
@@ -97,11 +98,14 @@ MAX_SAMPLE_POINTS = 1 << 22  # about 0.4 GB of (value, label) tuples
 
 
 def require_level_size(n: int, k: int, what: str) -> None:
-    """TooLargeError unless n x (2^k + 1) is at most ``MAX_SAMPLE_POINTS``.
+    """InvalidLevelError when k < 0, and TooLargeError unless n x (2^k + 1)
+    is at most ``MAX_SAMPLE_POINTS``.
 
     Never builds 2^k for a large k: from k = 22 on, one bar exceeds the cap.
     ``what`` names the counted items in the message.
     """
+    if k < 0:
+        raise InvalidLevelError(f"level {k} is negative; need k >= 0")
     if n * ((1 << min(k, 63)) + 1) > MAX_SAMPLE_POINTS:
         raise TooLargeError(
             f"level {k} has {n} x (2^{k} + 1) {what}, cap is {MAX_SAMPLE_POINTS}"

@@ -29,6 +29,10 @@ class InvalidLabelError(BarcombError):
     """A bar label is out of range or a pair repeats a label."""
 
 
+class InvalidLevelError(BarcombError, ValueError):
+    """A level k is negative, or a lattice has fewer than one bar."""
+
+
 class InvalidScaleError(BarcombError):
     """An affine scale factor is not strictly positive."""
 

@@ -4,7 +4,9 @@ The level-k lattice on n bars consists of all canonical multipermutations
 with alphabet size n and multiplicity m = 2^k + 1, ordered by the Newman
 relation.  Equivalently (and verified by ``verify_ideal_isomorphism``) it is
 the principal ideal below the fully nested word inside the full multinomial
-Newman lattice.
+Newman lattice.  That lattice is never enumerated: its words are the n!
+symbol relabelings of the canonical words, and the check tests them one
+relabeling at a time.
 
 Enumeration is deterministic: one private stream produces the words in
 lexicographic order, each with its rank, so indices, Hasse diagrams, vertex
@@ -23,17 +25,16 @@ join of their reversals.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from itertools import permutations
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .barcode import require_level_size
-from .errors import NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _below, _newman_join, _word_chunks
+from .errors import InvalidLevelError, NotAnElementError, TooLargeError
+from .multiperm import Multipermutation, _below, _newman_join
 
 DEFAULT_POSITION_CAP = 16
 
@@ -42,17 +43,17 @@ DEFAULT_POSITION_CAP = 16
 class LatticeSpec:
     """Bar count n >= 1 and level k >= 0; multiplicity m = 2^k + 1.
 
-    TooLargeError when the words would have more than
-    ``barcode.MAX_SAMPLE_POINTS`` positions, the most any barcode of n bars
-    can sample at level k.
+    InvalidLevelError when n < 1 or k < 0, and TooLargeError when the words
+    would have more than ``barcode.MAX_SAMPLE_POINTS`` positions, the most
+    any barcode of n bars can sample at level k.
     """
 
     n: int
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 0:
-            raise ValueError(f"need n >= 1 and k >= 0, got ({self.n}, {self.k})")
+        if self.n < 1:
+            raise InvalidLevelError(f"need n >= 1 bars, got {self.n}")
         require_level_size(self.n, self.k, "word positions")
 
     @property
@@ -78,16 +79,13 @@ def top_element(spec: LatticeSpec) -> Multipermutation:
     return Multipermutation(tuple(word))
 
 
-def _word_stream(
-    n: int, m: int, canonical_only: bool = True
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All multiset permutations of {1^m .. n^m} with their ranks, in
+def _word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The canonical words of {1^m .. n^m} with their ranks, in
     lexicographic order.
 
-    With ``canonical_only``, a symbol may start only after the previous
-    symbol has appeared, which yields exactly the canonical words.  The rank
-    is carried along: placing symbol s adds the number of larger symbols
-    already placed.
+    A symbol may start only after the previous symbol has appeared, which
+    yields exactly the canonical words.  The rank is carried along: placing
+    symbol s adds the number of larger symbols already placed.
 
     The completions of a prefix, and what they add to its rank, depend only
     on the counts still to place and on the largest symbol placed.  So the
@@ -100,8 +98,7 @@ def _word_stream(
 
     def moves(rem: tuple[int, ...], seen: int):
         """Each next symbol s with the state after it and its rank step."""
-        limit = min(n, seen + 1) if canonical_only else n
-        for s in range(1, limit + 1):
+        for s in range(1, min(n, seen + 1) + 1):
             left = rem[s - 1]
             if left:
                 larger_placed = m * (n - s) - sum(rem[s:])
@@ -171,12 +168,6 @@ def _covers(words: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, int], 
     return tuple(zip(map(index, low[order]), map(index, high[order])))
 
 
-def _rank_counts(ranks: Iterable[int]) -> list[int]:
-    """Element counts per rank, bottom to top."""
-    counts = Counter(ranks)
-    return [counts[r] for r in range(max(counts) + 1)]
-
-
 @dataclass(frozen=True)
 class HasseDiagram:
     """An enumerated barcode lattice with cover edges and rank labels."""
@@ -208,7 +199,8 @@ class HasseDiagram:
         return join(s, t, self.spec, self.spec.positions)
 
     def rank_vector(self) -> list[int]:
-        return _rank_counts(self.ranks)
+        """Element counts per rank, bottom to top."""
+        return np.bincount(self.ranks).tolist()
 
     def to_dot(self) -> str:
         """Graphviz source; node ids are the lexicographic element indices."""
@@ -250,12 +242,9 @@ def enumerate_lattice(
 ) -> HasseDiagram:
     """All canonical words with cover edges and ranks, in lexicographic order."""
     _check_cap(spec, cap)
-    words, ranks = [], []
-    for word, r in _word_stream(spec.n, spec.m):
-        words.append(word)
-        ranks.append(r)
+    words, ranks = zip(*_word_stream(spec.n, spec.m))
     elements = tuple(map(Multipermutation._of_valid_word, words))
-    return HasseDiagram(spec, elements, _covers(words, spec.n), tuple(ranks))
+    return HasseDiagram(spec, elements, _covers(words, spec.n), ranks)
 
 
 def _element_word(s: Multipermutation, spec: LatticeSpec) -> tuple[int, ...]:
@@ -291,7 +280,7 @@ def join(
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
     """Element counts per rank, bottom to top."""
     _check_cap(spec, cap)
-    return _rank_counts(r for _, r in _word_stream(spec.n, spec.m))
+    return np.bincount([r for _, r in _word_stream(spec.n, spec.m)]).tolist()
 
 
 @dataclass(frozen=True)
@@ -324,29 +313,36 @@ def verify_ideal_isomorphism(
 ) -> IdealReport:
     """Check that canonical words are exactly the ideal below the top.
 
-    Enumerates the full multinomial Newman lattice and tests it, in chunks
-    of words, against the fully nested word with the Newman test of
-    ``newman_leq``.  The words at or below the top are compared with the
-    canonical enumeration.
+    Every word of the full multinomial Newman lattice is exactly one
+    relabeling of exactly one canonical word, and only the identity keeps a
+    word canonical.  So the canonical words, relabeled by each of the n!
+    symbol permutations in turn, cover the full lattice once, and each batch
+    is tested against the fully nested word with the Newman test of
+    ``newman_leq``.  The identity comes first: its words not below the top
+    are ``extra``; the words below the top from any other relabeling are
+    ``missing``.
     """
     _check_cap(spec, cap)
     n = spec.n
     top = top_element(spec).word
-    canonical = {w for w, _ in _word_stream(n, spec.m)}
-    ideal: set[tuple[int, ...]] = set()
-    total = 0
-    stream = (w for w, _ in _word_stream(n, spec.m, canonical_only=False))
-    for batch in _word_chunks(stream, n, spec.positions):
+    words = np.array([w for w, _ in _word_stream(n, spec.m)], np.min_scalar_type(n))
+    identity = tuple(range(1, n + 1))
+    ideal, total, missing = 0, 0, []
+    for p in permutations(identity):
+        batch = np.array((0, *p), dtype=words.dtype)[words]
+        below = _below(batch, top, n)
+        ideal += int(below.sum())
+        if p == identity:  # comes first
+            extra = tuple(map(tuple, batch[~below].tolist()))
+        else:
+            missing += map(tuple, batch[below].tolist())
         total += len(batch)
-        ideal.update(compress(batch, _below(batch, top, n)))
-    missing = tuple(sorted(ideal - canonical))
-    extra = tuple(sorted(canonical - ideal))
     return IdealReport(
         spec=spec,
-        canonical_count=len(canonical),
-        ideal_count=len(ideal),
+        canonical_count=len(words),
+        ideal_count=ideal,
         total_words=total,
         equal=not missing and not extra,
-        missing=missing,
+        missing=tuple(sorted(missing)),
         extra=extra,
     )

@@ -27,10 +27,10 @@ one gather at the positions of the copies.  It counts larger symbols only
 and is zero elsewhere, so readers compare and sum whole arrays.  Symbols and
 counts take the smallest unsigned dtype that holds n and m.  Memory is
 bounded by ``_CELLS`` one-hot entries: long words are walked in blocks of
-symbol columns, and batches of short words come in chunks.  One Newman test,
-``_below``, serves ``newman_leq`` and the ideal check; it stops at the first
-block that every word fails.  ``rank`` and the join keep pure-Python running
-counts, which are faster on them.
+symbol columns.  One Newman test, ``_below``, serves ``newman_leq`` and the
+ideal check; it cuts a batch of words into chunks itself, and each chunk
+stops at the first block that all its words fail.  ``rank`` and the join
+keep pure-Python running counts, which are faster on them.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -48,8 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,15 +120,16 @@ class Multipermutation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multipermutation":
-        try:
-            word = tuple(int(v) for v in data["word"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidWordError(f"bad word payload: {data!r}") from exc
-        s = cls(word)
-        if "n" in data and data["n"] != s.n:
-            raise InvalidWordError(f"declared n={data['n']} but word has n={s.n}")
-        if "m" in data and data["m"] != s.m:
-            raise InvalidWordError(f"declared m={data['m']} but word has m={s.m}")
+        word = data.get("word") if isinstance(data, dict) else None
+        if not isinstance(word, list) or not all(type(v) is int for v in word):
+            # exact ints: no booleans, floats or numeric strings
+            raise InvalidWordError(f"word must be a JSON array of integers: {data!r}")
+        s = cls(tuple(word))
+        for key, value in (("n", s.n), ("m", s.m)):
+            if key in data and (type(data[key]) is not int or data[key] != value):
+                raise InvalidWordError(
+                    f"declared {key}={data[key]!r} but word has {key}={value}"
+                )
         return s
 
 
@@ -301,29 +301,24 @@ def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return np.array(words, dtype=np.min_scalar_type(n))
 
 
-def _word_chunks(
-    stream: Iterable[tuple[int, ...]], n: int, size: int
-) -> Iterator[list[tuple[int, ...]]]:
-    """Words of ``size`` positions over {1..n} from ``stream``, in chunks
-    whose full profiles, with one more word's, hold at most ``_CELLS``
-    one-hot entries."""
-    stream = iter(stream)
-    while batch := list(islice(stream, max(1, _CELLS // (size * n) - 1))):
-        yield batch
-
-
 def _below(words: Sequence[Sequence[int]], t: Sequence[int], n: int) -> np.ndarray:
     """For each of ``words``, whether it lies at or below ``t`` in the
     Newman order: whether its profile is at most that of t at every entry.
 
-    The words and t share one kernel call per block of columns, and the
-    walk stops after the first block in which every word has failed.
+    The words come in chunks whose full profiles, with t's, hold at most
+    ``_CELLS`` one-hot entries.  Each chunk shares one kernel call per block
+    of columns with t, and its walk stops after the first block in which
+    every word of the chunk has failed.
     """
+    words, top = _word_array(words, n), _word_array([t], n)
     below = np.ones(len(words), dtype=bool)
-    for _, prof in _blocks(_word_array([*words, t], n), n):
-        below &= (prof[:-1] <= prof[-1]).all(axis=(1, 2, 3))
-        if not below.any():
-            break
+    step = max(1, _CELLS // (top.size * n) - 1)
+    for start in range(0, len(words), step):
+        chunk = below[start : start + step]  # a view: updates land in below
+        for _, prof in _blocks(np.concatenate((words[start : start + step], top)), n):
+            chunk &= (prof[:-1] <= prof[-1]).all(axis=(1, 2, 3))
+            if not chunk.any():
+                break
     return below
 
 

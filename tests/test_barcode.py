@@ -24,13 +24,16 @@ from barcomb.barcode import (
     sample_points,
 )
 from barcomb.errors import (
+    BarcombError,
     InvalidBarError,
     InvalidLabelError,
+    InvalidLevelError,
     InvalidScaleError,
     NotStrictError,
     ParseError,
     TooLargeError,
 )
+from barcomb.multiperm import g_k
 
 B1 = Barcode.from_pairs([(1.0, 2.0), (1.5, 3.0), (2.5, 2.75)])
 
@@ -222,6 +225,22 @@ def test_sample_points_cap(monkeypatch):
         sample_points(bc, 3)
     with pytest.raises(TooLargeError):
         sample_points(Barcode.from_pairs([(0, 1), (2, 3), (4, 5)]), 2)
+
+
+def test_negative_levels_are_invalid_levels():
+    # one barcomb error that is also a ValueError, naming the level
+    bc = Barcode.from_pairs([(0, 1), (2, 3)])
+    for call in (
+        lambda: sample_points(bc, -1),
+        lambda: g_k(bc, -1),
+        lambda: is_k_strict(bc, -1),
+        lambda: generate_barcode(2, seed=1, k=-1),
+        lambda: barcomb.barcode.require_level_size(2, -1, "sample points"),
+    ):
+        with pytest.raises(InvalidLevelError, match="level -1") as info:
+            call()
+        assert isinstance(info.value, BarcombError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_interval_graph():

@@ -166,6 +166,38 @@ def test_distance_out_of_memory_exits_4(tmp_path, metric):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def _child(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "barcomb.cli", *argv], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--input", "B1", "--k", "-1"],
+        ["gen", "--n", "3", "--seed", "1", "--k", "-1"],
+        ["compare", "--k", "-1", "B1", "B1"],
+        ["bound-check", "--k", "-1", "B1", "B1"],
+    ],
+)
+def test_negative_levels_exit_2_naming_the_level(b1, argv):
+    proc = _child(*(b1 if arg == "B1" else arg for arg in argv))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == "barcomb: level -1 is negative; need k >= 0\n"
+
+
+def test_compare_rejects_a_float_in_a_word_json(tmp_path):
+    # the entry 1.7 once read as 1, so this printed EQ and exited 0
+    (tmp_path / "w.json").write_text('{"word": [1.7, 2, 2, 1]}')
+    (tmp_path / "w.txt").write_text("1 2 2 1\n")
+    proc = _child("compare", "--k", "0", str(tmp_path / "w.json"), str(tmp_path / "w.txt"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "array of integers" in proc.stderr
+
+
 def test_rank_verbose_needs_level_zero(capsys, b1):
     with pytest.raises(SystemExit):
         main(["rank", "--input", b1, "--k", "1", "--verbose"])

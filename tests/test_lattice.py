@@ -1,18 +1,31 @@
+import itertools
 import json
 import math
 import random
 
 import pytest
-from helpers import ORACLE_SPECS, ReachabilityOrder, recursive_words, reference_lattice
+from helpers import (
+    ORACLE_SPECS,
+    ReachabilityOrder,
+    list_newman_leq,
+    recursive_words,
+    reference_lattice,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barcomb.barcode
 import barcomb.lattice
 import barcomb.multiperm
-from barcomb.errors import NotAnElementError, TooLargeError
+from barcomb.errors import (
+    BarcombError,
+    InvalidLevelError,
+    NotAnElementError,
+    TooLargeError,
+)
 from barcomb.lattice import (
     HasseDiagram,
+    IdealReport,
     LatticeSpec,
     enumerate_lattice,
     join,
@@ -27,6 +40,7 @@ from barcomb.multiperm import (
     inversion_multiset,
     newman_leq,
     rank,
+    relabel,
 )
 
 W = Multipermutation
@@ -305,10 +319,11 @@ def test_verify_ideal_isomorphism(n, k, count):
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
 @pytest.mark.parametrize("cells", [1, 352, 400])
 def test_ideal_check_in_small_chunks(monkeypatch, n, k, cells):
-    # a chunk leaves room for the top's row.  352 cells make chunks of 12
-    # words at (3,1) and 10 at (4,0), which with the top just fit one block
-    # and divide the 1680 and 2520 words; 400 cells make chunks of 13 and 11,
-    # which do not, so the last chunk is partial
+    # each relabeling is a batch of 280 words at (3,1) and 105 at (4,0), and
+    # a chunk leaves room for the top's row.  1 cell makes chunks of one word,
+    # which divide every batch, and blocks of one column; 352 cells make
+    # chunks of 12 and 10 words (the top just fills the block at (4,0)) and
+    # 400 cells chunks of 13 and 11, so the last chunk of a batch is partial
     spec = LatticeSpec(n, k)
     want = verify_ideal_isomorphism(spec)
     assert want.equal and want.total_words in (1680, 2520)
@@ -353,13 +368,61 @@ def test_enumeration_matches_recursive_oracle(n, k):
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)])
-def test_full_word_stream_matches_recursive_oracle(n, k):
+def test_relabeled_word_stream_is_the_full_lattice(n, k):
+    # the ideal check reads the full multinomial lattice as the n!
+    # relabelings of the canonical words, each word exactly once
     m = (1 << k) + 1
-    words = [w for w, _ in barcomb.lattice._word_stream(n, m, canonical_only=False)]
-    assert words == list(recursive_words(n, m, False))
-    assert [r for _, r in barcomb.lattice._word_stream(n, m, canonical_only=False)] == [
-        rank(W(w)) for w in words
+    canonical = [W(w) for w, _ in barcomb.lattice._word_stream(n, m)]
+    relabeled = [
+        relabel(s, p).word for p in itertools.permutations(range(1, n + 1))
+        for s in canonical
     ]
+    assert sorted(relabeled) == list(recursive_words(n, m, False))
+
+
+def brute_force_ideal_report(spec: LatticeSpec, top: tuple[int, ...]) -> IdealReport:
+    """The ideal check by two recursive enumerations, one list profile test
+    per word, and a set difference."""
+    canonical = set(recursive_words(spec.n, spec.m, True))
+    full = list(recursive_words(spec.n, spec.m, False))
+    ideal = {w for w in full if list_newman_leq(W(w), W(top))}
+    missing, extra = sorted(ideal - canonical), sorted(canonical - ideal)
+    return IdealReport(
+        spec, len(canonical), len(ideal), len(full), not missing and not extra,
+        tuple(missing), tuple(extra),
+    )
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2)])
+@pytest.mark.parametrize("which", ["lower canonical", "relabeled top", "relabeled lower"])
+def test_ideal_check_against_brute_force_with_another_top(monkeypatch, n, k, which):
+    # a top below the fully nested word leaves canonical words out (extra);
+    # a non-canonical top takes in non-canonical words (missing)
+    spec = LatticeSpec(n, k)
+    elements = reference_lattice(n, k).elements
+    lower = elements[len(elements) // 2]
+    swap = (2, 1) + tuple(range(3, n + 1))
+    top = {
+        "lower canonical": lower,
+        "relabeled top": relabel(top_element(spec), swap),
+        "relabeled lower": relabel(lower, swap),
+    }[which]
+    monkeypatch.setattr(barcomb.lattice, "top_element", lambda spec: top)
+    got = verify_ideal_isomorphism(spec)
+    assert got == brute_force_ideal_report(spec, top.word)
+    # the top itself is missing when relabeled; the real top is extra when lower
+    assert got.missing if which.startswith("relabeled") else got.extra
+    assert not got.equal
+
+
+def test_spec_rejects_empty_alphabets_and_negative_levels():
+    for n, k in [(0, 0), (2, -1), (-1, 3)]:
+        with pytest.raises(InvalidLevelError) as info:
+            LatticeSpec(n, k)
+        assert isinstance(info.value, BarcombError)
+        assert isinstance(info.value, ValueError)
+    with pytest.raises(InvalidLevelError, match="level -1"):
+        LatticeSpec(2, -1)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (2, 2), (4, 0)])

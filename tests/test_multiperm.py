@@ -102,6 +102,26 @@ def test_serialization():
         W.from_json_dict({"n": 4, "m": 2, "word": [1, 2, 1, 3, 3, 2]})
 
 
+@pytest.mark.parametrize(
+    "word", [[1.7, 2, 2, 1], [True, 2, 2, 1], ["1", "2", "2", "1"], "1221"]
+)
+def test_word_json_takes_only_integer_arrays(word):
+    # as the text form, which rejects "1.7 2 2 1"
+    with pytest.raises(InvalidWordError, match="array of integers"):
+        W.from_json_dict({"word": word})
+    with pytest.raises(InvalidWordError):
+        W.from_string("1.7 2 2 1")
+    assert W.from_json_dict({"word": [1, 2, 2, 1]}) == W((1, 2, 2, 1))
+
+
+@pytest.mark.parametrize("declared", [{"n": True}, {"n": 1.0}, {"m": 2.0}, {"m": "2"}])
+def test_word_json_declares_integer_shapes(declared):
+    # the word 1 1 has n = 1 and m = 2
+    assert W.from_json_dict({"n": 1, "m": 2, "word": [1, 1]}) == W((1, 1))
+    with pytest.raises(InvalidWordError, match="declared"):
+        W.from_json_dict({**declared, "word": [1, 1]})
+
+
 def test_f0_on_worked_barcodes():
     assert str(f_k(B1, 0)) == "1 2 1 3 3 2"
     assert str(f_k(B2, 0)) == "2 1 2 3 3 1"
@@ -352,8 +372,10 @@ def test_below_matches_list_profile_row_by_row(case, cells):
 
 
 def test_below_stops_after_the_first_block_every_word_fails(monkeypatch):
-    # a block holds symbol columns (1, 2), (3, 4), (5, 6) for two words and t;
-    # a word fails in the block of the larger symbol of an inversion t lacks
+    # each kernel call is logged as (rows, first column, end column).  A chunk
+    # holds one word, and a block symbol columns (1, 2), (3, 4), (5, 6) for
+    # that word and t; a word fails in the block of the larger symbol of an
+    # inversion t lacks, and its chunk stops there
     n = 6
     t = (1, 2, 3, 4, 5, 6) * 2
     first = [(2, 1) + t[2:], t[:6] + (2, 1) + t[8:]]  # a 2 before a 1
@@ -361,17 +383,25 @@ def test_below_stops_after_the_first_block_every_word_fails(monkeypatch):
     calls = []
     real = barcomb.multiperm._profiles
     monkeypatch.setattr(
-        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
+        barcomb.multiperm,
+        "_profiles",
+        lambda *a: calls.append((len(a[0]), *a[2:])) or real(*a),
     )
-    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 3 * 12 * 2)
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 2 * 12 * 2)
     assert _below(first, t, n).tolist() == [False, False]
-    assert calls == [(0, 2)]
+    assert calls == [(2, 0, 2), (2, 0, 2)]
     calls.clear()
     assert _below([first[0], last], t, n).tolist() == [False, False]
-    assert calls == [(0, 2), (2, 4), (4, 6)]
+    assert calls == [(2, 0, 2), (2, 0, 2), (2, 2, 4), (2, 4, 6)]
     calls.clear()
     assert _below([t, first[1]], t, n).tolist() == [True, False]
-    assert calls == [(0, 2), (2, 4), (4, 6)]
+    assert calls == [(2, 0, 2), (2, 2, 4), (2, 4, 6), (2, 0, 2)]
+    # room for the full profiles of three rows: chunks of two words and t,
+    # each in one block
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 3 * 12 * 6)
+    calls.clear()
+    assert _below([t, *first, last], t, n).tolist() == [True, False, False, False]
+    assert calls == [(3, 0, 6), (3, 0, 6)]
 
 
 def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
