@@ -255,16 +255,16 @@ def wasserstein(left: Barcode, right: Barcode, q: float) -> tuple[float, Matchin
 def align(left: Barcode, right: Barcode) -> Alignment:
     """Affine map carrying the earliest-born bar of ``right`` onto ``left``'s.
 
-    With (b1, d1) and (b1', d1') the bars of smallest birth on each side,
-    alpha = (d1 - b1) / (d1' - b1') and delta = b1 - alpha * b1', so the map
-    sends b1' to b1 and d1' to d1 exactly.
+    With (b1, d1) and (b1', d1') the bars of smallest birth on each side, the
+    map alpha = (d1 - b1) / (d1' - b1'), delta = b1 - alpha * b1' sends b1'
+    to b1 and d1' to d1; DegenerateBarError if that ratio over- or underflows.
     """
     b1, d1 = min(left.pairs())
     b1p, d1p = min(right.pairs())
-    if d1p == b1p:
-        raise DegenerateBarError("alignment source bar has zero length")
     alpha = (d1 - b1) / (d1p - b1p)
     delta = b1 - alpha * b1p
+    if not (alpha > 0 and np.isfinite([alpha, delta]).all()):
+        raise DegenerateBarError(f"no finite alignment: alpha={alpha}, delta={delta}")
     return Alignment(alpha, delta)
 
 

@@ -79,7 +79,7 @@ class InvalidQError(BarcombError):
 
 
 class DegenerateBarError(BarcombError):
-    """An alignment source bar has zero length."""
+    """An affine alignment has no positive finite scale or no finite shift."""
 
 
 class PreconditionFailedError(BarcombError):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _below, _newman_join
+from .multiperm import Multipermutation, _below, _newman_join, _word_array
 
 DEFAULT_POSITION_CAP = 16
 
@@ -146,7 +146,7 @@ def _covers(words: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, int], 
     n (n+1)^(N-2-p), so the upper index is a binary search.  The numbers are
     int64 while (n+1)^N fits, else Python integers.
     """
-    symbols = np.array(words, dtype=np.min_scalar_type(n))
+    symbols = _word_array(words, n)
     count, size = symbols.shape
     dtype = np.int64 if (n + 1) ** size < 2**63 else object
     keys = np.zeros(count, dtype=dtype)
@@ -325,7 +325,7 @@ def verify_ideal_isomorphism(
     _check_cap(spec, cap)
     n = spec.n
     top = top_element(spec).word
-    words = np.array([w for w, _ in _word_stream(n, spec.m)], np.min_scalar_type(n))
+    words = _word_array([w for w, _ in _word_stream(n, spec.m)], n)
     identity = tuple(range(1, n + 1))
     ideal, total, missing = 0, 0, []
     for p in permutations(identity):

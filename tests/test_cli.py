@@ -445,6 +445,13 @@ def test_distance_align(capsys, tmp_path):
     assert code == 0
     assert payload["alpha"] == 0.5 and payload["delta"] == -5.0
     assert payload["distance"] == 0.0
+    # no finite map aligns these: a violated precondition, in one line
+    a.write_text("0,1e300\n0.5,2\n")
+    b.write_text("0,1e-300\n1e-301,5e-301\n")
+    proc = _child("distance", str(a), str(b), "--align")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("barcomb: no finite alignment")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_bound_check(capsys, tmp_path):

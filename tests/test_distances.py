@@ -20,6 +20,7 @@ from barcomb.distances import (
     wasserstein_cost,
 )
 from barcomb.errors import (
+    DegenerateBarError,
     InvalidQError,
     PreconditionFailedError,
     RetriesExhaustedError,
@@ -173,6 +174,17 @@ def test_align():
     assert align(b, b) == align(b, b).__class__(1.0, 0.0)
     a = align(Barcode.from_pairs([(0, 1)]), Barcode.from_pairs([(10, 12)]))
     assert (a.alpha, a.delta) == (0.5, -5.0)
+    # the length ratio overflows to inf (and delta to nan), or underflows to
+    # zero: no finite map exists, and no non-finite one is returned
+    huge = Barcode.from_pairs([(0, 1e300), (0.5, 2)])
+    tiny = Barcode.from_pairs([(0, 1e-300), (1e-301, 5e-301)])
+    for left, right in ((huge, tiny), (tiny, huge)):
+        with pytest.raises(DegenerateBarError, match="no finite alignment"):
+            align(left, right)
+    # both share the level-0 invariant and huge has a containing bar, so the
+    # bound check gets as far as the alignment
+    with pytest.raises(DegenerateBarError):
+        check_convergence_bounds(huge, tiny, 0, 1)
 
 
 def test_align_round_trip():

@@ -310,6 +310,16 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
     assert (prof[0] == want).all()
 
 
+def test_word_array_passes_arrays_of_its_dtype_uncopied():
+    words = _word_array([(1, 2, 2, 1), (2, 1, 1, 2)], 2)
+    assert _word_array(words, 2) is words
+    relabeled = np.array((0, 2, 1), dtype=words.dtype)[words]
+    assert np.shares_memory(_word_array(relabeled, 2), relabeled)
+    wide = words.astype(np.int64)  # another dtype is converted
+    assert not np.shares_memory(_word_array(wide, 2), wide)
+    assert (_word_array(wide, 2) == words).all()
+
+
 @st.composite
 def word_triples(draw):
     """A canonical word s, a canonical t above it, and a canonical u, at
@@ -336,6 +346,7 @@ def test_array_orders_match_list_profile(triple, cells):
         assert newman_leq(s, t) and list_newman_leq(s, t)
         for x in triple:
             assert inversion_multiset(x) == list_inversion_multiset(x)
+            assert rank(x) == sum(list_inversion_multiset(x).values())
         for a, b in ((s, t), (t, s), (s, u), (u, s), (t, u), (u, t)):
             assert newman_leq(a, b) == list_newman_leq(a, b)
             assert prec(a, b) == list_prec(a, b)
@@ -416,6 +427,7 @@ def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
         assert newman_leq(w, u) and newman_leq(w, v)
         assert not newman_leq(u, v) and not newman_leq(v, u)
         assert prec(w, u) and not prec(u, v) and not prec(v, u)
+        assert rank(u) == rank(v) == rank(w) + 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
