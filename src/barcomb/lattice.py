@@ -13,6 +13,14 @@ lexicographic order, each with its rank, so indices, Hasse diagrams, vertex
 vectors and DOT/JSON output are byte-stable.  Covers are adjacent swaps of
 an increasing symbol pair whose result is still canonical.
 
+The DOT and JSON emitters, and the vertex writers of ``barcomb.polytope``,
+format no line in Python.  A diagram converts its words, covers and ranks
+to arrays once, and one private kernel, ``_text``, writes each table: the
+rows are the rows of a byte matrix that starts from the constant text, the
+integer columns get their decimal digits one digit column at a time, and
+dropping the NUL padding leaves the text, equal byte for byte to
+``json.dumps`` and to per-line f-strings.
+
 Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman
 lattice (Bennett and Birkhoff, "Two families of Newman lattices"): the join
@@ -24,14 +32,14 @@ join of their reversals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
 from .multiperm import Multipermutation, _below, _newman_join, _word_array
@@ -164,8 +172,65 @@ def _covers(words: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, int], 
         return ()
     low, high = np.concatenate(lows), np.concatenate(highs)
     order = np.lexsort((high, low))
-    index = list(range(count)).__getitem__  # covers share one int per element
-    return tuple(zip(map(index, low[order]), map(index, high[order])))
+    index = np.array(range(count), dtype=object)  # covers share one int per element
+    return tuple(zip(index[low[order]], index[high[order]]))
+
+
+def _digits(field: np.ndarray) -> int:
+    """At least the decimal digits of every entry of an integer array: 256 <
+    1000, so at most three per byte of a fixed-width dtype."""
+    return len(str(field.max())) if field.dtype == object else 3 * field.itemsize
+
+
+def _text(rows: int, fields: Sequence[str | np.ndarray]) -> str:
+    """``rows`` lines of text, each the concatenation of ``fields``.
+
+    A field is a constant ASCII string without NUL, the same on every row,
+    or an array of ``rows`` non-negative integers written in decimal:
+    unsigned, int64 or Python integers, but no uint64 beside a signed dtype,
+    which numpy would stack as floats.  The rows are laid out as the rows of
+    a ``uint8`` matrix, in blocks of at most ``multiperm._CELLS`` bytes:
+    every row of a block starts as a copy of one template row that holds the
+    constants, and each integer is right-aligned in as many columns as the
+    largest of its field in the block has digits, after NUL bytes.  Dropping
+    the NUL bytes leaves the text.
+
+    >>> _text(3, ["n", np.array([0, 7, 12]), " -> ", np.array([5, 10, 9]), ";"])
+    'n0 -> 5;n7 -> 10;n12 -> 9;'
+    """
+    numbers = [field for field in fields if not isinstance(field, str)]
+    if not numbers:
+        return "".join(fields) * rows
+    constants = sum(len(field) for field in fields if isinstance(field, str))
+    bound = constants + sum(map(_digits, numbers))
+    step = multiperm._CELLS // bound or 1
+    parts = []
+    for lo in range(0, rows, step):
+        values = np.array([field[lo : lo + step] for field in numbers])  # a row each
+        sizes = [len(str(top)) for top in values.max(axis=1).tolist()]
+        template, ends = b"", []  # ends: the last column of each number
+        digits = iter(sizes)
+        for field in fields:
+            if isinstance(field, str):
+                template += field.encode("ascii")
+            else:
+                template += bytes(next(digits))
+                ends.append(len(template) - 1)
+        text = bytearray(template) * values.shape[1]
+        block = np.frombuffer(text, np.uint8).reshape(-1, len(template))
+        for place in range(max(sizes)):  # one column of digits, right to left
+            if place:
+                longer = [i for i, size in enumerate(sizes) if size > place]
+                values, sizes = values[longer], [sizes[i] for i in longer]
+                ends = [ends[i] - 1 for i in longer]
+            tens = values // 10
+            codes = values - tens * 10 + 48  # the digit's ASCII code
+            if place:
+                codes *= values > 0  # NUL before the leading digit
+            block[:, ends] = codes.T
+            values = tens
+        parts.append(text.translate(None, b"\0"))
+    return b"".join(parts).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -202,15 +267,32 @@ class HasseDiagram:
         """Element counts per rank, bottom to top."""
         return np.bincount(self.ranks).tolist()
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The words and the covers, one row each, and the ranks, as arrays
+        for the emitters; covers and ranks in the narrowest unsigned dtype
+        that holds them."""
+        words = _word_array([s.word for s in self.elements], self.spec.n)
+        pairs = chain.from_iterable(self.covers)
+        covers = np.fromiter(pairs, np.int64, 2 * len(self.covers))
+        ranks = np.array(self.ranks, dtype=np.int64)
+        return (
+            words,
+            covers.astype(np.min_scalar_type(covers.max(initial=0))).reshape(-1, 2),
+            ranks.astype(np.min_scalar_type(ranks.max(initial=0))),
+        )
+
     def to_dot(self) -> str:
         """Graphviz source; node ids are the lexicographic element indices."""
-        lines = ["digraph hasse {", "  rankdir=BT;"]
-        for i, (s, r) in enumerate(zip(self.elements, self.ranks)):
-            lines.append(f'  n{i} [label="{s} (rank {r})"];')
-        for lo, hi in self.covers:
-            lines.append(f"  n{lo} -> n{hi};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        words, covers, ranks = self._arrays
+        count = len(words)
+        index = np.arange(count, dtype=np.min_scalar_type(count))
+        label = _joined(words, " ")
+        nodes = _text(
+            count, ["  n", index, ' [label="', *label, " (rank ", ranks, ')"];\n']
+        )
+        edges = _text(len(covers), ["  n", covers[:, 0], " -> n", covers[:, 1], ";\n"])
+        return "digraph hasse {\n  rankdir=BT;\n" + nodes + edges + "}\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,14 +302,23 @@ class HasseDiagram:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, without copying tuples to lists."""
-        return json.dumps(
-            {
-                "elements": [s.word for s in self.elements],
-                "covers": self.covers,
-                "ranks": self.ranks,
-            }
+        """``json.dumps(self.to_json_dict())``, written from the arrays."""
+        words, covers, ranks = self._arrays
+        return (
+            f'{{"elements": {_json_rows(words)}, "covers": {_json_rows(covers)}, '
+            f'"ranks": [{_text(len(ranks), [ranks, ", "])[:-2]}]}}'
         )
+
+
+def _joined(rows: np.ndarray, separator: str) -> list:
+    """The columns of an integer matrix as ``_text`` fields, with
+    ``separator`` between them."""
+    return [field for column in rows.T for field in (separator, column)][1:]
+
+
+def _json_rows(rows: np.ndarray) -> str:
+    """An integer matrix as ``json.dumps`` writes a list of its rows."""
+    return "[" + _text(len(rows), ["[", *_joined(rows, ", "), "], "])[:-2] + "]"
 
 
 def _check_cap(spec: LatticeSpec, cap: int) -> None:

@@ -17,7 +17,6 @@ fully nested permutation.  Both equal N - 2 whenever n >= 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,9 @@ from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
     _check_cap,
+    _joined,
+    _json_rows,
+    _text,
     _word_stream,
     top_element,
 )
@@ -123,13 +125,19 @@ def _gram_rank(mat: np.ndarray) -> int:
     return integer_rank(gram.tolist())
 
 
+def _vector_array(vertex_set: VertexSet) -> np.ndarray:
+    """The vectors as the rows of an int64 array, or of Python integers
+    (``dtype=object``) beyond int64."""
+    try:
+        return np.array(vertex_set.vectors, dtype=np.int64)
+    except OverflowError:
+        return np.array(vertex_set.vectors, dtype=object)
+
+
 def affine_dimension(vertex_set: VertexSet) -> int:
     """Dimension of the affine hull, in exact integer arithmetic: the rank
     of the differences to the first vertex, from their Gram matrix."""
-    try:
-        vecs = np.array(vertex_set.vectors, dtype=np.int64)
-    except OverflowError:  # beyond int64
-        vecs = np.array(vertex_set.vectors, dtype=object)
+    vecs = _vector_array(vertex_set)
     vecs = _narrow(vecs, 2 * _largest(vecs))  # room for every difference
     return _gram_rank(vecs[1:] - vecs[0])
 
@@ -179,9 +187,11 @@ def _dimension_report(spec: LatticeSpec, vertex_set: VertexSet) -> dict:
 
 
 def format_vertices_csv(vertex_set: VertexSet) -> str:
-    lines = [",".join(str(v) for v in vec) for vec in vertex_set.vectors]
-    return "\n".join(lines) + "\n"
+    """One line per vector, its entries separated by commas."""
+    vecs = _vector_array(vertex_set)
+    return _text(len(vecs), [*_joined(vecs, ","), "\n"]) or "\n"  # none: one empty line
 
 
 def format_vertices_json(vertex_set: VertexSet) -> str:
-    return json.dumps([list(vec) for vec in vertex_set.vectors])
+    """``json.dumps`` of the vectors as a list of lists."""
+    return _json_rows(_vector_array(vertex_set))

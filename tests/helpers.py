@@ -4,9 +4,11 @@ permutation from two sorts of the bars, inversion sets of embedded
 permutations, the interleaving profile as nested lists with the orders and
 pair counts read off it, order, meet and join by reachability over the covers
 of an enumerated lattice, the recursive word enumerator with its
-swap-and-lookup cover test, and the affine dimension by Bareiss elimination
-on the difference rows."""
+swap-and-lookup cover test, the affine dimension by Bareiss elimination
+on the difference rows, and the DOT, JSON and CSV writers that format one
+line at a time."""
 
+import json
 import random
 from collections import Counter
 from functools import lru_cache
@@ -314,3 +316,46 @@ def bareiss_affine_dimension(vertex_set: VertexSet) -> int:
     return integer_rank(
         [[v - b for v, b in zip(vec, base)] for vec in vertex_set.vectors[1:]]
     )
+
+
+def fstring_dot(diagram: HasseDiagram) -> str:
+    """Graphviz source written one f-string per line."""
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    for i, (s, r) in enumerate(zip(diagram.elements, diagram.ranks)):
+        lines.append(f'  n{i} [label="{s} (rank {r})"];')
+    for lo, hi in diagram.covers:
+        lines.append(f"  n{lo} -> n{hi};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def dumps_json(diagram: HasseDiagram) -> str:
+    """The diagram's JSON from ``json.dumps``."""
+    return json.dumps(
+        {
+            "elements": [s.word for s in diagram.elements],
+            "covers": diagram.covers,
+            "ranks": diagram.ranks,
+        }
+    )
+
+
+def joined_vertices_csv(vertex_set: VertexSet) -> str:
+    """One ``",".join`` per vector."""
+    lines = [",".join(str(v) for v in vec) for vec in vertex_set.vectors]
+    return "\n".join(lines) + "\n"
+
+
+def dumps_vertices_json(vertex_set: VertexSet) -> str:
+    return json.dumps([list(vec) for vec in vertex_set.vectors])
+
+
+def text_mismatch(got: str, want: str) -> str | None:
+    """None when two texts are equal, else where they first differ, with
+    some context: pytest's own diff of two megabyte texts takes minutes."""
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    at = min(len(got), len(want)) if at is None else at
+    around = slice(max(0, at - 30), at + 30)
+    return f"at {at} of {len(got)} / {len(want)}: {got[around]!r} != {want[around]!r}"

@@ -2,14 +2,21 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import (
     ORACLE_SPECS,
     ReachabilityOrder,
+    dumps_json,
+    dumps_vertices_json,
+    fstring_dot,
+    joined_vertices_csv,
     list_newman_leq,
     recursive_words,
     reference_lattice,
+    text_mismatch,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +24,7 @@ from hypothesis import strategies as st
 import barcomb.barcode
 import barcomb.lattice
 import barcomb.multiperm
+from barcomb import polytope
 from barcomb.errors import (
     BarcombError,
     InvalidLevelError,
@@ -438,15 +446,92 @@ def test_covers_exact_beyond_int64(n, k):
     assert barcomb.lattice._covers(words, wide) == d.covers
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 1)])
+@pytest.mark.parametrize("n,k", ORACLE_SPECS)
 def test_emitters_keep_their_bytes(n, k):
-    d = enumerate_lattice(LatticeSpec(n, k))
+    spec = LatticeSpec(n, k)
+    d = enumerate_lattice(spec, cap=spec.positions)
+    assert text_mismatch(d.to_dot(), fstring_dot(d)) is None
+    assert text_mismatch(d.to_json(), dumps_json(d)) is None
     assert d.to_json() == json.dumps(d.to_json_dict())
-    want = ["digraph hasse {", "  rankdir=BT;"]
-    want += [
-        f'  n{i} [label="{" ".join(str(x) for x in s.word)} (rank {r})"];'
-        for i, (s, r) in enumerate(zip(d.elements, d.ranks))
+
+
+def hand_built_diagrams() -> list[HasseDiagram]:
+    """Values no enumeration gives: two-digit symbols, cover indices of
+    10^5 and beyond, every rank 0, and one element without covers."""
+    twelve = LatticeSpec(12, 0)
+    rng = random.Random(12)
+    shuffled = [s for s in range(1, 13) for _ in range(2)]
+    rng.shuffle(shuffled)
+    words = [
+        Multipermutation(tuple(s for s in range(1, 13) for _ in range(2))),
+        canonicalize(Multipermutation(tuple(shuffled))),
+        top_element(twelve),
     ]
-    want += [f"  n{lo} -> n{hi};" for lo, hi in d.covers]
-    assert d.to_dot() == "\n".join(want + ["}"]) + "\n"
-    assert d.to_dot() == reference_lattice(n, k).to_dot()
+    far = ((0, 1), (1, 2), (9, 10), (99_999, 100_000), (123_456, 7), (2**32 + 5, 0))
+    two = enumerate_lattice(LatticeSpec(2, 0))
+    return [
+        HasseDiagram(twelve, tuple(words), far, (0, 57, 132)),
+        HasseDiagram(two.spec, two.elements, (), (0, 0, 0)),
+        HasseDiagram(two.spec, two.elements, ((100_000, 100_001),), (10, 0, 100_000)),
+        enumerate_lattice(LatticeSpec(1, 0)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_emitters_of_hand_built_diagrams(index):
+    diagram = hand_built_diagrams()[index]
+    assert diagram.to_dot() == fstring_dot(diagram)
+    assert diagram.to_json() == dumps_json(diagram)
+    # the cached arrays are not fields: equality and hashing ignore them
+    again = hand_built_diagrams()[index]
+    assert diagram == again and hash(diagram) == hash(again)
+
+
+@pytest.mark.parametrize("cells", [1, 1000, 3000])
+def test_emitters_in_small_blocks(monkeypatch, cells):
+    # at (3,1), 280 elements and 672 covers: 1 cell writes one line per
+    # block; 1000 cells make blocks of 14 node lines and 45 edges, and
+    # 3000 cells blocks of 44 node lines and 136 edges, so most tables end
+    # in a partial block, and a block of edges can hold only one-digit
+    # indices while the next holds three-digit ones
+    spec = LatticeSpec(3, 1)
+    diagram, vs = enumerate_lattice(spec), polytope.vertices(spec)
+    want = [fstring_dot(diagram), dumps_json(diagram)]
+    want += [joined_vertices_csv(vs), dumps_vertices_json(vs)]
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
+    got = [diagram.to_dot(), diagram.to_json()]
+    got += [polytope.format_vertices_csv(vs), polytope.format_vertices_json(vs)]
+    assert [text_mismatch(*pair) for pair in zip(got, want)] == [None] * 4
+
+
+@st.composite
+def text_tables(draw):
+    """A row count and fields: ASCII constants without NUL, and integer
+    columns with 0, one-digit entries and entries of 2^32 and beyond, in
+    the narrowest dtype that holds them (Python integers past uint64)."""
+    rows = draw(st.integers(0, 6))
+    entries = st.one_of(
+        st.just(0), st.integers(0, 9), st.integers(0, 10**6),
+        st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**80),
+    )
+    constants = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=4)
+    columns = st.lists(entries, min_size=rows, max_size=rows)
+    fields = draw(st.lists(st.one_of(constants, columns), max_size=6))
+    return rows, fields
+
+
+@settings(deadline=None, max_examples=300)
+@given(text_tables(), st.sampled_from([1, 7, 40, barcomb.multiperm._CELLS]))
+def test_text_matches_fstrings(table, cells):
+    rows, fields = table
+    arrays = [
+        field if isinstance(field, str)
+        else np.array(field, dtype=np.min_scalar_type(max(field, default=0)))
+        for field in fields
+    ]
+    want = "".join(
+        "".join(field if isinstance(field, str) else f"{field[i]}" for field in fields)
+        for i in range(rows)
+    )
+    with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        assert barcomb.lattice._text(rows, arrays) == want

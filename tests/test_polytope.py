@@ -2,7 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from helpers import ORACLE_SPECS, bareiss_affine_dimension, reference_vertices
+from helpers import (
+    ORACLE_SPECS,
+    bareiss_affine_dimension,
+    dumps_vertices_json,
+    joined_vertices_csv,
+    reference_vertices,
+    text_mismatch,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +135,22 @@ def test_emitters():
     assert json.loads(format_vertices_json(vs)) == [[1, 2, 3, 4], [1, 3, 2, 4]]
 
 
+@pytest.mark.parametrize(
+    "vs",
+    [
+        # n = 12 at k = 0: two-digit entries
+        VertexSet(24, (tuple(range(1, 25)), tuple(range(24, 0, -1)))),
+        VertexSet(3, ((10**5, 0, 7), (2**32, 2**64, 2**70))),  # up to Python ints
+        VertexSet(2, ((1, 2),)),
+        VertexSet(2, ()),
+        VertexSet(0, ((), ())),
+    ],
+)
+def test_vertex_writers_of_hand_built_sets(vs):
+    assert format_vertices_csv(vs) == joined_vertices_csv(vs)
+    assert format_vertices_json(vs) == dumps_vertices_json(vs)
+
+
 @pytest.mark.parametrize("n,k", ORACLE_SPECS)
 def test_vertices_and_dimension_match_oracles(n, k):
     spec = LatticeSpec(n, k)
@@ -135,6 +158,8 @@ def test_vertices_and_dimension_match_oracles(n, k):
     reference = reference_vertices(n, k)
     assert vs == reference
     assert affine_dimension(vs) == bareiss_affine_dimension(reference)
+    assert text_mismatch(format_vertices_csv(vs), joined_vertices_csv(vs)) is None
+    assert text_mismatch(format_vertices_json(vs), dumps_vertices_json(vs)) is None
 
 
 @st.composite
