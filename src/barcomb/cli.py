@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from typing import Iterable
 
 from . import barcode as bc
 from . import distances as dist
@@ -30,12 +32,13 @@ from .errors import (
 _PARSE_ERRORS = (ParseError, InvalidBarError, InvalidWordError)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in turn to a file, or to stdout for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _print_json(obj) -> None:
@@ -116,9 +119,9 @@ def _cmd_compare(args) -> int:
 def _cmd_hasse(args) -> int:
     diagram = lat.enumerate_lattice(lat.LatticeSpec(args.n, args.k), args.cap)
     if args.dot:
-        _write(args.dot, diagram.to_dot())
+        _write(args.dot, diagram.dot_chunks())
     if args.json:
-        _write(args.json, diagram.to_json() + "\n")
+        _write(args.json, chain(diagram.json_chunks(), ["\n"]))
     return 0
 
 
@@ -167,9 +170,9 @@ def _cmd_polytope(args) -> int:
     vertex_set = poly.vertices(spec, args.cap)
     if args.vertices:
         if bc.format_from_extension(args.vertices) == "json":
-            _write(args.vertices, poly.format_vertices_json(vertex_set) + "\n")
+            _write(args.vertices, [poly.format_vertices_json(vertex_set), "\n"])
         else:
-            _write(args.vertices, poly.format_vertices_csv(vertex_set))
+            _write(args.vertices, [poly.format_vertices_csv(vertex_set)])
     if args.dim or not args.vertices:
         _print_json(poly._dimension_report(spec, vertex_set))
     return 0

@@ -8,18 +8,25 @@ Newman lattice.  That lattice is never enumerated: its words are the n!
 symbol relabelings of the canonical words, and the check tests them one
 relabeling at a time.
 
-Enumeration is deterministic: one private stream produces the words in
-lexicographic order, each with its rank, so indices, Hasse diagrams, vertex
+An enumerated lattice is arrays end to end.  One private builder,
+``_word_table``, returns the words as the rows of one array in
+lexicographic order, with their ranks, so indices, Hasse diagrams, vertex
 vectors and DOT/JSON output are byte-stable.  Covers are adjacent swaps of
-an increasing symbol pair whose result is still canonical.
+an increasing symbol pair whose result is still canonical; ``_covers``
+writes them as (lower index, upper index) rows of one array, found by
+binary search over the words read as numbers, and ``index_of`` searches
+the same numbers.  A diagram holds the words, covers and ranks as arrays,
+and builds its tuples of elements, covers and ranks only when they are
+asked for.
 
 The DOT and JSON emitters, and the vertex writers of ``barcomb.polytope``,
-format no line in Python.  A diagram converts its words, covers and ranks
-to arrays once, and one private kernel, ``_text``, writes each table: the
-rows are the rows of a byte matrix that starts from the constant text, the
-integer columns get their decimal digits one digit column at a time, and
-dropping the NUL padding leaves the text, equal byte for byte to
-``json.dumps`` and to per-line f-strings.
+format no line in Python.  One private kernel, ``_text``, writes each
+table from the arrays: the rows are the rows of a byte matrix that starts
+from the constant text, the integer columns get their decimal digits one
+digit column at a time, and dropping the NUL padding leaves the text, equal
+byte for byte to ``json.dumps`` and to per-line f-strings.  The text comes
+in blocks of a few MB (``HasseDiagram.dot_chunks`` and ``json_chunks``), so
+a large diagram can be written without holding all of it.
 
 Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman
@@ -32,9 +39,11 @@ join of their reversals.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -87,9 +96,10 @@ def top_element(spec: LatticeSpec) -> Multipermutation:
     return Multipermutation(tuple(word))
 
 
-def _word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The canonical words of {1^m .. n^m} with their ranks, in
-    lexicographic order.
+def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical words of {1^m .. n^m} as the rows of a count x N array
+    in ``_word_array``'s dtype, in lexicographic order, and their ranks in
+    the narrowest unsigned dtype that holds the top's.
 
     A symbol may start only after the previous symbol has appeared, which
     yields exactly the canonical words.  The rank is carried along: placing
@@ -97,12 +107,14 @@ def _word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
     The completions of a prefix, and what they add to its rank, depend only
     on the counts still to place and on the largest symbol placed.  So the
-    first ceil(N/2) positions are walked once per prefix, and the words of the
-    last N/2 positions are built once per such state and shared by every
-    prefix that reaches it.
+    first ceil(N/2) positions are walked once per prefix, and the words of
+    the last N/2 positions are built once per such state, and made an array
+    once, shared by every prefix that reaches it.
     """
     size = n * m
     split = size - size // 2
+    symbol = np.min_scalar_type(n)
+    rank = np.min_scalar_type(n * (n - 1) // 2 * (m - 1) * m)
 
     def moves(rem: tuple[int, ...], seen: int):
         """Each next symbol s with the state after it and its rank step."""
@@ -127,53 +139,76 @@ def _word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
             tails[key] = (words, steps)
         return tails[key]
 
-    heads: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
+    heads: list[tuple[tuple[int, ...], tuple[tuple[int, ...], int], int]] = []
 
     def walk(prefix: tuple[int, ...], rem: tuple[int, ...], seen: int, rnk: int):
         if len(prefix) == split:
-            heads.append((prefix, rem, seen, rnk))
+            heads.append((prefix, (rem, seen), rnk))
             return
         for s, after, after_seen, step in moves(rem, seen):
             walk(prefix + (s,), after, after_seen, rnk + step)
 
     walk((), (m,) * n, 0, 0)
-    for prefix, rem, seen, rnk in heads:
-        words, steps = tail(rem, seen)
-        yield from zip([prefix + w for w in words], [rnk + r for r in steps])
+    prefixes, states, offsets = zip(*heads)
+    tables = {}  # each state reached, its completions as arrays
+    for state in states:
+        if state not in tables:
+            words, steps = tail(*state)
+            tables[state] = np.array(words, symbol), np.array(steps, rank)
+    completions = [tables[state] for state in states]
+    counts = [len(r) for _, r in completions]
+    words = np.empty((sum(counts), size), symbol)
+    words[:, :split] = np.repeat(np.array(prefixes, symbol), counts, axis=0)
+    words[:, split:] = np.concatenate([w for w, _ in completions])
+    ranks = np.repeat(np.array(offsets, rank), counts)
+    ranks += np.concatenate([r for _, r in completions])
+    return words, ranks
 
 
-def _covers(words: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, int], ...]:
-    """Cover edges (lower index, upper index), sorted, of all canonical words
-    of one shape over symbols 1..n, listed in lexicographic order.
+def _word_keys(words: np.ndarray, n: int) -> np.ndarray:
+    """Words over symbols 1..n, one row each, read as base-(n+1) numbers,
+    which sort as the words do: int64 while (n+1)^N fits, else Python
+    integers."""
+    dtype = np.int64 if (n + 1) ** words.shape[1] < 2**63 else object
+    keys = np.zeros(len(words), dtype=dtype)
+    for column in words.T:
+        keys = keys * (n + 1) + column
+    return keys
+
+
+def _covers(words: np.ndarray, n: int) -> np.ndarray:
+    """Cover edges of all canonical words of one shape over symbols 1..n,
+    given as rows in lexicographic order: one (lower index, upper index) row
+    each, sorted, in the narrowest unsigned dtype.
 
     A cover swaps an adjacent increasing pair a < b.  The result is canonical
     unless a first occurs at that position (then b, larger, first occurs
     right after it and would move ahead of a), so the swaps kept are those
-    whose a has already occurred.  Read as base-(n+1) numbers the words sort
-    as they are listed, and the swap at position p adds (b - a) times
-    n (n+1)^(N-2-p), so the upper index is a binary search.  The numbers are
-    int64 while (n+1)^N fits, else Python integers.
+    whose a has already occurred.  The swap at position p adds (b - a) times
+    n (n+1)^(N-2-p) to the word's key (``_word_keys``), so the upper index
+    is a binary search.  Each element's covers get consecutive rows, after
+    those of the elements before it; a swap further left gives a larger
+    word, so filling them from the rightmost position lists them in
+    increasing order, and nothing needs sorting.
     """
-    symbols = _word_array(words, n)
-    count, size = symbols.shape
-    dtype = np.int64 if (n + 1) ** size < 2**63 else object
-    keys = np.zeros(count, dtype=dtype)
-    for column in symbols.T:
-        keys = keys * (n + 1) + column
-    seen = np.maximum.accumulate(symbols, axis=1)
-    lows, highs = [], []
-    for p in range(1, size - 1):
-        a, b = symbols[:, p], symbols[:, p + 1]
-        lower = np.flatnonzero((a < b) & (a <= seen[:, p - 1]))
-        step = (b[lower] - a[lower]).astype(dtype) * (n * (n + 1) ** (size - 2 - p))
-        lows.append(lower)
-        highs.append(np.searchsorted(keys, keys[lower] + step))
-    if not lows:
-        return ()
-    low, high = np.concatenate(lows), np.concatenate(highs)
-    order = np.lexsort((high, low))
-    index = np.array(range(count), dtype=object)  # covers share one int per element
-    return tuple(zip(index[low[order]], index[high[order]]))
+    count, size = words.shape
+    keys = _word_keys(words, n)
+    seen = np.maximum.accumulate(words, axis=1)
+    inner = words[:, 1:-1]
+    swaps = (inner < words[:, 2:]) & (inner <= seen[:, :-2])  # column p - 1: position p
+    del seen
+    per_element = swaps.sum(axis=1)
+    free = np.cumsum(per_element) - per_element  # each element's next row
+    pairs = np.empty((int(per_element.sum()), 2), np.min_scalar_type(max(count - 1, 0)))
+    for p in range(size - 2, 0, -1):
+        lower = np.flatnonzero(swaps[:, p - 1])
+        a, b = words[lower, p], words[lower, p + 1]
+        step = (b - a).astype(keys.dtype) * (n * (n + 1) ** (size - 2 - p))
+        rows = free[lower]
+        pairs[rows, 0] = lower
+        pairs[rows, 1] = np.searchsorted(keys, keys[lower] + step)
+        free[lower] += 1
+    return pairs
 
 
 def _digits(field: np.ndarray) -> int:
@@ -183,7 +218,18 @@ def _digits(field: np.ndarray) -> int:
 
 
 def _text(rows: int, fields: Sequence[str | np.ndarray]) -> str:
-    """``rows`` lines of text, each the concatenation of ``fields``.
+    """``rows`` lines of text, each the concatenation of ``fields``: the
+    blocks of ``_text_blocks`` joined.
+
+    >>> _text(3, ["n", np.array([0, 7, 12]), " -> ", np.array([5, 10, 9]), ";"])
+    'n0 -> 5;n7 -> 10;n12 -> 9;'
+    """
+    return "".join(_text_blocks(rows, fields))
+
+
+def _text_blocks(rows: int, fields: Sequence[str | np.ndarray]) -> Iterator[str]:
+    """``rows`` lines of text, each the concatenation of ``fields``, in
+    blocks of whole lines.
 
     A field is a constant ASCII string without NUL, the same on every row,
     or an array of ``rows`` non-negative integers written in decimal:
@@ -194,17 +240,14 @@ def _text(rows: int, fields: Sequence[str | np.ndarray]) -> str:
     constants, and each integer is right-aligned in as many columns as the
     largest of its field in the block has digits, after NUL bytes.  Dropping
     the NUL bytes leaves the text.
-
-    >>> _text(3, ["n", np.array([0, 7, 12]), " -> ", np.array([5, 10, 9]), ";"])
-    'n0 -> 5;n7 -> 10;n12 -> 9;'
     """
     numbers = [field for field in fields if not isinstance(field, str)]
     if not numbers:
-        return "".join(fields) * rows
+        yield "".join(fields) * rows
+        return
     constants = sum(len(field) for field in fields if isinstance(field, str))
     bound = constants + sum(map(_digits, numbers))
     step = multiperm._CELLS // bound or 1
-    parts = []
     for lo in range(0, rows, step):
         values = np.array([field[lo : lo + step] for field in numbers])  # a row each
         sizes = [len(str(top)) for top in values.max(axis=1).tolist()]
@@ -229,31 +272,115 @@ def _text(rows: int, fields: Sequence[str | np.ndarray]) -> str:
                 codes *= values > 0  # NUL before the leading digit
             block[:, ends] = codes.T
             values = tens
-        parts.append(text.translate(None, b"\0"))
-    return b"".join(parts).decode("ascii")
+        yield text.translate(None, b"\0").decode("ascii")
 
 
-@dataclass(frozen=True)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of an array, so a value that holds it stays hashable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while a table becomes tuples or
+    elements: they hold no reference cycles, so its passes, one per 700 new
+    objects, would walk the heap and find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _narrowest(values) -> np.ndarray:
+    """Non-negative integers as an array of the narrowest unsigned dtype that
+    holds them, so equal values have equal bytes."""
+    values = np.asarray(values)
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))), copy=False)
+
+
 class HasseDiagram:
-    """An enumerated barcode lattice with cover edges and rank labels."""
+    """An enumerated barcode lattice, held as three arrays: ``words``, one
+    row per element in ``_word_array``'s dtype; ``cover_array``, one
+    (lower index, upper index) row per cover edge; and ``rank_array``, the
+    rank of each element.  Covers and ranks take the narrowest unsigned
+    dtype that holds them.
 
-    spec: LatticeSpec
-    elements: tuple[Multipermutation, ...]
-    covers: tuple[tuple[int, int], ...]  # (lower index, upper index)
-    ranks: tuple[int, ...]
+    ``elements`` (``Multipermutation`` values), ``covers`` (pairs of ints)
+    and ``ranks`` are tuples built from the arrays on first use.  Diagrams
+    are equal when their specs and arrays are, and hash alike then.
+    ``index_of`` and ``in`` binary-search the words, so they need them in
+    lexicographic order, as ``enumerate_lattice`` lists them.
+    """
+
+    def __init__(self, spec: LatticeSpec, words, covers, ranks):
+        self.spec = spec
+        self.words = _frozen(_word_array(words, spec.n))
+        self.cover_array = _frozen(_narrowest(covers).reshape(-1, 2))
+        self.rank_array = _frozen(_narrowest(ranks))
+
+    def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.words, self.cover_array, self.rank_array
+
+    def __eq__(self, other):
+        if not isinstance(other, HasseDiagram):
+            return NotImplemented
+        pairs = zip(self._fields(), other._fields())
+        return self.spec == other.spec and all(np.array_equal(a, b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.words.shape, *(a.tobytes() for a in self._fields())))
+
+    def __repr__(self) -> str:
+        return (
+            f"HasseDiagram({self.spec}, {len(self.words)} elements, "
+            f"{len(self.cover_array)} covers)"
+        )
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {s.word: i for i, s in enumerate(self.elements)}
+    def elements(self) -> tuple[Multipermutation, ...]:
+        with _collector_paused():
+            words = zip(*self.words.T.tolist())  # each row as a tuple
+            return tuple(map(Multipermutation._of_valid_word, words))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:  # (lower index, upper index)
+        shared = {i: i for i in range(len(self.words))}  # one int per element
+        low, high = self.cover_array.T.tolist()
+        with _collector_paused():
+            return tuple(zip(map(shared.get, low, low), map(shared.get, high, high)))
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(self.rank_array.tolist())
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _word_keys(self.words, self.spec.n)
+
+    def _find(self, s: Multipermutation) -> int | None:
+        """The index of ``s`` among the words, or None."""
+        n, word = self.spec.n, s.word
+        if len(word) != self.words.shape[1] or max(word) > n:
+            return None
+        key = 0
+        for sym in word:
+            key = key * (n + 1) + sym
+        at = int(np.searchsorted(self._keys, key))
+        return at if at < len(self._keys) and self._keys[at] == key else None
 
     def index_of(self, s: Multipermutation) -> int:
-        try:
-            return self._index[s.word]
-        except KeyError:
-            raise NotAnElementError(f"{s} is not an element of this lattice") from None
+        at = self._find(s)
+        if at is None:
+            raise NotAnElementError(f"{s} is not an element of this lattice")
+        return at
 
     def __contains__(self, s: Multipermutation) -> bool:
-        return s.word in self._index
+        return self._find(s) is not None
 
     def meet(self, s: Multipermutation, t: Multipermutation) -> Multipermutation:
         """Greatest common lower bound; the module-level ``meet``."""
@@ -265,49 +392,49 @@ class HasseDiagram:
 
     def rank_vector(self) -> list[int]:
         """Element counts per rank, bottom to top."""
-        return np.bincount(self.ranks).tolist()
+        return np.bincount(self.rank_array).tolist()
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The words and the covers, one row each, and the ranks, as arrays
-        for the emitters; covers and ranks in the narrowest unsigned dtype
-        that holds them."""
-        words = _word_array([s.word for s in self.elements], self.spec.n)
-        pairs = chain.from_iterable(self.covers)
-        covers = np.fromiter(pairs, np.int64, 2 * len(self.covers))
-        ranks = np.array(self.ranks, dtype=np.int64)
-        return (
-            words,
-            covers.astype(np.min_scalar_type(covers.max(initial=0))).reshape(-1, 2),
-            ranks.astype(np.min_scalar_type(ranks.max(initial=0))),
-        )
-
-    def to_dot(self) -> str:
-        """Graphviz source; node ids are the lexicographic element indices."""
-        words, covers, ranks = self._arrays
+    def dot_chunks(self) -> Iterator[str]:
+        """``to_dot`` in pieces of at most a few MB, so that a large diagram
+        can be written without holding its whole text."""
+        words, covers, ranks = self._fields()
         count = len(words)
         index = np.arange(count, dtype=np.min_scalar_type(count))
         label = _joined(words, " ")
-        nodes = _text(
+        yield "digraph hasse {\n  rankdir=BT;\n"
+        yield from _text_blocks(
             count, ["  n", index, ' [label="', *label, " (rank ", ranks, ')"];\n']
         )
-        edges = _text(len(covers), ["  n", covers[:, 0], " -> n", covers[:, 1], ";\n"])
-        return "digraph hasse {\n  rankdir=BT;\n" + nodes + edges + "}\n"
+        yield from _text_blocks(
+            len(covers), ["  n", covers[:, 0], " -> n", covers[:, 1], ";\n"]
+        )
+        yield "}\n"
+
+    def to_dot(self) -> str:
+        """Graphviz source; node ids are the lexicographic element indices."""
+        return "".join(self.dot_chunks())
 
     def to_json_dict(self) -> dict:
         return {
-            "elements": [list(s.word) for s in self.elements],
-            "covers": [list(edge) for edge in self.covers],
-            "ranks": list(self.ranks),
+            "elements": self.words.tolist(),
+            "covers": self.cover_array.tolist(),
+            "ranks": self.rank_array.tolist(),
         }
+
+    def json_chunks(self) -> Iterator[str]:
+        """``to_json`` in pieces of at most a few MB, like ``dot_chunks``."""
+        words, covers, ranks = self._fields()
+        yield '{"elements": '
+        yield from _json_rows(words)
+        yield ', "covers": '
+        yield from _json_rows(covers)
+        yield ', "ranks": '
+        yield from _json_list(len(ranks), [ranks])
+        yield "}"
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict())``, written from the arrays."""
-        words, covers, ranks = self._arrays
-        return (
-            f'{{"elements": {_json_rows(words)}, "covers": {_json_rows(covers)}, '
-            f'"ranks": [{_text(len(ranks), [ranks, ", "])[:-2]}]}}'
-        )
+        return "".join(self.json_chunks())
 
 
 def _joined(rows: np.ndarray, separator: str) -> list:
@@ -316,9 +443,20 @@ def _joined(rows: np.ndarray, separator: str) -> list:
     return [field for column in rows.T for field in (separator, column)][1:]
 
 
-def _json_rows(rows: np.ndarray) -> str:
-    """An integer matrix as ``json.dumps`` writes a list of its rows."""
-    return "[" + _text(len(rows), ["[", *_joined(rows, ", "), "], "])[:-2] + "]"
+def _json_list(rows: int, fields: Sequence[str | np.ndarray]) -> Iterator[str]:
+    """``rows`` values, each the concatenation of ``fields``, as
+    ``json.dumps`` writes a list of them, in pieces: every value follows a
+    ", ", which the first block drops."""
+    yield "["
+    for i, block in enumerate(_text_blocks(rows, [", ", *fields])):
+        yield block if i else block[2:]
+    yield "]"
+
+
+def _json_rows(rows: np.ndarray) -> Iterator[str]:
+    """An integer matrix as ``json.dumps`` writes a list of its rows, in
+    pieces."""
+    return _json_list(len(rows), ["[", *_joined(rows, ", "), "]"])
 
 
 def _check_cap(spec: LatticeSpec, cap: int) -> None:
@@ -333,9 +471,8 @@ def enumerate_lattice(
 ) -> HasseDiagram:
     """All canonical words with cover edges and ranks, in lexicographic order."""
     _check_cap(spec, cap)
-    words, ranks = zip(*_word_stream(spec.n, spec.m))
-    elements = tuple(map(Multipermutation._of_valid_word, words))
-    return HasseDiagram(spec, elements, _covers(words, spec.n), ranks)
+    words, ranks = _word_table(spec.n, spec.m)
+    return HasseDiagram(spec, words, _covers(words, spec.n), ranks)
 
 
 def _element_word(s: Multipermutation, spec: LatticeSpec) -> tuple[int, ...]:
@@ -371,7 +508,7 @@ def join(
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
     """Element counts per rank, bottom to top."""
     _check_cap(spec, cap)
-    return np.bincount([r for _, r in _word_stream(spec.n, spec.m)]).tolist()
+    return np.bincount(_word_table(spec.n, spec.m)[1]).tolist()
 
 
 @dataclass(frozen=True)
@@ -416,7 +553,7 @@ def verify_ideal_isomorphism(
     _check_cap(spec, cap)
     n = spec.n
     top = top_element(spec).word
-    words = _word_array([w for w, _ in _word_stream(n, spec.m)], n)
+    words, _ = _word_table(n, spec.m)
     identity = tuple(range(1, n + 1))
     ideal, total, missing = 0, 0, []
     for p in permutations(identity):

@@ -3,7 +3,9 @@
 Each lattice element embeds into the ambient permutation-vector space of
 dimension N = n * (2^k + 1): distinguish copies, identify the symbol-copies
 with 1..N in their total order, and read off the rank occupying each
-position.  The polytope is the convex hull of these vectors.
+position.  The polytope is the convex hull of these vectors.  They are
+scattered from the lattice's word table in one pass, one row per element,
+and the dimension and both writers read that array.
 
 Its affine dimension is computed two independent ways.  The first is the
 exact rank of the difference vectors D (one row per vertex but the first):
@@ -17,48 +19,75 @@ fully nested permutation.  Both equal N - 2 whenever n >= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
     _check_cap,
+    _frozen,
     _joined,
     _json_rows,
     _text,
-    _word_stream,
+    _word_table,
     top_element,
 )
 from .multiperm import iota
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    """Integer vertex vectors, each a permutation of 1..ambient_dimension."""
+    """Integer vertex vectors, each a permutation of 1..ambient_dimension,
+    as the rows of an integer array.  An integer array is kept as it is;
+    other vectors become int64, or Python integers (``dtype=object``) where
+    int64 does not hold them.
 
-    ambient_dimension: int
-    vectors: tuple[tuple[int, ...], ...]
+    Vertex sets are equal when their ambient dimensions and vector values
+    are, and hash alike then: by the vectors' bytes as int64.
+    """
+
+    def __init__(self, ambient_dimension: int, vectors):
+        self.ambient_dimension = ambient_dimension
+        if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
+            try:
+                vectors = np.asarray(vectors, dtype=np.int64)
+            except OverflowError:
+                vectors = np.array(vectors, dtype=object)
+        self.vectors = _frozen(vectors)
+
+    def __eq__(self, other):
+        if not isinstance(other, VertexSet):
+            return NotImplemented
+        return self.ambient_dimension == other.ambient_dimension and np.array_equal(
+            self.vectors, other.vectors
+        )
+
+    def __hash__(self) -> int:
+        vectors = self.vectors
+        if vectors.dtype == object:
+            data = repr(vectors.tolist())
+        else:
+            data = vectors.astype(np.int64, copy=False).tobytes()
+        return hash((self.ambient_dimension, vectors.shape, data))
+
+    def __repr__(self) -> str:
+        return f"VertexSet({self.ambient_dimension}, {len(self.vectors)} vectors)"
 
 
 def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
-    """One vertex per lattice element, in element (lexicographic) order.
+    """One vertex per lattice element, in element (lexicographic) order, in
+    the narrowest unsigned dtype.
 
     Copy r of symbol s becomes (s - 1) * m + r, so each word's vector lists
-    these labels in word order.
+    these labels in word order.  A stable argsort of a word lists its
+    positions in label order, and 1..N is scattered through it.
     """
     _check_cap(spec, cap)
-    first_labels = [0, *range(1, spec.positions, spec.m)]  # indexed by symbol
-    vectors = []
-    for word, _ in _word_stream(spec.n, spec.m):
-        label = first_labels.copy()
-        vec = []
-        for sym in word:
-            vec.append(label[sym])
-            label[sym] += 1
-        vectors.append(tuple(vec))
-    return VertexSet(ambient_dimension=spec.positions, vectors=tuple(vectors))
+    words, _ = _word_table(spec.n, spec.m)
+    order = np.argsort(words, axis=1, kind="stable")
+    labels = np.arange(1, spec.positions + 1, dtype=np.min_scalar_type(spec.positions))
+    vectors = np.empty(words.shape, dtype=labels.dtype)
+    np.put_along_axis(vectors, order, labels, axis=1)
+    return VertexSet(spec.positions, vectors)
 
 
 def word_from_vector(vec: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -125,19 +154,10 @@ def _gram_rank(mat: np.ndarray) -> int:
     return integer_rank(gram.tolist())
 
 
-def _vector_array(vertex_set: VertexSet) -> np.ndarray:
-    """The vectors as the rows of an int64 array, or of Python integers
-    (``dtype=object``) beyond int64."""
-    try:
-        return np.array(vertex_set.vectors, dtype=np.int64)
-    except OverflowError:
-        return np.array(vertex_set.vectors, dtype=object)
-
-
 def affine_dimension(vertex_set: VertexSet) -> int:
     """Dimension of the affine hull, in exact integer arithmetic: the rank
     of the differences to the first vertex, from their Gram matrix."""
-    vecs = _vector_array(vertex_set)
+    vecs = vertex_set.vectors
     vecs = _narrow(vecs, 2 * _largest(vecs))  # room for every difference
     return _gram_rank(vecs[1:] - vecs[0])
 
@@ -188,10 +208,10 @@ def _dimension_report(spec: LatticeSpec, vertex_set: VertexSet) -> dict:
 
 def format_vertices_csv(vertex_set: VertexSet) -> str:
     """One line per vector, its entries separated by commas."""
-    vecs = _vector_array(vertex_set)
+    vecs = vertex_set.vectors
     return _text(len(vecs), [*_joined(vecs, ","), "\n"]) or "\n"  # none: one empty line
 
 
 def format_vertices_json(vertex_set: VertexSet) -> str:
     """``json.dumps`` of the vectors as a list of lists."""
-    return _json_rows(_vector_array(vertex_set))
+    return "".join(_json_rows(vertex_set.vectors))

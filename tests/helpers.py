@@ -4,15 +4,17 @@ permutation from two sorts of the bars, inversion sets of embedded
 permutations, the interleaving profile as nested lists with the orders and
 pair counts read off it, order, meet and join by reachability over the covers
 of an enumerated lattice, the recursive word enumerator with its
-swap-and-lookup cover test, the affine dimension by Bareiss elimination
-on the difference rows, and the DOT, JSON and CSV writers that format one
-line at a time."""
+swap-and-lookup cover test, the word stream of tuples and ranks that the
+array word table replaced, vertex vectors built one word at a time, the
+affine dimension by Bareiss elimination on the difference rows, and the
+DOT, JSON and CSV writers that format one line at a time."""
 
 import json
 import random
 from collections import Counter
 from functools import lru_cache
 from operator import le
+from typing import Iterator
 
 from barcomb.barcode import Barcode, require_k_strict, sample_points
 from barcomb.lattice import HasseDiagram, LatticeSpec
@@ -297,7 +299,8 @@ def reference_lattice(n: int, k: int) -> HasseDiagram:
                 if upper is not None:
                     covers.append((i, upper))
     ranks = tuple(rank(s) for s in elements)
-    return HasseDiagram(spec, tuple(elements), tuple(sorted(covers)), ranks)
+    words = [s.word for s in elements]
+    return HasseDiagram(spec, words, tuple(sorted(covers)), ranks)
 
 
 def reference_vertices(n: int, k: int) -> VertexSet:
@@ -310,12 +313,74 @@ def reference_vertices(n: int, k: int) -> VertexSet:
     return VertexSet(diagram.spec.positions, vectors)
 
 
+def word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The canonical words of {1^m .. n^m} with their ranks, in
+    lexicographic order, as tuples: the oracle of ``lattice._word_table``.
+
+    A symbol may start only after the previous symbol has appeared, and
+    placing symbol s adds the number of larger symbols already placed to the
+    rank.  The first ceil(N/2) positions are walked once per prefix, and the
+    completions of the rest are built once per state (counts still to place,
+    largest symbol placed) and shared by every prefix that reaches it.
+    """
+    size = n * m
+    split = size - size // 2
+
+    def moves(rem: tuple[int, ...], seen: int):
+        """Each next symbol s with the state after it and its rank step."""
+        for s in range(1, min(n, seen + 1) + 1):
+            left = rem[s - 1]
+            if left:
+                larger_placed = m * (n - s) - sum(rem[s:])
+                yield s, rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s), larger_placed
+
+    tails: dict[tuple[tuple[int, ...], int], tuple[list, list]] = {}
+
+    def tail(rem: tuple[int, ...], seen: int) -> tuple[list, list]:
+        """The completions of a state and the rank each adds, in order."""
+        key = (rem, seen)
+        if key not in tails:
+            words, steps = ([], []) if any(rem) else ([()], [0])
+            for s, after, after_seen, step in moves(rem, seen):
+                sub_words, sub_steps = tail(after, after_seen)
+                head = (s,)
+                words += [head + w for w in sub_words]
+                steps += [step + r for r in sub_steps]
+            tails[key] = (words, steps)
+        return tails[key]
+
+    heads: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
+
+    def walk(prefix: tuple[int, ...], rem: tuple[int, ...], seen: int, rnk: int):
+        if len(prefix) == split:
+            heads.append((prefix, rem, seen, rnk))
+            return
+        for s, after, after_seen, step in moves(rem, seen):
+            walk(prefix + (s,), after, after_seen, rnk + step)
+
+    walk((), (m,) * n, 0, 0)
+    for prefix, rem, seen, rnk in heads:
+        words, steps = tail(rem, seen)
+        yield from zip([prefix + w for w in words], [rnk + r for r in steps])
+
+
+def word_vectors(words, n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The vertex vector of each word, one word at a time: copy r of symbol
+    s becomes (s - 1) * m + r, listed in word order."""
+    first_labels = [0, *range(1, n * m, m)]  # indexed by symbol
+    for word in words:
+        label = first_labels.copy()
+        vec = []
+        for sym in word:
+            vec.append(label[sym])
+            label[sym] += 1
+        yield tuple(vec)
+
+
 def bareiss_affine_dimension(vertex_set: VertexSet) -> int:
     """Bareiss rank of the differences to the first vertex."""
-    base = vertex_set.vectors[0]
-    return integer_rank(
-        [[v - b for v, b in zip(vec, base)] for vec in vertex_set.vectors[1:]]
-    )
+    base, *rest = vertex_set.vectors.tolist()
+    return integer_rank([[v - b for v, b in zip(vec, base)] for vec in rest])
 
 
 def fstring_dot(diagram: HasseDiagram) -> str:
@@ -342,12 +407,12 @@ def dumps_json(diagram: HasseDiagram) -> str:
 
 def joined_vertices_csv(vertex_set: VertexSet) -> str:
     """One ``",".join`` per vector."""
-    lines = [",".join(str(v) for v in vec) for vec in vertex_set.vectors]
+    lines = [",".join(str(v) for v in vec) for vec in vertex_set.vectors.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def dumps_vertices_json(vertex_set: VertexSet) -> str:
-    return json.dumps([list(vec) for vec in vertex_set.vectors])
+    return json.dumps(vertex_set.vectors.tolist())
 
 
 def text_mismatch(got: str, want: str) -> str | None:

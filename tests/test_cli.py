@@ -6,12 +6,15 @@ import subprocess
 import sys
 
 import pytest
+from helpers import dumps_json, fstring_dot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barcomb.barcode
+import barcomb.multiperm
 import barcomb.polytope
 from barcomb.cli import main
+from barcomb.lattice import LatticeSpec, enumerate_lattice
 from barcomb.multiperm import Multipermutation, f_k, g_k, newman_leq
 
 B1_CSV = "1.0,2.0\n1.5,3.0\n2.5,2.75\n"
@@ -250,6 +253,16 @@ def test_hasse_dot_and_json(capsys, tmp_path):
     assert payload["ranks"] == [0, 1, 2]
 
 
+def test_hasse_writes_the_emitters_text_block_by_block(capsys, tmp_path, monkeypatch):
+    diagram = enumerate_lattice(LatticeSpec(3, 1))
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 1000)  # dozens of blocks
+    code, out = run(capsys, "hasse", "--n", "3", "--k", "1", "--dot", "-", "--json", "-")
+    assert code == 0 and out == fstring_dot(diagram) + dumps_json(diagram) + "\n"
+    json_file = tmp_path / "h.json"
+    assert run(capsys, "hasse", "--n", "3", "--k", "1", "--json", str(json_file))[0] == 0
+    assert json_file.read_text() == dumps_json(diagram) + "\n"
+
+
 def test_hasse_size_cap(capsys):
     code, _ = run(capsys, "hasse", "--n", "9", "--k", "1", "--dot", "-")
     assert code == 4
@@ -405,13 +418,13 @@ def test_compare_treats_extensionless_files_as_words(capsys, tmp_path):
 
 def test_polytope_enumerates_once(capsys, tmp_path, monkeypatch):
     calls = []
-    word_stream = barcomb.polytope._word_stream
+    word_table = barcomb.polytope._word_table
 
     def counted(*args):
         calls.append(args)
-        return word_stream(*args)
+        return word_table(*args)
 
-    monkeypatch.setattr(barcomb.polytope, "_word_stream", counted)
+    monkeypatch.setattr(barcomb.polytope, "_word_table", counted)
     out_file = tmp_path / "v.csv"
     code, out = run(
         capsys, "polytope", "--n", "3", "--k", "0", "--vertices", str(out_file), "--dim"

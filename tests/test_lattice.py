@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -17,6 +18,8 @@ from helpers import (
     recursive_words,
     reference_lattice,
     text_mismatch,
+    word_stream,
+    word_vectors,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,10 +363,41 @@ def test_json_output():
     }
 
 
+def test_public_tuples_hold_python_values():
+    d = enumerate_lattice(LatticeSpec(2, 1))
+    assert isinstance(d.elements, tuple) and all(type(s) is W for s in d.elements)
+    assert isinstance(d.covers, tuple) and isinstance(d.ranks, tuple)
+    assert {type(i) for edge in d.covers for i in edge} == {int}
+    assert {type(r) for r in d.ranks} == {int}
+    assert d.elements is d.elements  # built once
+    assert len(d.elements) == len(d.words) == len(d.ranks) == len(d.rank_array)
+    assert d.cover_array.shape == (len(d.covers), 2)
+
+
+@pytest.mark.parametrize("n,k", ORACLE_SPECS)
+def test_index_of_round_trips(n, k):
+    spec = LatticeSpec(n, k)
+    d = enumerate_lattice(spec, cap=spec.positions)
+    for i, s in enumerate(d.elements):
+        assert d.index_of(s) == i and s in d
+    # words of the right shape that are not canonical, then other shapes
+    swap = (2, 1, *range(3, n + 1))
+    outsiders = [relabel(s, swap) for s in d.elements] if n >= 2 else []
+    outsiders += [top_element(LatticeSpec(n + 1, k)), top_element(LatticeSpec(n, k + 1))]
+    for s in outsiders:
+        assert s not in d
+        with pytest.raises(NotAnElementError):
+            d.index_of(s)
+
+
 def test_diagram_is_hashable_value():
     a = enumerate_lattice(LatticeSpec(2, 0))
-    b = HasseDiagram(a.spec, a.elements, a.covers, a.ranks)
+    b = HasseDiagram(a.spec, [s.word for s in a.elements], a.covers, a.ranks)
     assert a == b and hash(a) == hash(b)
+    assert a != HasseDiagram(a.spec, a.words, a.covers[:1], a.ranks)
+    assert a != HasseDiagram(a.spec, a.words, a.covers, (0, 1, 1))
+    assert a != HasseDiagram(LatticeSpec(2, 1), a.words, a.covers, a.ranks)
+    assert not a.words.flags.writeable and not a.cover_array.flags.writeable
 
 
 @pytest.mark.parametrize("n,k", ORACLE_SPECS)
@@ -375,12 +409,40 @@ def test_enumeration_matches_recursive_oracle(n, k):
     assert rank_vector(spec, cap=spec.positions) == reference.rank_vector()
 
 
+# every spec the default position cap admits, and (2,3) beyond it
+CAPPED_SPECS = [
+    (n, k) for k in range(4) for n in range(1, 17) if n * ((1 << k) + 1) <= 16
+] + [(2, 3)]
+
+
+@pytest.mark.parametrize("n,k", CAPPED_SPECS)
+def test_word_table_and_vertices_match_stream_oracles(n, k):
+    # the array table against the stream of tuples it replaced, and the
+    # vectors against the loop over each word, a chunk of words at a time;
+    # the oracles build millions of tuples, which the collector would walk
+    spec = LatticeSpec(n, k)
+    words, ranks = barcomb.lattice._word_table(n, spec.m)
+    vectors = polytope.vertices(spec, cap=spec.positions).vectors
+    assert words.dtype == np.min_scalar_type(n) and words.shape[1] == spec.positions
+    stream, start = word_stream(n, spec.m), 0
+    with barcomb.lattice._collector_paused():
+        while chunk := list(itertools.islice(stream, 1 << 15)):
+            chunk_words, chunk_ranks = zip(*chunk)
+            rows = slice(start, start + len(chunk))
+            assert list(map(tuple, words[rows].tolist())) == list(chunk_words)
+            assert ranks[rows].tolist() == list(chunk_ranks)
+            want = word_vectors(chunk_words, n, spec.m)
+            assert list(map(tuple, vectors[rows].tolist())) == list(want)
+            start += len(chunk)
+    assert start == len(words) == len(ranks) == len(vectors)
+
+
 @pytest.mark.parametrize("n,k", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)])
 def test_relabeled_word_stream_is_the_full_lattice(n, k):
     # the ideal check reads the full multinomial lattice as the n!
     # relabelings of the canonical words, each word exactly once
     m = (1 << k) + 1
-    canonical = [W(w) for w, _ in barcomb.lattice._word_stream(n, m)]
+    canonical = [W(tuple(w)) for w in barcomb.lattice._word_table(n, m)[0].tolist()]
     relabeled = [
         relabel(s, p).word for p in itertools.permutations(range(1, n + 1))
         for s in canonical
@@ -439,11 +501,11 @@ def test_covers_exact_beyond_int64(n, k):
     # (n' + 1)^N >= 2^63 the word keys are Python integers, as lattices too
     # large to hold would need
     d = reference_lattice(n, k)
-    words = [s.word for s in d.elements]
     wide = 2 ** (63 // d.spec.positions + 1)
     assert (wide + 1) ** d.spec.positions >= 2**63
-    assert barcomb.lattice._covers(words, wide) == barcomb.lattice._covers(words, n)
-    assert barcomb.lattice._covers(words, wide) == d.covers
+    words = np.asarray(d.words, dtype=np.min_scalar_type(wide))
+    assert barcomb.lattice._word_keys(words, wide).dtype == object
+    assert np.array_equal(barcomb.lattice._covers(words, wide), d.cover_array)
 
 
 @pytest.mark.parametrize("n,k", ORACLE_SPECS)
@@ -470,9 +532,9 @@ def hand_built_diagrams() -> list[HasseDiagram]:
     far = ((0, 1), (1, 2), (9, 10), (99_999, 100_000), (123_456, 7), (2**32 + 5, 0))
     two = enumerate_lattice(LatticeSpec(2, 0))
     return [
-        HasseDiagram(twelve, tuple(words), far, (0, 57, 132)),
-        HasseDiagram(two.spec, two.elements, (), (0, 0, 0)),
-        HasseDiagram(two.spec, two.elements, ((100_000, 100_001),), (10, 0, 100_000)),
+        HasseDiagram(twelve, [s.word for s in words], far, (0, 57, 132)),
+        HasseDiagram(two.spec, two.words, (), (0, 0, 0)),
+        HasseDiagram(two.spec, two.words, ((100_000, 100_001),), (10, 0, 100_000)),
         enumerate_lattice(LatticeSpec(1, 0)),
     ]
 
@@ -482,7 +544,7 @@ def test_emitters_of_hand_built_diagrams(index):
     diagram = hand_built_diagrams()[index]
     assert diagram.to_dot() == fstring_dot(diagram)
     assert diagram.to_json() == dumps_json(diagram)
-    # the cached arrays are not fields: equality and hashing ignore them
+    # the tuples built for the oracles do not enter equality or hashing
     again = hand_built_diagrams()[index]
     assert diagram == again and hash(diagram) == hash(again)
 
@@ -502,6 +564,21 @@ def test_emitters_in_small_blocks(monkeypatch, cells):
     got = [diagram.to_dot(), diagram.to_json()]
     got += [polytope.format_vertices_csv(vs), polytope.format_vertices_json(vs)]
     assert [text_mismatch(*pair) for pair in zip(got, want)] == [None] * 4
+    # to_dot joins these chunks, one block of whole lines each
+    chunks = list(diagram.dot_chunks())
+    assert len(chunks) >= 2 + 280 // 44 + 672 // 136
+    assert all(chunk.endswith("\n") for chunk in chunks)
+
+
+def test_tuples_leave_the_collector_as_they_found_it():
+    assert gc.isenabled()
+    d = enumerate_lattice(LatticeSpec(2, 1))
+    assert len(d.elements) == 10 and gc.isenabled()
+    gc.disable()
+    try:
+        assert len(d.covers) == 12 and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @st.composite
