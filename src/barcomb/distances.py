@@ -6,11 +6,14 @@ diagonal instead of a partner, at cost (d - b) / 2.  Both solvers start from
 the same numpy ground costs (the n x m bar-to-bar matrix and each bar's
 diagonal cost) and are exact:
 
-* bottleneck — binary search over the distinct candidate costs t.  A bar
-  whose diagonal cost exceeds t must be matched to a near bar (cost <= t)
-  of the other diagram, and a probe asks scipy's Hopcroft–Karp matching
-  whether the near pairs can cover these bars of both sides; the graph has
-  O(near pairs) edges instead of the complete (n+m)^2 augmented graph;
+* bottleneck — a search over the candidate costs t.  A bar whose diagonal
+  cost exceeds t must be matched to a near bar (cost <= t) of the other
+  diagram, and a probe asks scipy's Hopcroft–Karp matching whether the
+  near pairs can cover these bars of both sides; the graph has O(near
+  pairs) edges instead of the complete (n+m)^2 augmented graph.  The first
+  probe is at the floor, the largest of the bars' cheapest costs, which
+  bounds the distance from below and usually is it; only when the floor
+  fails are the distinct candidate costs above it binary-searched;
 * wasserstein — a minimum-cost assignment on the (n+m) x (n+m) augmented
   cost matrix.  Costs are divided by a common scale before they are raised
   to the q-th power, which keeps the optimal assignment: first by the
@@ -198,21 +201,37 @@ def _merge_covers(y_of: np.ndarray, x_of: np.ndarray) -> list[int]:
 
 
 def bottleneck(left: Barcode, right: Barcode) -> tuple[float, Matching]:
-    """Exact bottleneck distance and an optimal witness matching."""
+    """Exact bottleneck distance and an optimal witness matching.
+
+    The search starts at the floor: the largest, over the bars of both
+    sides, of the bar's cheapest cost, min(its diagonal cost, its cheapest
+    bar of the other side).  Every bar is matched to something, so the
+    distance is at least the floor, and the floor is itself a candidate
+    cost.  It is probed first, and when it is feasible it is the distance:
+    noisy copies of up to a few hundred bars usually need only this probe.
+    Otherwise the distinct candidate costs above the floor are
+    binary-searched.
+    """
     cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
     n, m = cross.shape
-    levels = np.unique(np.concatenate(([0.0], cross.ravel(), dx, dy)))
-    lo, hi = 0, len(levels) - 1
-    # no far bars at the largest level, which the search never probes: every
-    # bar goes to the diagonal
-    covers = np.full(n, -1), np.full(m, -1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probe = _far_covers(cross, dx, dy, levels[mid])
-        if probe is None:
-            lo = mid + 1
-        else:
-            hi, covers = mid, probe
+    floor = max(
+        np.minimum(dx, cross.min(axis=1)).max(), np.minimum(dy, cross.min(axis=0)).max()
+    )
+    covers = _far_covers(cross, dx, dy, floor)
+    if covers is None:
+        costs = np.concatenate((cross.ravel(), dx, dy))
+        levels = np.unique(costs[costs > floor])
+        lo, hi = 0, len(levels) - 1
+        # no far bars at the largest level, which the search never probes:
+        # every bar goes to the diagonal
+        covers = np.full(n, -1), np.full(m, -1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probe = _far_covers(cross, dx, dy, levels[mid])
+            if probe is None:
+                lo = mid + 1
+            else:
+                hi, covers = mid, probe
     pairs = _witness(_merge_covers(*covers), m)
     distance = bottleneck_cost(left, right, pairs)
     return distance, Matching(pairs, distance)

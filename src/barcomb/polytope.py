@@ -4,8 +4,8 @@ Each lattice element embeds into the ambient permutation-vector space of
 dimension N = n * (2^k + 1): distinguish copies, identify the symbol-copies
 with 1..N in their total order, and read off the rank occupying each
 position.  The polytope is the convex hull of these vectors.  They are
-scattered from the lattice's word table in one pass, one row per element,
-and the dimension and both writers read that array.
+scattered from the lattice's word table, one row per element, in blocks of
+rows, and the dimension and both writers read that array.
 
 Its affine dimension is computed two independent ways.  The first is the
 exact rank of the difference vectors D (one row per vertex but the first):
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import multiperm
 from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
@@ -79,14 +80,19 @@ def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
 
     Copy r of symbol s becomes (s - 1) * m + r, so each word's vector lists
     these labels in word order.  A stable argsort of a word lists its
-    positions in label order, and 1..N is scattered through it.
+    positions in label order, and 1..N is scattered through it.  Words are
+    sorted in blocks of at most ``multiperm._CELLS`` positions, so the int64
+    argsort never spans the whole table.
     """
     _check_cap(spec, cap)
     words, _ = _word_table(spec.n, spec.m)
-    order = np.argsort(words, axis=1, kind="stable")
     labels = np.arange(1, spec.positions + 1, dtype=np.min_scalar_type(spec.positions))
     vectors = np.empty(words.shape, dtype=labels.dtype)
-    np.put_along_axis(vectors, order, labels, axis=1)
+    step = multiperm._CELLS // spec.positions or 1
+    for start in range(0, len(words), step):
+        block = slice(start, start + step)
+        order = np.argsort(words[block], axis=1, kind="stable")
+        np.put_along_axis(vectors[block], order, labels, axis=1)
     return VertexSet(spec.positions, vectors)
 
 

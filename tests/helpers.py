@@ -1,13 +1,14 @@
 """Shared test fixtures: seeded barcode factories, gap measurement, and the
-slow paths kept as oracles: the dense bottleneck solver, the death-order
-permutation from two sorts of the bars, inversion sets of embedded
-permutations, the interleaving profile as nested lists with the orders and
-pair counts read off it, order, meet and join by reachability over the covers
-of an enumerated lattice, the recursive word enumerator with its
-swap-and-lookup cover test, the word stream of tuples and ranks that the
-array word table replaced, vertex vectors built one word at a time, the
-affine dimension by Bareiss elimination on the difference rows, and the
-DOT, JSON and CSV writers that format one line at a time."""
+slow paths kept as oracles: the dense bottleneck solver, the bottleneck
+search over every candidate cost that the floor probe shortened, the
+death-order permutation from two sorts of the bars, inversion sets of
+embedded permutations, the interleaving profile as nested lists with the
+orders and pair counts read off it, order, meet and join by reachability
+over the covers of an enumerated lattice, the recursive word enumerator
+with its swap-and-lookup cover test, the word stream of tuples and ranks
+that the array word table replaced, vertex vectors built one word at a
+time, the affine dimension by Bareiss elimination on the difference rows,
+and the DOT, JSON and CSV writers that format one line at a time."""
 
 import json
 import random
@@ -16,7 +17,16 @@ from functools import lru_cache
 from operator import le
 from typing import Iterator
 
+import numpy as np
+
 from barcomb.barcode import Barcode, require_k_strict, sample_points
+from barcomb.distances import (
+    _far_covers,
+    _ground_costs,
+    _merge_covers,
+    _witness,
+    bottleneck_cost,
+)
 from barcomb.lattice import HasseDiagram, LatticeSpec
 from barcomb.multiperm import Multipermutation, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
@@ -121,6 +131,26 @@ def dense_bottleneck(left: Barcode, right: Barcode) -> float:
         else:
             lo = mid + 1
     return levels[lo]
+
+
+def full_search_bottleneck(left: Barcode, right: Barcode) -> tuple[float, tuple]:
+    """Bottleneck distance and witness pairs by binary search over every
+    distinct candidate cost, from 0 up: the search ``bottleneck`` ran before
+    it started at the floor, on the same probe, merge and witness steps."""
+    cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
+    n, m = cross.shape
+    levels = np.unique(np.concatenate(([0.0], cross.ravel(), dx, dy)))
+    lo, hi = 0, len(levels) - 1
+    covers = np.full(n, -1), np.full(m, -1)  # the top level is never probed
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = _far_covers(cross, dx, dy, levels[mid])
+        if probe is None:
+            lo = mid + 1
+        else:
+            hi, covers = mid, probe
+    pairs = _witness(_merge_covers(*covers), m)
+    return bottleneck_cost(left, right, pairs), pairs
 
 
 def noisy_copy(barcode: Barcode, rng: random.Random, noise: float) -> Barcode:

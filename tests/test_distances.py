@@ -64,6 +64,17 @@ def lq_norm(costs, q):
     return top * sum((c / top) ** q for c in costs) ** (1.0 / q)
 
 
+def oracle_floor(left, right):
+    """Largest over all bars of min(diagonal cost, cheapest other-side bar)."""
+    lp, rp = left.pairs(), right.pairs()
+
+    def cheapest(bar, others):
+        costs = [max(abs(bar[0] - o[0]), abs(bar[1] - o[1])) for o in others]
+        return min([(bar[1] - bar[0]) / 2.0, *costs])
+
+    return max([cheapest(x, rp) for x in lp] + [cheapest(y, lp) for y in rp])
+
+
 def oracle_wasserstein(left, right, q):
     lp, rp = left.pairs(), right.pairs()
     return min(
@@ -75,6 +86,7 @@ def oracle_wasserstein(left, right, q):
 from helpers import (
     dense_bottleneck,
     fit_slope,
+    full_search_bottleneck,
     min_gap,
     noisy_copy,
     random_barcode,
@@ -341,6 +353,44 @@ def test_bottleneck_matches_dense_oracle_bit_for_bit():
             assert dq >= d
 
 
+def coarse_barcode(rng, n):
+    """Bars on a grid of step 1/2 with few lengths, so costs tie often."""
+    pairs = []
+    for _ in range(n):
+        b = rng.randint(0, 8) / 2.0
+        pairs.append((b, b + rng.randint(1, 4) / 2.0))
+    return Barcode.from_pairs(pairs)
+
+
+def test_bottleneck_matches_full_search():
+    rng = random.Random(151)
+    pairs = []
+    for _ in range(20):
+        left = random_barcode(rng, rng.randint(1, 60), 0.0, 16.0)
+        pairs.append((left, noisy_copy(left, rng, 0.5)))
+        pairs.append((left, random_barcode(rng, rng.randint(1, 60), 0.0, 16.0)))
+        coarse = coarse_barcode(rng, rng.randint(1, 30))
+        pairs.append((coarse, coarse_barcode(rng, rng.randint(1, 30))))
+    # unequal sizes: a noisy copy of the first bars of the left side, and
+    # independent bars beyond them when the right side is the larger
+    for n, m in [(1, 60), (60, 1), (2, 59), (30, 45), (45, 30), (1, 2)]:
+        left = random_barcode(rng, n, 0.0, 16.0)
+        more = random_barcode(rng, m, 0.0, 16.0).pairs()[n:]
+        kept = Barcode.from_pairs([*left.pairs()[:m], *more])
+        pairs.append((left, noisy_copy(kept, rng, 0.25)))
+    # the floor is the top level, so every bar goes to the diagonal
+    pairs.append((Barcode.from_pairs([(0, 2)]), Barcode.from_pairs([(0, 4)])))
+    at_floor = []
+    for left, right in pairs:
+        d, w = bottleneck(left, right)
+        assert (d, w.pairs) == full_search_bottleneck(left, right)
+        floor = oracle_floor(left, right)
+        assert floor <= d
+        at_floor.append(d == floor)
+    # the floor probe answers most pairs; the rest need the search above it
+    assert any(at_floor) and not all(at_floor)
+
+
 def test_large_q_does_not_overflow():
     left = generate_barcode(20, seed=1, spread=16.0)
     right = generate_barcode(20, seed=2, spread=16.0)
@@ -432,3 +482,10 @@ def test_bottleneck_metric_properties(a, b, c):
 @given(barcodes, barcodes, st.sampled_from([1.0, 1.5, 2.0, 3.0, 64.0, 1000.0]))
 def test_wasserstein_at_least_bottleneck(a, b, q):
     assert wasserstein(a, b, q)[0] >= bottleneck(a, b)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(barcodes, barcodes)
+def test_bottleneck_at_least_floor(a, b):
+    assert oracle_floor(a, b) <= bottleneck(a, b)[0]
+    assert oracle_floor(a, a) == bottleneck(a, a)[0]

@@ -9,10 +9,13 @@ from helpers import (
     joined_vertices_csv,
     reference_vertices,
     text_mismatch,
+    word_stream,
+    word_vectors,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barcomb.multiperm
 import barcomb.polytope
 from barcomb.lattice import LatticeSpec, enumerate_lattice
 from barcomb.multiperm import rank
@@ -161,6 +164,17 @@ def test_vertices_and_dimension_match_oracles(n, k):
     assert affine_dimension(vs) == bareiss_affine_dimension(reference)
     assert text_mismatch(format_vertices_csv(vs), joined_vertices_csv(vs)) is None
     assert text_mismatch(format_vertices_json(vs), dumps_vertices_json(vs)) is None
+
+
+@pytest.mark.parametrize("cells", [1, 50, 333])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1)])
+def test_vertices_in_row_blocks_match_per_word_vectors(monkeypatch, n, k, cells):
+    # 126 and 280 elements of 10 and 9 positions: from one row per block up
+    spec = LatticeSpec(n, k)
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
+    words = (word for word, _ in word_stream(n, spec.m))
+    want = VertexSet(spec.positions, tuple(word_vectors(words, n, spec.m)))
+    assert vertices(spec) == want
 
 
 @st.composite
