@@ -344,15 +344,22 @@ class HasseDiagram:
     @cached_property
     def elements(self) -> tuple[Multipermutation, ...]:
         with _collector_paused():
-            words = zip(*self.words.T.tolist())  # each row as a tuple
-            return tuple(map(Multipermutation._of_valid_word, words))
+            words = tuple(zip(*self.words.T.tolist()))  # each row as a tuple
+            return Multipermutation._of_valid_words(words)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:  # (lower index, upper index)
-        shared = {i: i for i in range(len(self.words))}  # one int per element
-        low, high = self.cover_array.T.tolist()
+        count = len(self.words)
+        shared = np.arange(max(count, 1)).astype(object)  # one int per element
+
+        def indices(column: np.ndarray) -> list:
+            ints = shared.take(column, mode="clip")
+            far = np.flatnonzero(column >= count)  # only in hand-built diagrams
+            ints[far] = column[far].tolist()
+            return ints.tolist()
+
         with _collector_paused():
-            return tuple(zip(map(shared.get, low, low), map(shared.get, high, high)))
+            return tuple(zip(*map(indices, self.cover_array.T)))
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:

@@ -47,8 +47,9 @@ death-order permutation ``phi`` is read off g_0.  Copy indices come from
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -91,6 +92,14 @@ class Multipermutation:
         s = object.__new__(cls)
         object.__setattr__(s, "word", word)
         return s
+
+    @classmethod
+    def _of_valid_words(cls, words: Sequence[tuple[int, ...]]) -> tuple["Multipermutation", ...]:
+        """``_of_valid_word`` of each word, built in one batch: no Python
+        frame runs per word."""
+        batch = tuple(map(object.__new__, repeat(cls, len(words))))
+        deque(map(object.__setattr__, batch, repeat("word"), words), 0)
+        return batch
 
     @property
     def n(self) -> int:

@@ -4,14 +4,17 @@ Each lattice element embeds into the ambient permutation-vector space of
 dimension N = n * (2^k + 1): distinguish copies, identify the symbol-copies
 with 1..N in their total order, and read off the rank occupying each
 position.  The polytope is the convex hull of these vectors.  They are
-scattered from the lattice's word table, one row per element, in blocks of
-rows, and the dimension and both writers read that array.
+labelled from the lattice's word table, one row per element, in blocks of
+rows: copy r of symbol s is (s - 1) * m + r, where r is a running count of
+s along the word, one pass per symbol.  The dimension and both writers read
+that array.
 
 Its affine dimension is computed two independent ways.  The first is the
 exact rank of the difference vectors D (one row per vertex but the first):
-numpy forms the N x N Gram matrix G = D^T D in int64, or over Python
-integers when its entries could reach 2^63, and fraction-free (Bareiss)
-elimination ranks G without floats.  This is exact because Gx = 0 gives
+the N x N Gram matrix G = D^T D is a float64 BLAS product over blocks of
+rows while every entry is provably an integer below 2^53, and is summed
+over Python integers beyond that, and fraction-free (Bareiss) elimination
+ranks G without floats.  This is exact because Gx = 0 gives
 |Dx|^2 = x^T G x = 0, so G and D have the same kernel.  The second is N
 minus the number of blocks cut out by one maximal sorting chain up to the
 fully nested permutation.  Both equal N - 2 whenever n >= 2.
@@ -79,20 +82,29 @@ def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
     the narrowest unsigned dtype.
 
     Copy r of symbol s becomes (s - 1) * m + r, so each word's vector lists
-    these labels in word order.  A stable argsort of a word lists its
-    positions in label order, and 1..N is scattered through it.  Words are
-    sorted in blocks of at most ``multiperm._CELLS`` positions, so the int64
-    argsort never spans the whole table.
+    these labels in word order.  Words are labelled in blocks of at most
+    ``multiperm._CELLS`` positions, held one row per position, with one pass
+    per symbol s: a running count of s down the positions, in the vectors'
+    dtype, numbers its copies r, and the positions of s get (s - 1) * m + r.
+    The count is one vector add per position, since ``np.cumsum`` along
+    rows this short costs many times more.
     """
     _check_cap(spec, cap)
     words, _ = _word_table(spec.n, spec.m)
-    labels = np.arange(1, spec.positions + 1, dtype=np.min_scalar_type(spec.positions))
-    vectors = np.empty(words.shape, dtype=labels.dtype)
+    vectors = np.empty(words.shape, dtype=np.min_scalar_type(spec.positions))
     step = multiperm._CELLS // spec.positions or 1
     for start in range(0, len(words), step):
-        block = slice(start, start + step)
-        order = np.argsort(words[block], axis=1, kind="stable")
-        np.put_along_axis(vectors[block], order, labels, axis=1)
+        columns = np.ascontiguousarray(words[start : start + step].T)
+        labels = np.zeros(columns.shape, vectors.dtype)
+        for s in range(1, spec.n + 1):
+            mask = columns == s
+            copies = mask.astype(vectors.dtype)
+            for p in range(1, len(copies)):
+                copies[p] += copies[p - 1]
+            copies += (s - 1) * spec.m
+            copies *= mask
+            labels += copies
+        vectors[start : start + step] = labels.T
     return VertexSet(spec.positions, vectors)
 
 
@@ -129,13 +141,6 @@ def integer_rank(rows: list[list[int]]) -> int:
     return pivot_row
 
 
-def _narrow(mat: np.ndarray, largest: int) -> np.ndarray:
-    """An integer array whose entries are at most ``largest`` in absolute
-    value, in the narrowest signed dtype that holds that bound, or over
-    Python integers (``dtype=object``) when int64 does not."""
-    return mat.astype(np.min_scalar_type(-largest - 1), copy=False)
-
-
 def _largest(mat: np.ndarray) -> int:
     return max(int(mat.max()), -int(mat.min()))
 
@@ -145,15 +150,24 @@ def _gram_rank(mat: np.ndarray) -> int:
     Bareiss rank of its N x N Gram matrix G = D^T D.
 
     Gx = 0 gives |Dx|^2 = x^T G x = 0, so G and D have the same kernel and
-    the same rank.  Each entry of G is at most rows * max|D|^2 in absolute
-    value: below 2^63 it is summed in int64, otherwise over Python integers.
+    the same rank.  While rows * max|D|^2 < 2^53, G is a float64 BLAS
+    product, summed over blocks of at most ``multiperm._CELLS`` bytes of
+    rows, and it is exact: every product d_ij d_ik and every partial sum of
+    entry (j, k), in any order and with or without fused multiply-adds, is
+    an integer of magnitude at most sum_i |d_ij d_ik| <= rows * max|D|^2 <
+    2^53, and float64 holds every such integer, so no step rounds.  Beyond
+    that bound G is summed over Python integers.
     """
     if mat.size == 0:
         return 0
     largest = _largest(mat)
-    if len(mat) * largest * largest < 2**63:
-        mat = _narrow(mat, largest)
-        gram = np.einsum("ij,ik->jk", mat, mat, dtype=np.int64)
+    if len(mat) * largest * largest < 2**53:
+        gram = np.zeros((mat.shape[1], mat.shape[1]))
+        step = multiperm._CELLS // (8 * mat.shape[1]) or 1
+        for start in range(0, len(mat), step):
+            block = mat[start : start + step].astype(np.float64)
+            gram += block.T @ block
+        gram = gram.astype(np.int64)
     else:
         mat = mat.astype(object)
         gram = mat.T @ mat
@@ -164,7 +178,8 @@ def affine_dimension(vertex_set: VertexSet) -> int:
     """Dimension of the affine hull, in exact integer arithmetic: the rank
     of the differences to the first vertex, from their Gram matrix."""
     vecs = vertex_set.vectors
-    vecs = _narrow(vecs, 2 * _largest(vecs))  # room for every difference
+    # a signed dtype with room for every difference, or Python integers
+    vecs = vecs.astype(np.min_scalar_type(-2 * _largest(vecs) - 1), copy=False)
     return _gram_rank(vecs[1:] - vecs[0])
 
 

@@ -374,6 +374,24 @@ def test_public_tuples_hold_python_values():
     assert d.cover_array.shape == (len(d.covers), 2)
 
 
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 0)])
+def test_tuples_match_per_item_construction(n, k):
+    # 280 and 945 elements: indices past 256, which CPython does not cache
+    d = enumerate_lattice(LatticeSpec(n, k))
+    per_word = [W(tuple(row)) for row in d.words.tolist()]
+    assert list(d.elements) == per_word
+    for s, t in zip(d.elements, per_word):
+        assert type(s) is W and type(s.word) is tuple and s.word == t.word
+        assert {type(sym) for sym in s.word} == {int} and hash(s) == hash(t)
+        assert vars(s) == vars(t)
+    assert d.covers == tuple(map(tuple, d.cover_array.tolist()))
+    shared = {}  # equal indices are one int object
+    for edge in d.covers:
+        for i in edge:
+            assert shared.setdefault(i, i) is i
+    assert max(shared) == len(d.words) - 1 > 256
+
+
 @pytest.mark.parametrize("n,k", ORACLE_SPECS)
 def test_index_of_round_trips(n, k):
     spec = LatticeSpec(n, k)
@@ -542,6 +560,10 @@ def hand_built_diagrams() -> list[HasseDiagram]:
 @pytest.mark.parametrize("index", range(4))
 def test_emitters_of_hand_built_diagrams(index):
     diagram = hand_built_diagrams()[index]
+    # indices at or past the element count, up to 2^32 + 5, come out as
+    # they are
+    assert diagram.covers == tuple(map(tuple, diagram.cover_array.tolist()))
+    assert {type(i) for edge in diagram.covers for i in edge} <= {int}
     assert diagram.to_dot() == fstring_dot(diagram)
     assert diagram.to_json() == dumps_json(diagram)
     # the tuples built for the oracles do not enter equality or hashing

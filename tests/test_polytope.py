@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,6 +178,15 @@ def test_vertices_in_row_blocks_match_per_word_vectors(monkeypatch, n, k, cells)
     assert vertices(spec) == want
 
 
+def test_vertex_labels_beyond_one_byte():
+    # 257 positions: the labels need uint16, and a running count kept in
+    # any narrower dtype would wrap at copy 256
+    spec = LatticeSpec(1, 8)
+    vs = vertices(spec, cap=257)
+    assert vs.vectors.dtype == np.uint16
+    assert vs == reference_vertices(1, 8)
+
+
 @st.composite
 def integer_matrices(draw):
     """Integer rows, often dependent: combinations of a few base rows, with
@@ -192,9 +202,13 @@ def integer_matrices(draw):
 
 
 @settings(deadline=None, max_examples=300)
-@given(integer_matrices())
-def test_gram_rank_equals_bareiss_rank(rows):
-    assert _gram_rank(np.array(rows, dtype=object)) == integer_rank(rows)
+@given(integer_matrices(), st.sampled_from([1, 24, 100, barcomb.multiperm._CELLS]))
+def test_gram_rank_equals_bareiss_rank(rows, cells):
+    # float64 blocks of 1 cell: one row each; of 24 and 100 cells: 3 and 12
+    # rows of one column, 1 and 4 rows of three, so most matrices end in a
+    # partial block
+    with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        assert _gram_rank(np.array(rows, dtype=object)) == integer_rank(rows)
     vs = VertexSet(len(rows[0]), tuple(map(tuple, [[0] * len(rows[0])] + rows)))
     assert affine_dimension(vs) == integer_rank(rows)
 
@@ -241,3 +255,63 @@ def test_gram_matrix_exact_beyond_int64(monkeypatch):
 def test_affine_dimension_of_large_coordinates(vectors, dim):
     vs = VertexSet(len(vectors[0]), vectors)
     assert affine_dimension(vs) == bareiss_affine_dimension(vs) == dim
+
+
+class Recording(np.ndarray):
+    """An integer matrix that records the dtypes it is converted to, so a
+    test can see which path of ``_gram_rank`` read it."""
+
+    conversions: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        Recording.conversions.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+def gram_paths(mat: np.ndarray) -> tuple[list, set]:
+    """The Gram matrix that ``_gram_rank`` hands to ``integer_rank`` for
+    ``mat``, and the dtypes it converted ``mat`` to on the way."""
+    Recording.conversions, grams = [], []
+
+    def spy(matrix):
+        grams.append(matrix)
+        return integer_rank(matrix)
+
+    with mock.patch.object(barcomb.polytope, "integer_rank", spy):
+        rank = _gram_rank(mat.view(Recording))
+    assert len(grams) == 1 and rank == integer_rank(grams[0])
+    return grams[0], set(Recording.conversions)
+
+
+def exact_gram(rows: list[list[int]]) -> list[list[int]]:
+    cols = range(len(rows[0]))
+    return [[sum(r[i] * r[j] for r in rows) for j in cols] for i in cols]
+
+
+def test_gram_of_an_int8_vertex_table_is_exact_in_float64(monkeypatch):
+    spec = LatticeSpec(3, 1)
+    vecs = vertices(spec).vectors.astype(np.int8)
+    diffs = vecs[1:] - vecs[0]  # 279 rows of 9 positions, as int8
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 8 * 9 * 50)  # 50 rows a block
+    gram, paths = gram_paths(diffs)
+    assert paths == {np.dtype(np.float64)}
+    assert gram == exact_gram(diffs.tolist())
+    assert {type(entry) for row in gram for entry in row} == {int}
+    assert integer_rank(gram) == spec.positions - 2
+
+
+def test_gram_bound_separates_float_and_integer_paths():
+    # 94 906 265^2 < 2^53 <= 94 906 266^2: one row of the smaller entry
+    # takes float64, and its odd square, past float32's and within
+    # float64's exact integers, comes out exact; one row of the larger
+    # entry takes Python integers
+    below, above = 94_906_265, 94_906_266
+    assert gram_paths(np.array([[below, 0]])) == (exact_gram([[below, 0]]), {np.dtype(np.float64)})
+    assert gram_paths(np.array([[above, 0]])) == (exact_gram([[above, 0]]), {np.dtype(object)})
+    # two rows of 2^26 make rows * largest^2 = 2^53, just past the bound;
+    # their first row alone is below it, and both paths agree with Bareiss
+    rows = [[2**26, 1, 1], [1, 2**26, -1]]
+    assert gram_paths(np.array(rows)) == (exact_gram(rows), {np.dtype(object)})
+    assert gram_paths(np.array(rows[:1])) == (exact_gram(rows[:1]), {np.dtype(np.float64)})
+    assert _gram_rank(np.array(rows)) == integer_rank(rows) == 2
+    assert _gram_rank(np.array(rows[:1])) == integer_rank(rows[:1]) == 1
