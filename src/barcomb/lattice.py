@@ -32,9 +32,9 @@ Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman
 lattice (Bennett and Birkhoff, "Two families of Newman lattices"): the join
 of two words has as its inversion set the transitive closure of the union of
-theirs, computed on interleaving profiles in ``barcomb.multiperm``, and
-reversing words reverses the order, so the meet of s and t is the reversed
-join of their reversals.
+theirs, closed as a boolean matrix over the symbol copies in
+``barcomb.multiperm``, and reversing words reverses the order, so the meet
+of s and t is the reversed join of their reversals.
 """
 
 from __future__ import annotations
@@ -497,7 +497,7 @@ def meet(
     """Greatest common lower bound: the reversed join of the reversals."""
     _check_cap(spec, cap)
     a, b = _element_word(s, spec), _element_word(t, spec)
-    return Multipermutation(_newman_join(a[::-1], b[::-1], spec.n)[::-1])
+    return Multipermutation._of_valid_word(_newman_join(a[::-1], b[::-1], spec.n)[::-1])
 
 
 def join(
@@ -509,7 +509,7 @@ def join(
     """Least common upper bound, from the closed union of inversion sets."""
     _check_cap(spec, cap)
     a, b = _element_word(s, spec), _element_word(t, spec)
-    return Multipermutation(_newman_join(a, b, spec.n))
+    return Multipermutation._of_valid_word(_newman_join(a, b, spec.n))
 
 
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:

@@ -14,11 +14,7 @@ order, so the profile is exactly the inversion set of ``iota(s)``, and
 * ``inversion_multiset`` sums the profile over copies, and ``prec`` compares
   those sums;
 * ``newman_leq``, the multinomial Newman order (s <= t iff the inversion set
-  of iota(s) is contained in that of iota(t)), compares profiles entrywise;
-* the join of two words has the transitively closed entrywise maximum of
-  their profiles as its profile, since the join's inversion set is the
-  transitive closure of the union of theirs.  ``barcomb.lattice`` builds
-  meet and join on it.
+  of iota(s) is contained in that of iota(t)), compares profiles entrywise.
 
 ``rank``, the orders, ``inversion_multiset`` and the lattice's ideal check
 read the profile from one numpy kernel, ``_profiles``, that builds it for a
@@ -30,8 +26,13 @@ smallest unsigned dtype that holds n and m.  Memory is bounded by ``_CELLS``
 one-hot entries: long words are walked in blocks of symbol columns.  One
 Newman test, ``_below``, serves ``newman_leq`` and the ideal check; it cuts
 a batch of words into chunks itself, and each chunk stops at the first
-block that all its words fail.  Only the join keeps list profiles, cheaper
-than a kernel call on its short words.
+block that all its words fail.
+
+The join of two words has as its inversion set the transitive closure of
+the union of theirs (Markowsky, "Permutation lattices revisited").
+``_newman_join`` closes that union as a boolean matrix over the copies of
+the symbols and reads the word back off its row and column sums;
+``barcomb.lattice`` builds meet and join on it.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -217,52 +218,33 @@ def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _profile(word: Sequence[int], n: int) -> list[list[list[int]]]:
-    """The interleaving profile of a word over {1..n}.
-
-    ``prof[i][r][j - i - 1]`` counts the copies of j > i before the copy of
-    i with index r (counted from 0).  Copies of j stay in order, so copy c of
-    j (counted from 1) precedes that copy of i exactly when c is at most this
-    count: the profile is the inversion set of ``iota(word)``.
-    """
-    counts = [0] * (n + 1)
-    prof: list[list[list[int]]] = [[] for _ in range(n + 1)]
-    for sym in word:
-        prof[sym].append(counts[sym + 1 :])
-        counts[sym] += 1
-    return prof
-
-
 def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     """Join of two words of one shape in the multinomial Newman lattice.
 
-    Its inversion set is the transitive closure of the union of theirs: the
-    entrywise maximum P of the two profiles, closed under
-    P[i][r][l] >= P[j][P[i][r][j] - 1][l] for symbols i < j < l.  Rows
-    of larger symbols are closed first and each row is raised in ascending
-    j, so every count is final before it is read and one pass suffices.
-    The word is rebuilt from the row sums, which count the larger symbols
-    before each copy: inserting symbols from n down to 1 puts each copy
-    after exactly that many larger symbols and the earlier copies of itself.
-
-    Profiles are lists: on two 12-position words, one ``_profiles`` call
-    takes about 14 us on a Xeon core and the two list profiles about 3 us.
+    Its inversion set is the transitive closure of the union of theirs.
+    Number the copies 0..N-1 in the order 1_1 < ... < n_m; one stable
+    argsort of each word gives the position of every copy.  The union is
+    the strictly upper-triangular boolean matrix inv[x, y], true when copy
+    y > x precedes copy x in s or in t.  It is closed one symbol block of
+    rows at a time, from symbol n - 1 down to 1: a row block is raised by
+    its product with the rows of the larger symbols, which are closed
+    already, so one pass suffices.  Copy x of the join then stands after
+    the row-sum(x) larger copies before it and the x - column-sum(x) smaller
+    ones.  The matrix takes N^2 bytes, and building it briefly twice that.
     """
-    prof = [
-        [list(map(max, a, b)) for a, b in zip(rows_s, rows_t)]
-        for rows_s, rows_t in zip(_profile(s, n), _profile(t, n))
-    ]
-    for i in range(n - 1, 0, -1):
-        for row in prof[i]:
-            for j in range(i + 1, n):
-                c = row[j - i - 1]
-                if c:
-                    row[j - i :] = map(max, row[j - i :], prof[j][c - 1])
-    word: list[int] = []
-    for i in range(n, 0, -1):
-        for r, row in enumerate(prof[i]):
-            word.insert(sum(row) + r, i)
-    return tuple(word)
+    ps, pt = np.argsort(_word_array([s, t], n), axis=1, kind="stable")
+    size = len(ps)
+    m = size // n
+    copies = np.arange(size)
+    inv = ps[:, None] > ps
+    inv |= pt[:, None] > pt
+    inv &= copies[:, None] < copies
+    for lo in range(size - 2 * m, -1, -m):
+        hi = lo + m
+        inv[lo:hi, hi:] |= inv[lo:hi, hi:] @ inv[hi:, hi:]
+    word = np.empty(size, dtype=np.int64)
+    word[inv.sum(axis=1) + copies - inv.sum(axis=0)] = copies // m + 1
+    return tuple(word.tolist())
 
 
 def _profiles(

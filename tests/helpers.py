@@ -3,7 +3,8 @@ slow paths kept as oracles: the dense bottleneck solver, the bottleneck
 search over every candidate cost that the floor probe shortened, the
 death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
-orders and pair counts read off it, order, meet and join by reachability
+orders, pair counts and the closed Newman join read off it, order, meet and
+join by reachability
 over the covers of an enumerated lattice, the recursive word enumerator
 with its swap-and-lookup cover test, the word stream of tuples and ranks
 that the array word table replaced, vertex vectors built one word at a
@@ -206,6 +207,35 @@ def list_newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
         for rows_a, rows_b in zip(list_profile(s.word, s.n), list_profile(t.word, s.n))
         for row_a, row_b in zip(rows_a, rows_b)
     )
+
+
+def list_newman_join(s, t, n: int) -> tuple[int, ...]:
+    """The Newman join of two words of one shape over {1..n}, closed on list
+    profiles in O(n^3 m): the array join's oracle.
+
+    The entrywise maximum P of the two profiles is closed under
+    P[i][r][l] >= P[j][P[i][r][j] - 1][l] for symbols i < j < l.  Rows of
+    larger symbols are closed first and each row is raised in ascending j,
+    so every count is final before it is read.  The word is rebuilt from the
+    row sums, which count the larger symbols before each copy: inserting
+    symbols from n down to 1 puts each copy after exactly that many larger
+    symbols and the earlier copies of itself.
+    """
+    prof = [
+        [list(map(max, a, b)) for a, b in zip(rows_s, rows_t)]
+        for rows_s, rows_t in zip(list_profile(s, n), list_profile(t, n))
+    ]
+    for i in range(n - 1, 0, -1):
+        for row in prof[i]:
+            for j in range(i + 1, n):
+                c = row[j - i - 1]
+                if c:
+                    row[j - i :] = map(max, row[j - i :], prof[j][c - 1])
+    word: list[int] = []
+    for i in range(n, 0, -1):
+        for r, row in enumerate(prof[i]):
+            word.insert(sum(row) + r, i)
+    return tuple(word)
 
 
 def list_pair_counts(s: Multipermutation) -> list[list[int]]:

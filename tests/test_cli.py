@@ -169,6 +169,22 @@ def test_distance_out_of_memory_exits_4(tmp_path, metric):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_meetjoin_out_of_memory_exits_4():
+    # 32 770 positions: the join's boolean matrix over the copies alone takes
+    # 1 GiB; the child may use at most 1 GB.  Each word is a 65 KB argument
+    word = " ".join(["1 2"] * 16385)
+    proc = subprocess.run(
+        [sys.executable, "-m", "barcomb.cli", "meetjoin", "--n", "2", "--k", "14",
+         "--op", "join", word, word],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def _child(*argv):
     return subprocess.run(
         [sys.executable, "-m", "barcomb.cli", *argv], capture_output=True, text=True

@@ -14,6 +14,7 @@ from helpers import (
     dumps_vertices_json,
     fstring_dot,
     joined_vertices_csv,
+    list_newman_join,
     list_newman_leq,
     recursive_words,
     reference_lattice,
@@ -28,6 +29,7 @@ import barcomb.barcode
 import barcomb.lattice
 import barcomb.multiperm
 from barcomb import polytope
+from barcomb.barcode import generate_barcode
 from barcomb.errors import (
     BarcombError,
     InvalidLevelError,
@@ -47,7 +49,9 @@ from barcomb.lattice import (
 )
 from barcomb.multiperm import (
     Multipermutation,
+    _newman_join,
     canonicalize,
+    g_k,
     inversion_multiset,
     newman_leq,
     rank,
@@ -256,8 +260,8 @@ def test_not_an_element():
 
 @st.composite
 def canonical_triples(draw):
-    """A spec with n <= 12 and k <= 2 and three canonical words of its shape."""
-    spec = LatticeSpec(draw(st.integers(1, 12)), draw(st.integers(0, 2)))
+    """A spec with n <= 40 and k <= 2 and three canonical words of its shape."""
+    spec = LatticeSpec(draw(st.integers(1, 40)), draw(st.integers(0, 2)))
     base = [sym for sym in range(1, spec.n + 1) for _ in range(spec.m)]
     return (spec, *(canonicalize(W(tuple(draw(st.permutations(base))))) for _ in range(3)))
 
@@ -284,6 +288,36 @@ def test_meet_join_laws_beyond_enumeration(triple):
     assert m(s, s) == s and j(s, s) == s
     assert m(s, hi) == s and j(s, lo) == s  # absorption
     assert (lo == s) == newman_leq(s, t) == (hi == t)
+
+
+@st.composite
+def word_pairs(draw):
+    """n and two words of one shape over {1..n}, canonical or not, with
+    n <= 12 and m in {1, 2, 3, 5, 9}."""
+    n, m = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3, 5, 9]))
+    letters = [sym for sym in range(1, n + 1) for _ in range(m)]
+    return n, tuple(draw(st.permutations(letters))), tuple(draw(st.permutations(letters)))
+
+
+@settings(deadline=None)
+@given(word_pairs())
+def test_newman_join_matches_list_closure(case):
+    # meet joins reversed words, so the join must hold on every word
+    n, s, t = case
+    got = _newman_join(s, t, n)
+    assert got == list_newman_join(s, t, n)
+    assert all(type(sym) is int for sym in got)
+    assert W._of_valid_word(got) == W(got)
+
+
+def test_newman_join_matches_list_closure_on_200_bars():
+    spec = LatticeSpec(200, 0)
+    s, t = (g_k(generate_barcode(200, seed=seed, k=0), 0) for seed in (1, 2))
+    lo, hi = meet(s, t, spec, spec.positions), join(s, t, spec, spec.positions)
+    assert hi.word == list_newman_join(s.word, t.word, 200)
+    assert lo.word == list_newman_join(s.word[::-1], t.word[::-1], 200)[::-1]
+    assert hi == W(hi.word) and lo == W(lo.word)
+    assert lo != hi and newman_leq(lo, s) and newman_leq(t, hi)
 
 
 def test_size_cap():
