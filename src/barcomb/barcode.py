@@ -218,11 +218,14 @@ def generate_barcode(
     ``contained`` the first bar is widened to contain all the others.  The
     result is rejection-sampled until it verifies as k-strict, which for
     continuous draws almost always succeeds on the first try; after
-    ``_MAX_DRAWS`` draws RetriesExhaustedError.  TooLargeError, before the
-    first draw, when the level would exceed ``MAX_SAMPLE_POINTS``.
+    ``_MAX_DRAWS`` draws RetriesExhaustedError.  InvalidBarError unless
+    n >= 1 and ``spread`` is finite and positive, and TooLargeError, before
+    the first draw, when the level would exceed ``MAX_SAMPLE_POINTS``.
     """
     if n < 1:
         raise InvalidBarError("need n >= 1")
+    if not 0 < spread < math.inf:
+        raise InvalidBarError(f"need a finite spread > 0, got {spread}")
     require_level_size(n, k, "sample points")
     rng = SplitMix64(seed)
     for _ in range(_MAX_DRAWS):

@@ -48,6 +48,7 @@ from .barcode import (
 )
 from .errors import (
     DegenerateBarError,
+    InvalidBarError,
     InvalidQError,
     NotStrictError,
     PreconditionFailedError,
@@ -373,9 +374,12 @@ def perturb_preserving_invariant(
     [-magnitude, magnitude) drawn from a seeded deterministic stream; draws
     are rejected until the result is k-strict with the same level-k
     invariant as the input, and after ``_MAX_DRAWS`` draws
-    RetriesExhaustedError.  Deterministic given (barcode, magnitude, k,
-    seed).
+    RetriesExhaustedError; InvalidBarError, before any draw, unless
+    ``magnitude`` is finite and at least 0.  Deterministic given (barcode,
+    magnitude, k, seed).
     """
+    if not 0 <= magnitude < np.inf:
+        raise InvalidBarError(f"need a finite magnitude >= 0, got {magnitude}")
     target = g_k(barcode, k)
     rng = SplitMix64(seed)
     for _ in range(_MAX_DRAWS):

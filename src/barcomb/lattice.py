@@ -11,7 +11,9 @@ relabeling at a time.
 An enumerated lattice is arrays end to end.  One private builder,
 ``_word_table``, returns the words as the rows of one array in
 lexicographic order, with their ranks, so indices, Hasse diagrams, vertex
-vectors and DOT/JSON output are byte-stable.  Covers are adjacent swaps of
+vectors and DOT/JSON output are byte-stable.  It numbers the copies of
+each symbol as ``iota`` does, so its rows are the polytope's vertices, and
+``_label_words`` reads the words from them.  Covers are adjacent swaps of
 an increasing symbol pair whose result is still canonical; ``_covers``
 writes them as (lower index, upper index) rows of one array, found by
 binary search over the words read as numbers, and ``index_of`` searches
@@ -97,13 +99,15 @@ def top_element(spec: LatticeSpec) -> Multipermutation:
 
 
 def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical words of {1^m .. n^m} as the rows of a count x N array
-    in ``_word_array``'s dtype, in lexicographic order, and their ranks in
-    the narrowest unsigned dtype that holds the top's.
+    """The canonical words of {1^m .. n^m} in lexicographic order, as the
+    rows of a count x N array of copy labels (copy r of symbol s is
+    (s - 1) * m + r) in the narrowest unsigned dtype that holds N, and their
+    ranks in the narrowest unsigned dtype that holds the top's.
 
     A symbol may start only after the previous symbol has appeared, which
-    yields exactly the canonical words.  The rank is carried along: placing
-    symbol s adds the number of larger symbols already placed.
+    yields exactly the canonical words.  The label and the rank are carried
+    along: with ``left`` copies of s to place the next is copy m - left + 1,
+    and placing s adds the number of larger symbols already placed.
 
     The completions of a prefix, and what they add to its rank, depend only
     on the counts still to place and on the largest symbol placed.  So the
@@ -113,16 +117,16 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     size = n * m
     split = size - size // 2
-    symbol = np.min_scalar_type(n)
+    label = np.min_scalar_type(size)
     rank = np.min_scalar_type(n * (n - 1) // 2 * (m - 1) * m)
 
     def moves(rem: tuple[int, ...], seen: int):
-        """Each next symbol s with the state after it and its rank step."""
+        """Each next copy label with the state after it and its rank step."""
         for s in range(1, min(n, seen + 1) + 1):
             left = rem[s - 1]
             if left:
                 larger_placed = m * (n - s) - sum(rem[s:])
-                yield s, rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s), larger_placed
+                yield s * m - left + 1, rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s), larger_placed
 
     tails: dict[tuple[tuple[int, ...], int], tuple[list, list]] = {}
 
@@ -131,9 +135,9 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         key = (rem, seen)
         if key not in tails:
             words, steps = ([], []) if any(rem) else ([()], [0])
-            for s, after, after_seen, step in moves(rem, seen):
+            for copy, after, after_seen, step in moves(rem, seen):
                 sub_words, sub_steps = tail(after, after_seen)
-                head = (s,)
+                head = (copy,)
                 words += [head + w for w in sub_words]
                 steps += [step + r for r in sub_steps]
             tails[key] = (words, steps)
@@ -145,8 +149,8 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         if len(prefix) == split:
             heads.append((prefix, (rem, seen), rnk))
             return
-        for s, after, after_seen, step in moves(rem, seen):
-            walk(prefix + (s,), after, after_seen, rnk + step)
+        for copy, after, after_seen, step in moves(rem, seen):
+            walk(prefix + (copy,), after, after_seen, rnk + step)
 
     walk((), (m,) * n, 0, 0)
     prefixes, states, offsets = zip(*heads)
@@ -154,15 +158,21 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     for state in states:
         if state not in tables:
             words, steps = tail(*state)
-            tables[state] = np.array(words, symbol), np.array(steps, rank)
+            tables[state] = np.array(words, label), np.array(steps, rank)
     completions = [tables[state] for state in states]
     counts = [len(r) for _, r in completions]
-    words = np.empty((sum(counts), size), symbol)
-    words[:, :split] = np.repeat(np.array(prefixes, symbol), counts, axis=0)
-    words[:, split:] = np.concatenate([w for w, _ in completions])
+    labels = np.empty((sum(counts), size), label)
+    labels[:, :split] = np.repeat(np.array(prefixes, label), counts, axis=0)
+    labels[:, split:] = np.concatenate([w for w, _ in completions])
     ranks = np.repeat(np.array(offsets, rank), counts)
     ranks += np.concatenate([r for _, r in completions])
-    return words, ranks
+    return labels, ranks
+
+
+def _label_words(labels, m: int) -> np.ndarray:
+    """Rows of ``_word_table``'s copy labels as the words they label."""
+    symbols = (np.asarray(labels) - 1) // m + 1
+    return _word_array(symbols, int(symbols.max(initial=0)))
 
 
 def _word_keys(words: np.ndarray, n: int) -> np.ndarray:
@@ -298,8 +308,11 @@ def _collector_paused():
 
 def _narrowest(values) -> np.ndarray:
     """Non-negative integers as an array of the narrowest unsigned dtype that
-    holds them, so equal values have equal bytes."""
+    holds them, so equal values have equal bytes; ValueError on a negative
+    one, which the cast would wrap."""
     values = np.asarray(values)
+    if values.min(initial=0) < 0:
+        raise ValueError(f"need non-negative integers, got {values.min()}")
     return values.astype(np.min_scalar_type(int(values.max(initial=0))), copy=False)
 
 
@@ -478,7 +491,8 @@ def enumerate_lattice(
 ) -> HasseDiagram:
     """All canonical words with cover edges and ranks, in lexicographic order."""
     _check_cap(spec, cap)
-    words, ranks = _word_table(spec.n, spec.m)
+    labels, ranks = _word_table(spec.n, spec.m)
+    words = _label_words(labels, spec.m)
     return HasseDiagram(spec, words, _covers(words, spec.n), ranks)
 
 
@@ -560,7 +574,7 @@ def verify_ideal_isomorphism(
     _check_cap(spec, cap)
     n = spec.n
     top = top_element(spec).word
-    words, _ = _word_table(n, spec.m)
+    words = _label_words(_word_table(n, spec.m)[0], spec.m)
     identity = tuple(range(1, n + 1))
     ideal, total, missing = 0, 0, []
     for p in permutations(identity):

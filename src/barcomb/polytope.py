@@ -3,11 +3,10 @@
 Each lattice element embeds into the ambient permutation-vector space of
 dimension N = n * (2^k + 1): distinguish copies, identify the symbol-copies
 with 1..N in their total order, and read off the rank occupying each
-position.  The polytope is the convex hull of these vectors.  They are
-labelled from the lattice's word table, one row per element, in blocks of
-rows: copy r of symbol s is (s - 1) * m + r, where r is a running count of
-s along the word, one pass per symbol.  The dimension and both writers read
-that array.
+position.  The polytope is the convex hull of these vectors.  They are the
+rows of the lattice's word table, which numbers copy r of symbol s as
+(s - 1) * m + r while it builds the words, so the vertices are that array
+as it is.  The dimension and both writers read it.
 
 Its affine dimension is computed two independent ways.  The first is the
 exact rank of the difference vectors D (one row per vertex but the first):
@@ -32,6 +31,7 @@ from .lattice import (
     _frozen,
     _joined,
     _json_rows,
+    _label_words,
     _text,
     _word_table,
     top_element,
@@ -79,38 +79,15 @@ class VertexSet:
 
 def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
     """One vertex per lattice element, in element (lexicographic) order, in
-    the narrowest unsigned dtype.
-
-    Copy r of symbol s becomes (s - 1) * m + r, so each word's vector lists
-    these labels in word order.  Words are labelled in blocks of at most
-    ``multiperm._CELLS`` positions, held one row per position, with one pass
-    per symbol s: a running count of s down the positions, in the vectors'
-    dtype, numbers its copies r, and the positions of s get (s - 1) * m + r.
-    The count is one vector add per position, since ``np.cumsum`` along
-    rows this short costs many times more.
-    """
+    the narrowest unsigned dtype: the rows of the lattice's word table, which
+    labels copy r of symbol s as (s - 1) * m + r in word order."""
     _check_cap(spec, cap)
-    words, _ = _word_table(spec.n, spec.m)
-    vectors = np.empty(words.shape, dtype=np.min_scalar_type(spec.positions))
-    step = multiperm._CELLS // spec.positions or 1
-    for start in range(0, len(words), step):
-        columns = np.ascontiguousarray(words[start : start + step].T)
-        labels = np.zeros(columns.shape, vectors.dtype)
-        for s in range(1, spec.n + 1):
-            mask = columns == s
-            copies = mask.astype(vectors.dtype)
-            for p in range(1, len(copies)):
-                copies[p] += copies[p - 1]
-            copies += (s - 1) * spec.m
-            copies *= mask
-            labels += copies
-        vectors[start : start + step] = labels.T
-    return VertexSet(spec.positions, vectors)
+    return VertexSet(spec.positions, _word_table(spec.n, spec.m)[0])
 
 
 def word_from_vector(vec: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Invert the embedding: recover the word from a vertex vector."""
-    return tuple((v - 1) // m + 1 for v in vec)
+    return tuple(_label_words(vec, m).tolist())
 
 
 def integer_rank(rows: list[list[int]]) -> int:

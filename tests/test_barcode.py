@@ -306,6 +306,14 @@ def test_generate_barcode_checks_its_size_before_drawing(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("spread", [0.0, -1.0, float("nan"), float("inf")])
+def test_generate_barcode_needs_a_finite_positive_spread(monkeypatch, spread):
+    # every bar would be degenerate or non-finite, so nothing is drawn
+    monkeypatch.setattr(barcomb.barcode, "SplitMix64", None)
+    with pytest.raises(InvalidBarError, match="finite spread > 0"):
+        generate_barcode(3, seed=1, k=1, spread=spread)
+
+
 def test_csv_round_trip():
     text = format_barcode_csv(B1)
     assert parse_barcode_csv(text) == B1

@@ -552,6 +552,14 @@ def test_gen_spread(capsys):
     assert all(-1.0 <= v <= 2.0 for v in values)
 
 
+@pytest.mark.parametrize("spread", ["0", "-1", "nan", "inf"])
+def test_gen_refuses_a_spread_that_is_not_finite_and_positive(capsys, spread):
+    assert main(["gen", "--n", "3", "--seed", "1", "--k", "1", f"--spread={spread}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"barcomb: need a finite spread > 0, got {float(spread)}\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "barcomb.cli", "polytope", "--n", "2", "--k", "1"],

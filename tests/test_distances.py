@@ -21,6 +21,7 @@ from barcomb.distances import (
 )
 from barcomb.errors import (
     DegenerateBarError,
+    InvalidBarError,
     InvalidQError,
     PreconditionFailedError,
     RetriesExhaustedError,
@@ -303,6 +304,16 @@ def test_perturb_preserving_invariant(monkeypatch):
     monkeypatch.setattr(barcomb.distances, "_MAX_DRAWS", 0)
     with pytest.raises(RetriesExhaustedError):
         perturb_preserving_invariant(base, gap, 2, seed=3)
+
+
+@pytest.mark.parametrize("magnitude", [-0.5, -math.inf, math.inf, math.nan])
+def test_perturb_needs_a_finite_non_negative_magnitude(monkeypatch, magnitude):
+    # refused before the first draw, not after _MAX_DRAWS of them (0.3 s
+    # at 20 bars) with RetriesExhaustedError
+    base = generate_barcode(20, seed=1, k=1)
+    monkeypatch.setattr(barcomb.distances, "SplitMix64", None)
+    with pytest.raises(InvalidBarError, match="finite magnitude >= 0"):
+        perturb_preserving_invariant(base, magnitude, 1, seed=5)
 
 
 def test_aligned_distance_decays_with_level():

@@ -469,22 +469,28 @@ CAPPED_SPECS = [
 
 @pytest.mark.parametrize("n,k", CAPPED_SPECS)
 def test_word_table_and_vertices_match_stream_oracles(n, k):
-    # the array table against the stream of tuples it replaced, and the
-    # vectors against the loop over each word, a chunk of words at a time;
-    # the oracles build millions of tuples, which the collector would walk
+    # the label table, read as words, against the stream of tuples it
+    # replaced, and the labels and vectors against the loop over each word,
+    # a chunk of words at a time; the oracles build millions of tuples,
+    # which the collector would walk
     spec = LatticeSpec(n, k)
-    words, ranks = barcomb.lattice._word_table(n, spec.m)
+    labels, ranks = barcomb.lattice._word_table(n, spec.m)
+    words = barcomb.lattice._label_words(labels, spec.m)
     vectors = polytope.vertices(spec, cap=spec.positions).vectors
+    assert labels.dtype == np.min_scalar_type(spec.positions)
     assert words.dtype == np.min_scalar_type(n) and words.shape[1] == spec.positions
+    every_label = np.arange(1, spec.positions + 1)
     stream, start = word_stream(n, spec.m), 0
     with barcomb.lattice._collector_paused():
         while chunk := list(itertools.islice(stream, 1 << 15)):
             chunk_words, chunk_ranks = zip(*chunk)
             rows = slice(start, start + len(chunk))
+            assert (np.sort(labels[rows], axis=1) == every_label).all()
             assert list(map(tuple, words[rows].tolist())) == list(chunk_words)
             assert ranks[rows].tolist() == list(chunk_ranks)
-            want = word_vectors(chunk_words, n, spec.m)
-            assert list(map(tuple, vectors[rows].tolist())) == list(want)
+            want = list(word_vectors(chunk_words, n, spec.m))
+            assert list(map(tuple, labels[rows].tolist())) == want
+            assert list(map(tuple, vectors[rows].tolist())) == want
             start += len(chunk)
     assert start == len(words) == len(ranks) == len(vectors)
 
@@ -494,7 +500,8 @@ def test_relabeled_word_stream_is_the_full_lattice(n, k):
     # the ideal check reads the full multinomial lattice as the n!
     # relabelings of the canonical words, each word exactly once
     m = (1 << k) + 1
-    canonical = [W(tuple(w)) for w in barcomb.lattice._word_table(n, m)[0].tolist()]
+    labels = barcomb.lattice._word_table(n, m)[0]
+    canonical = [W(tuple(w)) for w in barcomb.lattice._label_words(labels, m).tolist()]
     relabeled = [
         relabel(s, p).word for p in itertools.permutations(range(1, n + 1))
         for s in canonical
@@ -603,6 +610,17 @@ def test_emitters_of_hand_built_diagrams(index):
     # the tuples built for the oracles do not enter equality or hashing
     again = hand_built_diagrams()[index]
     assert diagram == again and hash(diagram) == hash(again)
+
+
+@pytest.mark.parametrize(
+    "covers,ranks",
+    [([(-1, 0), (1, 2)], [0, 1, 2]), ([(0, 1)], [0, 1, -2]), ([], [0, 1, -(2**70)])],
+)
+def test_negative_cover_indices_and_ranks_are_refused(covers, ranks):
+    # an unsigned cast would store -1 as 255 and write "n255 -> n0"
+    two = enumerate_lattice(LatticeSpec(2, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        HasseDiagram(two.spec, two.words, covers, ranks)
 
 
 @pytest.mark.parametrize("cells", [1, 1000, 3000])

@@ -10,8 +10,6 @@ from helpers import (
     joined_vertices_csv,
     reference_vertices,
     text_mismatch,
-    word_stream,
-    word_vectors,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,20 +165,9 @@ def test_vertices_and_dimension_match_oracles(n, k):
     assert text_mismatch(format_vertices_json(vs), dumps_vertices_json(vs)) is None
 
 
-@pytest.mark.parametrize("cells", [1, 50, 333])
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 1)])
-def test_vertices_in_row_blocks_match_per_word_vectors(monkeypatch, n, k, cells):
-    # 126 and 280 elements of 10 and 9 positions: from one row per block up
-    spec = LatticeSpec(n, k)
-    monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
-    words = (word for word, _ in word_stream(n, spec.m))
-    want = VertexSet(spec.positions, tuple(word_vectors(words, n, spec.m)))
-    assert vertices(spec) == want
-
-
 def test_vertex_labels_beyond_one_byte():
-    # 257 positions: the labels need uint16, and a running count kept in
-    # any narrower dtype would wrap at copy 256
+    # 257 positions: the word table's labels need uint16, and a copy label
+    # kept in any narrower dtype would wrap at copy 256
     spec = LatticeSpec(1, 8)
     vs = vertices(spec, cap=257)
     assert vs.vectors.dtype == np.uint16
