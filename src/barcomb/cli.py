@@ -170,9 +170,9 @@ def _cmd_polytope(args) -> int:
     vertex_set = poly.vertices(spec, args.cap)
     if args.vertices:
         if bc.format_from_extension(args.vertices) == "json":
-            _write(args.vertices, [poly.format_vertices_json(vertex_set), "\n"])
+            _write(args.vertices, chain(poly.vertices_json_chunks(vertex_set), ["\n"]))
         else:
-            _write(args.vertices, [poly.format_vertices_csv(vertex_set)])
+            _write(args.vertices, poly.vertices_csv_chunks(vertex_set))
     if args.dim or not args.vertices:
         _print_json(poly._dimension_report(spec, vertex_set))
     return 0

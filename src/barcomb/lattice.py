@@ -22,13 +22,14 @@ and builds its tuples of elements, covers and ranks only when they are
 asked for.
 
 The DOT and JSON emitters, and the vertex writers of ``barcomb.polytope``,
-format no line in Python.  One private kernel, ``_text``, writes each
+format no line in Python.  One private kernel, ``_text_blocks``, writes each
 table from the arrays: the rows are the rows of a byte matrix that starts
 from the constant text, the integer columns get their decimal digits one
 digit column at a time, and dropping the NUL padding leaves the text, equal
 byte for byte to ``json.dumps`` and to per-line f-strings.  The text comes
-in blocks of a few MB (``HasseDiagram.dot_chunks`` and ``json_chunks``), so
-a large diagram can be written without holding all of it.
+in blocks of a few MB (``HasseDiagram.dot_chunks`` and ``json_chunks``, and
+the vertex writers' chunks), so a large diagram or vertex table can be
+written without holding all of it.
 
 Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman
@@ -227,16 +228,6 @@ def _digits(field: np.ndarray) -> int:
     return len(str(field.max())) if field.dtype == object else 3 * field.itemsize
 
 
-def _text(rows: int, fields: Sequence[str | np.ndarray]) -> str:
-    """``rows`` lines of text, each the concatenation of ``fields``: the
-    blocks of ``_text_blocks`` joined.
-
-    >>> _text(3, ["n", np.array([0, 7, 12]), " -> ", np.array([5, 10, 9]), ";"])
-    'n0 -> 5;n7 -> 10;n12 -> 9;'
-    """
-    return "".join(_text_blocks(rows, fields))
-
-
 def _text_blocks(rows: int, fields: Sequence[str | np.ndarray]) -> Iterator[str]:
     """``rows`` lines of text, each the concatenation of ``fields``, in
     blocks of whole lines.
@@ -250,6 +241,10 @@ def _text_blocks(rows: int, fields: Sequence[str | np.ndarray]) -> Iterator[str]
     constants, and each integer is right-aligned in as many columns as the
     largest of its field in the block has digits, after NUL bytes.  Dropping
     the NUL bytes leaves the text.
+
+    >>> fields = ["n", np.array([0, 7, 12]), " -> ", np.array([5, 10, 9]), ";"]
+    >>> "".join(_text_blocks(3, fields))
+    'n0 -> 5;n7 -> 10;n12 -> 9;'
     """
     numbers = [field for field in fields if not isinstance(field, str)]
     if not numbers:
@@ -458,7 +453,7 @@ class HasseDiagram:
 
 
 def _joined(rows: np.ndarray, separator: str) -> list:
-    """The columns of an integer matrix as ``_text`` fields, with
+    """The columns of an integer matrix as ``_text_blocks`` fields, with
     ``separator`` between them."""
     return [field for column in rows.T for field in (separator, column)][1:]
 

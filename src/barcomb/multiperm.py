@@ -40,10 +40,12 @@ symbol relabeling, so orbits are always materialized as their canonical
 representative and never as a separate type.
 
 Barcode maps: ``f_k`` reads off the bar labels of the sorted level-k sample
-points of a k-strict barcode, sorted once; ``g_k`` is its canonicalization,
-the labeling- and scale-invariant of the barcode at level k.  The
-death-order permutation ``phi`` is read off g_0.  Copy indices come from
-``iota`` alone.
+points of a k-strict barcode, an array that ``require_k_strict`` sorts once;
+``g_k`` is its canonicalization, the labeling- and scale-invariant of the
+barcode at level k, relabeled on the array by ``_canonical``, the one
+first-occurrence relabeling that ``canonicalize`` uses too.  The
+death-order permutation ``phi`` is read off g_0.  ``delta_k`` and
+``phi`` read copy indices from one stable argsort (``_copies``).
 """
 
 from __future__ import annotations
@@ -157,8 +159,7 @@ def f_k(barcode: Barcode, k: int) -> Multipermutation:
     The result has alphabet size n = number of bars and multiplicity
     m = 2^k + 1.  Raises NotStrictError when sample points collide.
     """
-    points = require_k_strict(barcode, k)
-    return Multipermutation._of_valid_word(tuple(label for _, label in points))
+    return Multipermutation._of_valid_word(tuple(require_k_strict(barcode, k).tolist()))
 
 
 def relabel(s: Multipermutation, pi: Sequence[int]) -> Multipermutation:
@@ -186,8 +187,21 @@ def canonicalize(s: Multipermutation) -> Multipermutation:
     >>> str(canonicalize(Multipermutation((2, 1, 4, 1, 3, 3, 2, 4))))
     '1 2 3 2 4 4 1 3'
     """
-    labels = {sym: new for new, sym in enumerate(dict.fromkeys(s.word), start=1)}
-    return Multipermutation._of_valid_word(tuple(map(labels.__getitem__, s.word)))
+    word = _canonical(_word_array(s.word, s.n), s.m)
+    return Multipermutation._of_valid_word(tuple(word.tolist()))
+
+
+def _canonical(word: np.ndarray, m: int) -> np.ndarray:
+    """A word over {1..n} with every symbol m times, relabeled by first
+    occurrence: the symbol whose first occurrence comes r-th becomes r.
+
+    One stable argsort lists the positions symbol by symbol in word order,
+    so every m-th of them is a first occurrence.
+    """
+    firsts = np.sort(np.argsort(word, kind="stable")[::m])
+    new = np.empty(len(firsts) + 1, dtype=word.dtype)
+    new[word[firsts]] = np.arange(1, len(firsts) + 1)
+    return new[word]
 
 
 def g_k(barcode: Barcode, k: int) -> Multipermutation:
@@ -196,7 +210,8 @@ def g_k(barcode: Barcode, k: int) -> Multipermutation:
     Unchanged under bar relabeling and under increasing affine maps of the
     real line; orbit equality is representative equality.
     """
-    return canonicalize(f_k(barcode, k))
+    word = _canonical(require_k_strict(barcode, k), (1 << k) + 1)
+    return Multipermutation._of_valid_word(tuple(word.tolist()))
 
 
 def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -380,14 +395,24 @@ def delta_k(s: Multipermutation) -> Multipermutation:
         raise ShapeMismatchError(
             f"multiplicity {m} is not 2^(k+1)+1 for any k >= 0"
         )
-    return Multipermutation._of_valid_word(
-        tuple(sym for sym, copy in iota(s) if copy % 2)
-    )
+    word, copies = _copies(s)
+    return Multipermutation._of_valid_word(tuple(word[copies % 2 == 0].tolist()))
+
+
+def _copies(s: Multipermutation) -> tuple[np.ndarray, np.ndarray]:
+    """The word as an array, and the copy index, counted from 0, at each of
+    its positions: one stable argsort lists the positions symbol by symbol
+    in copy order."""
+    word = _word_array(s.word, s.n)
+    copies = np.empty(len(word), dtype=np.intp)
+    copies[np.argsort(word, kind="stable")] = np.arange(len(word)) % s.m
+    return word, copies
 
 
 def second_occurrence_subword(s: Multipermutation) -> tuple[int, ...]:
     """The symbols at their second occurrences, in word order."""
-    return tuple(sym for sym, copy in iota(s) if copy == 2)
+    word, copies = _copies(s)
+    return tuple(word[copies == 1].tolist())
 
 
 def phi(barcode: Barcode) -> tuple[int, ...]:

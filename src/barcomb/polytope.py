@@ -6,7 +6,8 @@ with 1..N in their total order, and read off the rank occupying each
 position.  The polytope is the convex hull of these vectors.  They are the
 rows of the lattice's word table, which numbers copy r of symbol s as
 (s - 1) * m + r while it builds the words, so the vertices are that array
-as it is.  The dimension and both writers read it.
+as it is.  The dimension and both writers read it; the writers yield the
+text in blocks of a few MB, which the CLI writes as they come.
 
 Its affine dimension is computed two independent ways.  The first is the
 exact rank of the difference vectors D (one row per vertex but the first):
@@ -21,6 +22,8 @@ fully nested permutation.  Both equal N - 2 whenever n >= 2.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from . import multiperm
@@ -32,7 +35,7 @@ from .lattice import (
     _joined,
     _json_rows,
     _label_words,
-    _text,
+    _text_blocks,
     _word_table,
     top_element,
 )
@@ -156,8 +159,8 @@ def affine_dimension(vertex_set: VertexSet) -> int:
     of the differences to the first vertex, from their Gram matrix."""
     vecs = vertex_set.vectors
     # a signed dtype with room for every difference, or Python integers
-    vecs = vecs.astype(np.min_scalar_type(-2 * _largest(vecs) - 1), copy=False)
-    return _gram_rank(vecs[1:] - vecs[0])
+    signed = np.min_scalar_type(-2 * _largest(vecs) - 1)
+    return _gram_rank(np.subtract(vecs[1:], vecs[0], dtype=signed))
 
 
 def pi_partition_blocks(spec: LatticeSpec) -> int:
@@ -204,12 +207,26 @@ def _dimension_report(spec: LatticeSpec, vertex_set: VertexSet) -> dict:
     }
 
 
+def vertices_csv_chunks(vertex_set: VertexSet) -> Iterator[str]:
+    """``format_vertices_csv`` in blocks of whole lines of at most a few MB,
+    like ``HasseDiagram.dot_chunks``."""
+    vecs = vertex_set.vectors
+    if not len(vecs):
+        yield "\n"  # no vectors: one empty line
+        return
+    yield from _text_blocks(len(vecs), [*_joined(vecs, ","), "\n"])
+
+
+def vertices_json_chunks(vertex_set: VertexSet) -> Iterator[str]:
+    """``format_vertices_json`` in pieces of at most a few MB."""
+    return _json_rows(vertex_set.vectors)
+
+
 def format_vertices_csv(vertex_set: VertexSet) -> str:
     """One line per vector, its entries separated by commas."""
-    vecs = vertex_set.vectors
-    return _text(len(vecs), [*_joined(vecs, ","), "\n"]) or "\n"  # none: one empty line
+    return "".join(vertices_csv_chunks(vertex_set))
 
 
 def format_vertices_json(vertex_set: VertexSet) -> str:
     """``json.dumps`` of the vectors as a list of lists."""
-    return "".join(_json_rows(vertex_set.vectors))
+    return "".join(vertices_json_chunks(vertex_set))

@@ -1,5 +1,7 @@
 """Shared test fixtures: seeded barcode factories, gap measurement, and the
-slow paths kept as oracles: the dense bottleneck solver, the bottleneck
+slow paths kept as oracles: the barcode maps as (value, label) tuples sorted
+in Python, canonicalized through a dict and halved through ``iota``, which
+the float64 sample table replaced, the dense bottleneck solver, the bottleneck
 search over every candidate cost that the floor probe shortened, the
 death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
@@ -28,6 +30,7 @@ from barcomb.distances import (
     _witness,
     bottleneck_cost,
 )
+from barcomb.errors import NotStrictError
 from barcomb.lattice import HasseDiagram, LatticeSpec
 from barcomb.multiperm import Multipermutation, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
@@ -45,6 +48,49 @@ def min_gap(barcode: Barcode, k: int) -> float:
     """Smallest spacing between level-k sample points."""
     values = sorted(v for v, _ in sample_points(barcode, k))
     return min(b - a for a, b in zip(values, values[1:]))
+
+
+def tuple_sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
+    """The level-k sample points as (value, label) tuples, grouped by bar,
+    each from birth + l * (death - birth) / 2^k in Python floats."""
+    step = 1 << k
+    points = []
+    for label, bar in enumerate(barcode.bars, start=1):
+        length = bar.death - bar.birth
+        for ell in range(step + 1):
+            points.append((bar.birth + ell * length / step, label))
+    return points
+
+
+def tuple_require_k_strict(barcode: Barcode, k: int) -> list[tuple[float, int]]:
+    """The sorted sample-point tuples; NotStrictError listing every adjacent
+    pair of equal points, if any two coincide."""
+    points = sorted(tuple_sample_points(barcode, k))
+    collisions = [(p, q) for p, q in zip(points, points[1:]) if p[0] == q[0]]
+    if collisions:
+        raise NotStrictError(k, collisions)
+    return points
+
+
+def tuple_f_k(barcode: Barcode, k: int) -> tuple[int, ...]:
+    """The labels of the sorted sample-point tuples."""
+    return tuple(label for _, label in tuple_require_k_strict(barcode, k))
+
+
+def dict_canonicalize(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabel by first occurrence through a dict of first occurrences."""
+    labels = {sym: new for new, sym in enumerate(dict.fromkeys(word), start=1)}
+    return tuple(map(labels.__getitem__, word))
+
+
+def iota_delta_k(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The symbols at their odd-numbered copies, read off ``iota``."""
+    return tuple(sym for sym, copy in iota(word) if copy % 2)
+
+
+def iota_second_occurrences(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The symbols at their second copies, read off ``iota``."""
+    return tuple(sym for sym, copy in iota(word) if copy == 2)
 
 
 def star_barcode(n: int, k: int, rng: random.Random) -> Barcode:

@@ -155,13 +155,36 @@ def test_strictness_is_exact_distinctness(bars, k):
         (p, q) for p, q in zip(points, points[1:]) if p[0] == q[0]
     )
     assert is_k_strict(barcode, k) == distinct
+    assert sorted(sample_points(barcode, k)) == points
     if distinct:
-        assert require_k_strict(barcode, k) == points
+        assert require_k_strict(barcode, k).tolist() == [label for _, label in points]
     else:
         with pytest.raises(NotStrictError) as info:
             require_k_strict(barcode, k)
         assert info.value.k == k
         assert info.value.collisions == adjacent_equal
+
+
+BIG = (-1e308, 1e308)  # finite endpoints, but death - birth overflows to inf
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("pairs", [[(0, 1), BIG], [BIG, (0, 1)]])
+def test_an_overflowing_bar_length_is_refused_naming_the_bar(pairs, k):
+    # its points would be nan (l = 0) and inf, which no sort orders
+    barcode = Barcode.from_pairs(pairs)
+    label = pairs.index(BIG) + 1
+    for call in (sample_points, require_k_strict, is_k_strict, g_k):
+        with pytest.raises(InvalidBarError, match=rf"^bar {label} \(-1e\+308, 1e\+308\)"):
+            call(barcode, k)
+
+
+def test_a_point_past_the_double_range_is_refused_at_its_level():
+    # the length 1e308 is finite, but l * length overflows once l >= 2
+    barcode = Barcode.from_pairs([(-1, 1), (0, 1e308)])
+    assert g_k(barcode, 0).word == (1, 2, 1, 2)
+    with pytest.raises(InvalidBarError, match="^bar 2 "):
+        g_k(barcode, 1)
 
 
 def test_crossing_number_cases():
@@ -206,7 +229,8 @@ def test_require_k_strict_returns_the_sorted_points():
     for _ in range(20):
         bc = random_barcode(rng, rng.randint(1, 6))
         for k in range(3):
-            assert require_k_strict(bc, k) == sorted(sample_points(bc, k))
+            labels = [label for _, label in sorted(sample_points(bc, k))]
+            assert require_k_strict(bc, k).tolist() == labels
     with pytest.raises(NotStrictError):
         require_k_strict(Barcode.from_pairs([(-1, 1), (-2, 2)]), 1)
 

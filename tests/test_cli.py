@@ -89,17 +89,42 @@ def test_rank(capsys, b1, tmp_path):
     assert run(capsys, "rank", "--input", str(disjoint), "--k", "0") == (0, "0\n")
 
 
+@pytest.mark.parametrize("rows", ["0,1\n-1e308,1e308\n", "-1e308,1e308\n0,1\n"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--input", "A", "--k", "0"],
+        ["invariant", "--input", "A", "--k", "2", "--labeled"],
+        ["rank", "--input", "A", "--k", "0"],
+        ["bound-check", "--k", "0", "A", "A"],
+        ["bound-check", "--k", "2", "A", "A"],
+    ],
+)
+def test_an_overflowing_bar_length_exits_2_in_one_line(capsys, tmp_path, rows, argv):
+    # the long bar contains the short one, so the level-0 invariant is
+    # 1 2 2 1 and the rank 2; with the short bar first, the overflowing
+    # length gave 1 1 2 2 and rank 0, with exit 0
+    path = tmp_path / "big.csv"
+    path.write_text(rows)
+    label = 2 if rows.startswith("0") else 1
+    code = main([str(path) if arg == "A" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"barcomb: bar {label} (-1e+308, 1e+308) has a level-")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_one_sample_pass_per_barcode(capsys, b1, monkeypatch):
     # f_k, g_k and rank --verbose build and sort the sample points once;
     # crossing numbers read only the endpoints of their two bars
     calls = []
-    sample_points = barcomb.barcode.sample_points
+    sample_table = barcomb.barcode._sample_table
 
     def counted(barcode, k):
         calls.append((len(barcode), k))
-        return sample_points(barcode, k)
+        return sample_table(barcode, k)
 
-    monkeypatch.setattr(barcomb.barcode, "sample_points", counted)
+    monkeypatch.setattr(barcomb.barcode, "_sample_table", counted)
     bc = barcomb.barcode.read_barcode(b1)
     for word_map in (f_k, g_k):
         calls.clear()

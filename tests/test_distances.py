@@ -275,7 +275,7 @@ def test_bound_check_rejects_diverged_remark_pair():
 
 def test_bound_check_samples_each_barcode_once(monkeypatch):
     calls = []
-    real = barcomb.barcode.sample_points
+    real = barcomb.barcode._sample_table
 
     def spy(barcode, k):
         calls.append(k)
@@ -283,7 +283,7 @@ def test_bound_check_samples_each_barcode_once(monkeypatch):
 
     b = generate_barcode(4, seed=5, k=2, contained=True)
     moved = affine_transform(b, 3.0, -7.0)
-    monkeypatch.setattr(barcomb.barcode, "sample_points", spy)
+    monkeypatch.setattr(barcomb.barcode, "_sample_table", spy)
     check_convergence_bounds(b, moved, 2, 2.0)
     assert calls == [2, 2]
     calls.clear()

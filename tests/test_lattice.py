@@ -642,6 +642,11 @@ def test_emitters_in_small_blocks(monkeypatch, cells):
     chunks = list(diagram.dot_chunks())
     assert len(chunks) >= 2 + 280 // 44 + 672 // 136
     assert all(chunk.endswith("\n") for chunk in chunks)
+    # and so does the vertex CSV, whose 280 lines of 9 one-byte labels are
+    # budgeted 36 bytes each: blocks of 1, 27 and 83 lines
+    chunks = list(polytope.vertices_csv_chunks(vs))
+    assert len(chunks) >= 280 // max(1, cells // 36)
+    assert all(chunk.endswith("\n") for chunk in chunks)
 
 
 def test_tuples_leave_the_collector_as_they_found_it():
@@ -685,4 +690,4 @@ def test_text_matches_fstrings(table, cells):
         for i in range(rows)
     )
     with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
-        assert barcomb.lattice._text(rows, arrays) == want
+        assert "".join(barcomb.lattice._text_blocks(rows, arrays)) == want

@@ -7,17 +7,27 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    dict_canonicalize,
     inversion_set,
+    iota_delta_k,
+    iota_second_occurrences,
     list_inversion_multiset,
     list_newman_leq,
     list_prec,
+    tuple_f_k,
     two_sort_phi,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import barcomb.multiperm
-from barcomb.barcode import Barcode, affine_transform, crossing_number, is_k_strict
+from barcomb.barcode import (
+    Barcode,
+    affine_transform,
+    crossing_number,
+    is_k_strict,
+    require_k_strict,
+)
 from barcomb.cli import main
 from barcomb.errors import (
     InvalidWordError,
@@ -590,3 +600,34 @@ def test_delta_k_maps_level_k_plus_one_to_level_k(bars, k):
     barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
     assume(is_k_strict(barcode, k + 1))
     assert delta_k(f_k(barcode, k + 1)) == f_k(barcode, k)
+
+
+# Endpoints on a small integer grid make ties and shared endpoints common, as
+# in test_strictness_is_exact_distinctness; a wider grid makes most draws
+# strict.  At k <= 3 every sample point is exact in binary64.
+@given(st.sampled_from([8, 64]).flatmap(
+    lambda top: st.lists(
+        st.tuples(st.integers(0, top), st.integers(1, top)), min_size=1, max_size=8
+    )
+), st.integers(0, 3))
+def test_barcode_maps_match_the_tuple_path(bars, k):
+    barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
+    try:
+        want = tuple_f_k(barcode, k)
+    except NotStrictError as expected:
+        assert not is_k_strict(barcode, k)
+        for call in (require_k_strict, f_k, g_k):
+            with pytest.raises(NotStrictError) as info:
+                call(barcode, k)
+            assert info.value.k == k
+            assert info.value.collisions == expected.collisions
+        return
+    assert require_k_strict(barcode, k).tolist() == list(want)
+    labeled, canonical = f_k(barcode, k).word, g_k(barcode, k).word
+    assert labeled == want
+    assert canonical == dict_canonicalize(want) == canonicalize(W(want)).word
+    assert {type(sym) for sym in labeled + canonical} == {int}
+    for word in (want, canonical):
+        assert second_occurrence_subword(W(word)) == iota_second_occurrences(word)
+        if k >= 1:
+            assert delta_k(W(word)).word == iota_delta_k(word)
