@@ -1,9 +1,14 @@
 """Barcodes: finite lists of real intervals and their basic geometry.
 
 A barcode is an ordered list of bars (birth, death) with birth < death.
-Labels are implicit 1-based positions; relabeling is always explicit.  All
-values are immutable and all operations here are pure functions, so they are
-safe to share between threads.
+Labels are implicit 1-based positions; relabeling is always explicit.  A
+``Barcode`` holds its endpoints only, as one read-only n x 2 float64 array
+checked in one vectorized pass (finite, birth < death); the CSV and JSON
+parsers write that array directly, through Python's ``float`` per field, and
+the sample table, the distances and the affine maps read it, so no ``Bar``
+value is built unless one is asked for.  All values are immutable and all
+operations here are pure functions, so they are safe to share between
+threads.
 
 Levels: at level k every bar contributes the 2^k + 1 points
 
@@ -26,7 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +49,15 @@ from .errors import (
 from .rng import SplitMix64
 
 
+def _bar_problem(birth: float, death: float) -> str | None:
+    """Why (birth, death) is not a bar, or None when it is one."""
+    if not (math.isfinite(birth) and math.isfinite(death)):
+        return f"bar ({birth!r}, {death!r}) needs finite endpoints"
+    if not birth < death:
+        return f"bar ({birth!r}, {death!r}) needs birth < death"
+    return None
+
+
 @dataclass(frozen=True)
 class Bar:
     """A single interval; finite endpoints with birth < death strictly."""
@@ -52,53 +66,101 @@ class Bar:
     death: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.birth) and math.isfinite(self.death)):
-            raise InvalidBarError(
-                f"bar ({self.birth!r}, {self.death!r}) needs finite endpoints"
-            )
-        if not (self.birth < self.death):
-            raise InvalidBarError(
-                f"bar ({self.birth!r}, {self.death!r}) needs birth < death"
-            )
+        problem = _bar_problem(self.birth, self.death)
+        if problem:
+            raise InvalidBarError(problem)
 
     @property
     def length(self) -> float:
         return self.death - self.birth
 
 
-@dataclass(frozen=True)
+def _checked(ends: np.ndarray) -> np.ndarray:
+    """A fresh n x 2 float64 array of endpoints, made read-only once one
+    vectorized pass finds every row finite with birth < death.
+
+    InvalidBarError when there is no row, and otherwise with ``Bar``'s
+    message for the first row that is not a bar.
+    """
+    if len(ends) == 0:
+        raise InvalidBarError("barcode needs at least one bar")
+    births, deaths = ends.T
+    ok = (-np.inf < births) & (births < deaths) & (deaths < np.inf)
+    if not ok.all():
+        raise InvalidBarError(_bar_problem(*ends[np.argmin(ok)].tolist()))
+    ends.setflags(write=False)
+    return ends
+
+
 class Barcode:
-    """An ordered, non-empty list of bars; label i is position i (1-based)."""
+    """An ordered, non-empty list of bars; label i is position i (1-based).
 
-    bars: tuple[Bar, ...]
+    A barcode is its endpoints only: ``ends`` is a read-only n x 2 float64
+    array whose row i - 1 holds the birth and the death of bar i.
+    ``Barcode(bars)`` takes ``Bar`` values, ``from_pairs`` (birth, death)
+    pairs; ``bars`` and ``bar(label)`` build ``Bar`` values from the rows
+    when asked for.  Barcodes are equal when their arrays are equal as
+    numbers, so -0.0 equals 0.0, and equal barcodes hash alike.
+    """
 
-    def __post_init__(self):
-        if len(self.bars) == 0:
-            raise InvalidBarError("barcode needs at least one bar")
+    __slots__ = ("_ends",)
 
-    def __len__(self) -> int:
-        return len(self.bars)
+    def __init__(self, bars: Iterable[Bar]):
+        rows = [(bar.birth, bar.death) for bar in bars]
+        self._ends = _checked(np.array(rows, dtype=float).reshape(-1, 2))
 
-    def bar(self, label: int) -> Bar:
-        """The bar with 1-based label ``label``."""
-        if not 1 <= label <= len(self.bars):
-            raise InvalidLabelError(f"label {label} out of range 1..{len(self.bars)}")
-        return self.bars[label - 1]
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(b.birth, b.death) for b in self.bars]
+    @classmethod
+    def _of_ends(cls, ends: np.ndarray) -> "Barcode":
+        """The barcode of a fresh n x 2 float64 array, which it takes over
+        once ``_checked`` passes it."""
+        barcode = object.__new__(cls)
+        barcode._ends = _checked(ends)
+        return barcode
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "Barcode":
-        return cls(tuple(Bar(float(b), float(d)) for b, d in pairs))
+        rows = [(float(b), float(d)) for b, d in pairs]
+        return cls._of_ends(np.array(rows, dtype=float).reshape(-1, 2))
 
-    @cached_property
-    def _ends(self) -> np.ndarray:
-        """The births and the deaths as the two rows of a read-only 2 x n
-        float64 array, built on first use and kept."""
-        ends = np.array([[b.birth for b in self.bars], [b.death for b in self.bars]])
-        ends.setflags(write=False)
-        return ends
+    @property
+    def ends(self) -> np.ndarray:
+        return self._ends
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Barcode):
+            return NotImplemented
+        return np.array_equal(self._ends, other._ends)
+
+    def __hash__(self) -> int:
+        return hash((self._ends + 0.0).tobytes())  # -0.0 + 0.0 is 0.0
+
+    def __repr__(self) -> str:
+        return f"Barcode.from_pairs({self.pairs()!r})"
+
+    def __reduce__(self):
+        # copies and unpickled barcodes get a checked, read-only array too
+        return type(self)._of_ends, (np.array(self._ends),)
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """The bars as ``Bar`` values, built on each call."""
+        return tuple(Bar(b, d) for b, d in self._ends.tolist())
+
+    def bar(self, label: int) -> Bar:
+        """The bar with 1-based label ``label``."""
+        return Bar(*self._endpoints(label))
+
+    def _endpoints(self, label: int) -> list[float]:
+        """[birth, death] of bar ``label``; InvalidLabelError out of range."""
+        if not 1 <= label <= len(self._ends):
+            raise InvalidLabelError(f"label {label} out of range 1..{len(self._ends)}")
+        return self._ends[label - 1].tolist()
+
+    def pairs(self) -> list[tuple[float, float]]:
+        return list(map(tuple, self._ends.tolist()))
 
 
 @dataclass(frozen=True)
@@ -110,10 +172,12 @@ class IntervalGraph:
 
 
 # Sample points per level, and word positions per word read at a level.
-# Measured at the cap (838 860 bars at k = 2): ``require_k_strict`` peaks at
-# 116 MB (the float64 table, its argsort and the sorted values), and the word
-# it yields, as a tuple of Python ints, holds 144 MB and needs 280 MB more
-# while ``str`` joins its text; ``barcomb invariant`` peaks at 722 MB RSS.
+# Measured at the cap (838 860 bars at k = 2): reading the CSV file peaks at
+# 257 MB (its text, lines and fields as Python strings) and keeps 13 MB of
+# endpoints; ``require_k_strict`` peaks at 116 MB more (the float64 table, its
+# argsort and the sorted values), and ``g_k``'s word, as a tuple of Python
+# ints, holds 144 MB; ``barcomb invariant``, which writes the word's text in
+# blocks, peaks at 371 MB RSS.
 MAX_SAMPLE_POINTS = 1 << 22
 
 
@@ -145,16 +209,17 @@ def _sample_table(barcode: Barcode, k: int) -> np.ndarray:
     """
     require_level_size(len(barcode), k, "sample points")
     step = 1 << k
-    births, deaths = barcode._ends[:, :, None]
+    ends = barcode.ends
+    births, deaths = ends[:, :1], ends[:, 1:]
     with np.errstate(over="ignore", invalid="ignore"):
         points = np.arange(step + 1.0) * (deaths - births)
         points /= step
         points += births
     if not np.isfinite(points).all():
         label = int(np.argmin(np.isfinite(points).all(axis=1))) + 1
-        bar = barcode.bars[label - 1]
+        birth, death = barcode._endpoints(label)
         raise InvalidBarError(
-            f"bar {label} ({bar.birth!r}, {bar.death!r}) has a level-{k}"
+            f"bar {label} ({birth!r}, {death!r}) has a level-{k}"
             " sample point that is not finite: its length overflows"
         )
     return points
@@ -218,28 +283,28 @@ def crossing_number(barcode: Barcode, i: int, j: int) -> int:
     """
     if i == j:
         raise InvalidLabelError(f"labels must differ, got i = j = {i}")
-    first, second = barcode.bar(i), barcode.bar(j)
-    ends = (second.birth, second.death)
-    ties = [((a, i), (a, j)) for a in (first.birth, first.death) if a in ends]
+    (b1, d1), (b2, d2) = barcode._endpoints(i), barcode._endpoints(j)
+    ties = [((a, i), (a, j)) for a in (b1, d1) if a in (b2, d2)]
     if ties:
         raise NotStrictError(0, ties)
-    if second.birth < first.birth:
-        first, second = second, first
-    if first.death < second.birth:
+    if b2 < b1:
+        (b1, d1), (b2, d2) = (b2, d2), (b1, d1)
+    if d1 < b2:
         return 0
-    if first.death < second.death:
+    if d1 < d2:
         return 1
     return 2
 
 
 def interval_graph(barcode: Barcode) -> IntervalGraph:
     """Edge {i, j} iff the open intervals of bars i and j intersect."""
-    n = len(barcode)
+    pairs = barcode.pairs()
+    n = len(pairs)
     edges = set()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            a, b = barcode.bars[i - 1], barcode.bars[j - 1]
-            if max(a.birth, b.birth) < min(a.death, b.death):
+            (b1, d1), (b2, d2) = pairs[i - 1], pairs[j - 1]
+            if max(b1, b2) < min(d1, d2):
                 edges.add((i, j))
     return IntervalGraph(n, frozenset(edges))
 
@@ -248,16 +313,13 @@ def affine_transform(barcode: Barcode, alpha: float, delta: float) -> Barcode:
     """Map every bar (b, d) to (alpha*b + delta, alpha*d + delta), alpha > 0."""
     if not alpha > 0:
         raise InvalidScaleError(f"scale must be positive, got {alpha!r}")
-    return Barcode(
-        tuple(Bar(alpha * b.birth + delta, alpha * b.death + delta) for b in barcode.bars)
-    )
+    return Barcode._of_ends(alpha * barcode.ends + delta)
 
 
 def has_containing_bar(barcode: Barcode) -> bool:
     """True iff some bar contains all others (min birth and max death)."""
-    lo = min(b.birth for b in barcode.bars)
-    hi = max(b.death for b in barcode.bars)
-    return any(b.birth == lo and b.death == hi for b in barcode.bars)
+    births, deaths = barcode.ends.T
+    return bool(((births == births.min()) & (deaths == deaths.max())).any())
 
 
 _MAX_DRAWS = 1000  # barcodes drawn by ``generate_barcode`` before it gives up
@@ -314,15 +376,34 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _bar(where: str, birth: float, death: float) -> Bar:
-    try:
-        return Bar(birth, death)
-    except InvalidBarError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+def _require_bar(where: str, birth: float, death: float) -> None:
+    problem = _bar_problem(birth, death)
+    if problem:
+        raise ParseError(f"{where}: {problem}")
 
 
 def parse_barcode_csv(text: str) -> Barcode:
-    bars = []
+    """The barcode of CSV text.
+
+    Every field goes through Python's ``float``, in one pass over the
+    fields of all lines joined, into the endpoint array.  Only when that
+    fails is the text parsed again line by line, to raise the ParseError of
+    the first line at fault.
+    """
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if lines and list(map(str.count, lines, repeat(","))).count(1) == len(lines):
+        fields = ",".join(lines).split(",")
+        try:
+            values = np.fromiter(map(float, fields), float, len(fields))
+            return Barcode._of_ends(values.reshape(-1, 2))
+        except (ValueError, InvalidBarError):
+            pass
+    return _parse_csv_lines(text)
+
+
+def _parse_csv_lines(text: str) -> Barcode:
+    """``parse_barcode_csv`` one line at a time, with its errors."""
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -334,42 +415,68 @@ def parse_barcode_csv(text: str) -> Barcode:
             birth, death = float(fields[0]), float(fields[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        bars.append(_bar(f"line {lineno}", birth, death))
-    if not bars:
+        _require_bar(f"line {lineno}", birth, death)
+        pairs.append((birth, death))
+    if not pairs:
         raise ParseError("no bars found")
-    return Barcode(tuple(bars))
+    return Barcode.from_pairs(pairs)
+
+
+def _is_pair(item) -> bool:
+    """A [birth, death] entry: a list of two JSON numbers, no booleans."""
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and type(item[0]) in (int, float)
+        and type(item[1]) in (int, float)
+    )
 
 
 def parse_barcode_json(text: str) -> Barcode:
+    """The barcode of JSON text.
+
+    Every number goes through Python's ``float``, in one pass over all
+    entries, into the endpoint array.  Only when that fails are the entries
+    read again one at a time, to raise the ParseError of the first entry at
+    fault.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty JSON array of [birth, death] pairs")
-    bars = []
+    if all(map(_is_pair, data)):
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(data)), float, 2 * len(data))
+            return Barcode._of_ends(values.reshape(-1, 2))
+        except (OverflowError, InvalidBarError):
+            pass
+    return _parse_json_entries(data)
+
+
+def _parse_json_entries(data: list) -> Barcode:
+    """``parse_barcode_json`` of loaded entries one at a time, with its errors."""
+    pairs = []
     for idx, item in enumerate(data):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(type(v) in (int, float) for v in item)  # no booleans
-        ):
+        if not _is_pair(item):
             raise ParseError(f"entry {idx}: expected [birth, death], got {item!r}")
         try:
             birth, death = float(item[0]), float(item[1])
         except OverflowError as exc:  # an integer beyond the double range
             raise ParseError(f"entry {idx}: {exc}") from exc
-        bars.append(_bar(f"entry {idx}", birth, death))
-    return Barcode(tuple(bars))
+        _require_bar(f"entry {idx}", birth, death)
+        pairs.append((birth, death))
+    return Barcode.from_pairs(pairs)
 
 
 def format_barcode_csv(barcode: Barcode) -> str:
-    lines = [f"{fmt17(b.birth)},{fmt17(b.death)}" for b in barcode.bars]
+    lines = [f"{fmt17(b)},{fmt17(d)}" for b, d in barcode.ends.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def format_barcode_json(barcode: Barcode) -> str:
-    return json.dumps([[b.birth, b.death] for b in barcode.bars])
+    return json.dumps(barcode.ends.tolist())
 
 
 _FORMATS_BY_EXTENSION = {".csv": "csv", ".json": "json"}

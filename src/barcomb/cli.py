@@ -15,6 +15,8 @@ import sys
 from itertools import chain
 from typing import Iterable
 
+import numpy as np
+
 from . import barcode as bc
 from . import distances as dist
 from . import lattice as lat
@@ -48,7 +50,9 @@ def _print_json(obj) -> None:
 def _cmd_invariant(args) -> int:
     barcode = bc.read_barcode(args.input, args.format)
     word = mp.f_k(barcode, args.k) if args.labeled else mp.g_k(barcode, args.k)
-    print(word)
+    # the text of print(word), written block by block, never as one string
+    blocks = lat._text_blocks(len(word.word), [" ", np.asarray(word.word)])
+    _write("-", chain([next(blocks)[1:]], blocks, ["\n"]))
     return 0
 
 

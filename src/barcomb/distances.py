@@ -3,8 +3,8 @@
 Barcodes are compared as persistence diagrams: bar (b, d) is the plane point
 (b, d), the ground metric is the sup norm, and any bar may be matched to the
 diagonal instead of a partner, at cost (d - b) / 2.  Both solvers start from
-the same numpy ground costs (the n x m bar-to-bar matrix and each bar's
-diagonal cost) and are exact:
+the same numpy ground costs, read off the barcodes' endpoint arrays (the
+n x m bar-to-bar matrix and each bar's diagonal cost), and are exact:
 
 * bottleneck — a search over the candidate costs t.  A bar whose diagonal
   cost exceeds t must be matched to a near bar (cost <= t) of the other
@@ -21,10 +21,11 @@ diagonal cost) and are exact:
   cost powers to almost nothing (smaller costs may have underflowed to
   ties), by that cost, and the assignment is solved again.
 
-Every distance returns a witness matching, and the reported value is
-recomputed from the witness pairs so the two always agree exactly; the
-q-Wasserstein value is M * (sum of (c / M)^q)^(1/q) with M the witness's
-largest pair cost.
+Every distance returns a witness matching, and the reported value is the
+witness's cost, its pair costs read off the ground costs: the floats that
+``bottleneck_cost`` and ``wasserstein_cost`` recompute from the witness
+pairs, so the two always agree exactly; the q-Wasserstein value is
+M * (sum of (c / M)^q)^(1/q) with M the witness's largest pair cost.
 
 ``align`` fits the affine map sending the earliest-born bar of one barcode
 onto that of the other; ``check_convergence_bounds`` verifies that aligned
@@ -86,7 +87,7 @@ class Alignment:
 
 
 def _cost(xs, ys, pair: Pair) -> float:
-    """Ground cost of one witness pair, given both diagrams' (b, d) pairs."""
+    """Ground cost of one witness pair, given both diagrams' endpoint rows."""
     l, r = pair
     if l is not None and r is not None:
         (b1, d1), (b2, d2) = xs[l - 1], ys[r - 1]
@@ -99,24 +100,29 @@ def _cost(xs, ys, pair: Pair) -> float:
 
 def pair_cost(left: Barcode, right: Barcode, pair: Pair) -> float:
     """Ground cost of one witness pair."""
-    return _cost(left.pairs(), right.pairs(), pair)
+    return _cost(left.ends.tolist(), right.ends.tolist(), pair)
 
 
 def bottleneck_cost(left: Barcode, right: Barcode, pairs) -> float:
     """Max pair cost; how a bottleneck witness's cost is recomputed."""
-    xs, ys = left.pairs(), right.pairs()
+    xs, ys = left.ends.tolist(), right.ends.tolist()
     return max((_cost(xs, ys, p) for p in pairs), default=0.0)
 
 
 def wasserstein_cost(left: Barcode, right: Barcode, pairs, q: float) -> float:
-    """M * (sum of (cost / M)^q)^(1/q) in pair order, M the largest pair cost.
+    """``_lq_cost`` of the pair costs; how a q-Wasserstein witness's cost is
+    recomputed."""
+    xs, ys = left.ends.tolist(), right.ends.tolist()
+    return _lq_cost([_cost(xs, ys, p) for p in pairs], q)
+
+
+def _lq_cost(costs: list[float], q: float) -> float:
+    """M * (sum of (cost / M)^q)^(1/q) in list order, M the largest cost.
 
     Dividing by M first keeps every power in [0, 1], so no q overflows and
-    the largest pair always contributes exactly 1: the result is at least
-    the witness's bottleneck cost.
+    the largest cost always contributes exactly 1: the result is at least
+    the largest cost.
     """
-    xs, ys = left.pairs(), right.pairs()
-    costs = [_cost(xs, ys, p) for p in pairs]
     top = max(costs, default=0.0)
     if top == 0.0:
         return 0.0
@@ -126,25 +132,34 @@ def wasserstein_cost(left: Barcode, right: Barcode, pairs, q: float) -> float:
     return top * total ** (1.0 / q)
 
 
-def _ground_costs(xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sup-norm costs between bars (n x m) and each bar's diagonal cost."""
-    a = np.asarray(xs, dtype=float)
-    b = np.asarray(ys, dtype=float)
+def _ground_costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sup-norm costs between the bars of two endpoint arrays (n x m) and
+    each bar's diagonal cost."""
     cross = np.maximum(
         np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
     )
     return cross, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
 
 
-def _witness(y_of: list[int], m: int) -> tuple[Pair, ...]:
-    """Witness pairs of a matching from left bar i to right bar y_of[i].
+def _witness(y_of, cross, dx, dy) -> tuple[tuple[Pair, ...], list[float]]:
+    """Witness pairs of a matching from left bar i to right bar y_of[i], and
+    their costs in pair order.
 
     y_of[i] is -1 where bar i goes to the diagonal, and right bars no left
     bar reaches go there too.  Pairs with a left bar come first, by label.
+    Each cost is read off the ground costs, which hold the floats ``_cost``
+    computes for the same pair.
     """
-    pairs = [(i + 1, j + 1 if j >= 0 else None) for i, j in enumerate(y_of)]
-    matched = set(y_of)
-    return tuple(pairs + [(None, j + 1) for j in range(m) if j not in matched])
+    y_of = np.asarray(y_of)
+    n, m = cross.shape
+    matched = y_of >= 0
+    reached = np.zeros(m, dtype=bool)
+    reached[y_of[matched]] = True
+    free = np.flatnonzero(~reached)
+    # y_of[i] = -1 reads the last column, which np.where drops
+    costs = np.concatenate((np.where(matched, cross[np.arange(n), y_of], dx), dy[free]))
+    pairs = [(i + 1, j + 1 if j >= 0 else None) for i, j in enumerate(y_of.tolist())]
+    return tuple(pairs + [(None, j + 1) for j in free.tolist()]), costs.tolist()
 
 
 def _far_covers(cross, dx, dy, t: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -213,7 +228,7 @@ def bottleneck(left: Barcode, right: Barcode) -> tuple[float, Matching]:
     Otherwise the distinct candidate costs above the floor are
     binary-searched.
     """
-    cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
+    cross, dx, dy = _ground_costs(left.ends, right.ends)
     n, m = cross.shape
     floor = max(
         np.minimum(dx, cross.min(axis=1)).max(), np.minimum(dy, cross.min(axis=0)).max()
@@ -233,8 +248,8 @@ def bottleneck(left: Barcode, right: Barcode) -> tuple[float, Matching]:
                 lo = mid + 1
             else:
                 hi, covers = mid, probe
-    pairs = _witness(_merge_covers(*covers), m)
-    distance = bottleneck_cost(left, right, pairs)
+    pairs, costs = _witness(_merge_covers(*covers), cross, dx, dy)
+    distance = max(costs, default=0.0)
     return distance, Matching(pairs, distance)
 
 
@@ -243,7 +258,7 @@ def wasserstein(left: Barcode, right: Barcode, q: float) -> tuple[float, Matchin
     q = float(q)
     if not (q >= 1.0 and np.isfinite(q)):
         raise InvalidQError(f"need finite q >= 1, got {q!r}")
-    cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
+    cross, dx, dy = _ground_costs(left.ends, right.ends)
     n, m = cross.shape
     cost = np.zeros((n + m, m + n))
     cost[:n, :m] = cross
@@ -267,9 +282,16 @@ def wasserstein(left: Barcode, right: Barcode, q: float) -> tuple[float, Matchin
     y_of = np.full(n, -1)
     bars = (rows < n) & (cols < m)
     y_of[rows[bars]] = cols[bars]
-    pairs = _witness(y_of.tolist(), m)
-    distance = wasserstein_cost(left, right, pairs, q)
+    pairs, costs = _witness(y_of, cross, dx, dy)
+    distance = _lq_cost(costs, q)
     return distance, Matching(pairs, distance)
+
+
+def _earliest(barcode: Barcode) -> list[float]:
+    """The bar of smallest birth, the smaller death breaking a tie and the
+    first in order among equals, as ``min(barcode.pairs())`` finds it."""
+    births, deaths = barcode.ends.T
+    return barcode.ends[np.lexsort((deaths, births))[0]].tolist()
 
 
 def align(left: Barcode, right: Barcode) -> Alignment:
@@ -279,8 +301,8 @@ def align(left: Barcode, right: Barcode) -> Alignment:
     map alpha = (d1 - b1) / (d1' - b1'), delta = b1 - alpha * b1' sends b1'
     to b1 and d1' to d1; DegenerateBarError if that ratio over- or underflows.
     """
-    b1, d1 = min(left.pairs())
-    b1p, d1p = min(right.pairs())
+    b1, d1 = _earliest(left)
+    b1p, d1p = _earliest(right)
     alpha = (d1 - b1) / (d1p - b1p)
     delta = b1 - alpha * b1p
     if not (alpha > 0 and np.isfinite([alpha, delta]).all()):
@@ -347,7 +369,8 @@ def check_convergence_bounds(
     aligned = affine_transform(right, alignment.alpha, alignment.delta)
     d_inf, _ = bottleneck(left, aligned)
     d_q, _ = wasserstein(left, aligned, q)
-    span = max(b.death for b in left.bars) - min(b.birth for b in left.bars)
+    births, deaths = left.ends.T
+    span = float(deaths.max() - births.min())
     bound_inf = span / (1 << k)
     n = len(left)
     bound_q = (n - 1) ** (1.0 / q) * bound_inf
@@ -382,18 +405,14 @@ def perturb_preserving_invariant(
         raise InvalidBarError(f"need a finite magnitude >= 0, got {magnitude}")
     target = g_k(barcode, k)
     rng = SplitMix64(seed)
+    endpoints = range(barcode.ends.size)
     for _ in range(_MAX_DRAWS):
-        pairs = []
-        ok = True
-        for bar in barcode.bars:
-            b = bar.birth + rng.uniform(-magnitude, magnitude)
-            d = bar.death + rng.uniform(-magnitude, magnitude)
-            if not b < d:
-                ok = False
-            pairs.append((b, d))
-        if not ok:
+        # a birth's noise, then its death's, bar by bar
+        noise = [rng.uniform(-magnitude, magnitude) for _ in endpoints]
+        ends = barcode.ends + np.reshape(noise, (-1, 2))
+        if not (ends[:, 0] < ends[:, 1]).all():
             continue
-        candidate = Barcode.from_pairs(pairs)
+        candidate = Barcode._of_ends(ends)
         if _strict_invariant(candidate, k) == target:
             return candidate
     raise RetriesExhaustedError(

@@ -21,15 +21,16 @@ the same numbers.  A diagram holds the words, covers and ranks as arrays,
 and builds its tuples of elements, covers and ranks only when they are
 asked for.
 
-The DOT and JSON emitters, and the vertex writers of ``barcomb.polytope``,
-format no line in Python.  One private kernel, ``_text_blocks``, writes each
-table from the arrays: the rows are the rows of a byte matrix that starts
-from the constant text, the integer columns get their decimal digits one
-digit column at a time, and dropping the NUL padding leaves the text, equal
-byte for byte to ``json.dumps`` and to per-line f-strings.  The text comes
-in blocks of a few MB (``HasseDiagram.dot_chunks`` and ``json_chunks``, and
-the vertex writers' chunks), so a large diagram or vertex table can be
-written without holding all of it.
+The DOT and JSON emitters, the vertex writers of ``barcomb.polytope`` and
+the word that ``barcomb invariant`` prints format no line in Python.  One
+private kernel, ``_text_blocks``, writes each table from the arrays: the
+rows are the rows of a byte matrix that starts from the constant text, the
+integer columns get their decimal digits one digit column at a time, and
+dropping the NUL padding leaves the text, equal byte for byte to
+``json.dumps`` and to per-line f-strings.  The text comes in blocks of a few
+MB (``HasseDiagram.dot_chunks`` and ``json_chunks``, and the vertex writers'
+chunks), so a large diagram or vertex table can be written without holding
+all of it.
 
 Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman

@@ -1,7 +1,9 @@
 """Shared test fixtures: seeded barcode factories, gap measurement, and the
-slow paths kept as oracles: the barcode maps as (value, label) tuples sorted
-in Python, canonicalized through a dict and halved through ``iota``, which
-the float64 sample table replaced, the dense bottleneck solver, the bottleneck
+slow paths kept as oracles: the CSV and JSON parsers that read one line or
+entry at a time into a ``Bar`` each, which the endpoint array replaced, the
+barcode maps as (value, label) tuples sorted in Python, canonicalized
+through a dict and halved through ``iota``, which the float64 sample table
+replaced, the dense bottleneck solver, the bottleneck
 search over every candidate cost that the floor probe shortened, the
 death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
@@ -22,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from barcomb.barcode import Barcode, require_k_strict, sample_points
+from barcomb.barcode import Bar, Barcode, require_k_strict, sample_points
 from barcomb.distances import (
     _far_covers,
     _ground_costs,
@@ -30,7 +32,7 @@ from barcomb.distances import (
     _witness,
     bottleneck_cost,
 )
-from barcomb.errors import NotStrictError
+from barcomb.errors import InvalidBarError, NotStrictError, ParseError
 from barcomb.lattice import HasseDiagram, LatticeSpec
 from barcomb.multiperm import Multipermutation, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
@@ -44,6 +46,57 @@ def random_barcode(rng: random.Random, n: int, lo=0.0, hi=1.0) -> Barcode:
     return Barcode.from_pairs(pairs)
 
 
+def _line_bar(where: str, birth: float, death: float) -> Bar:
+    try:
+        return Bar(birth, death)
+    except InvalidBarError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def line_parse_barcode_csv(text: str) -> Barcode:
+    """CSV text parsed one line at a time, into a ``Bar`` per line."""
+    bars = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise ParseError(f"line {lineno}: expected 'birth,death', got {raw!r}")
+        try:
+            birth, death = float(fields[0]), float(fields[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        bars.append(_line_bar(f"line {lineno}", birth, death))
+    if not bars:
+        raise ParseError("no bars found")
+    return Barcode(tuple(bars))
+
+
+def entry_parse_barcode_json(text: str) -> Barcode:
+    """JSON text parsed one entry at a time, into a ``Bar`` per entry."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, list) or not data:
+        raise ParseError("expected a non-empty JSON array of [birth, death] pairs")
+    bars = []
+    for idx, item in enumerate(data):
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or not all(type(v) in (int, float) for v in item)  # no booleans
+        ):
+            raise ParseError(f"entry {idx}: expected [birth, death], got {item!r}")
+        try:
+            birth, death = float(item[0]), float(item[1])
+        except OverflowError as exc:  # an integer beyond the double range
+            raise ParseError(f"entry {idx}: {exc}") from exc
+        bars.append(_line_bar(f"entry {idx}", birth, death))
+    return Barcode(tuple(bars))
+
+
 def min_gap(barcode: Barcode, k: int) -> float:
     """Smallest spacing between level-k sample points."""
     values = sorted(v for v, _ in sample_points(barcode, k))
@@ -55,10 +108,10 @@ def tuple_sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
     each from birth + l * (death - birth) / 2^k in Python floats."""
     step = 1 << k
     points = []
-    for label, bar in enumerate(barcode.bars, start=1):
-        length = bar.death - bar.birth
+    for label, (birth, death) in enumerate(barcode.pairs(), start=1):
+        length = death - birth
         for ell in range(step + 1):
-            points.append((bar.birth + ell * length / step, label))
+            points.append((birth + ell * length / step, label))
     return points
 
 
@@ -184,7 +237,7 @@ def full_search_bottleneck(left: Barcode, right: Barcode) -> tuple[float, tuple]
     """Bottleneck distance and witness pairs by binary search over every
     distinct candidate cost, from 0 up: the search ``bottleneck`` ran before
     it started at the floor, on the same probe, merge and witness steps."""
-    cross, dx, dy = _ground_costs(left.pairs(), right.pairs())
+    cross, dx, dy = _ground_costs(left.ends, right.ends)
     n, m = cross.shape
     levels = np.unique(np.concatenate(([0.0], cross.ravel(), dx, dy)))
     lo, hi = 0, len(levels) - 1
@@ -196,7 +249,7 @@ def full_search_bottleneck(left: Barcode, right: Barcode) -> tuple[float, tuple]
             lo = mid + 1
         else:
             hi, covers = mid, probe
-    pairs = _witness(_merge_covers(*covers), m)
+    pairs, _ = _witness(_merge_covers(*covers), cross, dx, dy)
     return bottleneck_cost(left, right, pairs), pairs
 
 
@@ -214,8 +267,9 @@ def two_sort_phi(barcode: Barcode) -> tuple[int, ...]:
     sorting the deaths and tau the births; the oracle for ``phi``."""
     require_k_strict(barcode, 0)
     n = len(barcode)
-    by_birth = sorted(range(1, n + 1), key=lambda i: barcode.bars[i - 1].birth)
-    by_death = sorted(range(1, n + 1), key=lambda i: barcode.bars[i - 1].death)
+    pairs = barcode.pairs()
+    by_birth = sorted(range(1, n + 1), key=lambda i: pairs[i - 1][0])
+    by_death = sorted(range(1, n + 1), key=lambda i: pairs[i - 1][1])
     birth_rank = {label: pos for pos, label in enumerate(by_birth, start=1)}
     return tuple(birth_rank[label] for label in by_death)
 

@@ -1,6 +1,11 @@
+import copy
+import json
+import pickle
 import random
+import re
 
 import pytest
+from helpers import entry_parse_barcode_json, line_parse_barcode_csv
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +27,12 @@ from barcomb.barcode import (
     read_barcode,
     require_k_strict,
     sample_points,
+)
+from barcomb.distances import (
+    bottleneck,
+    check_convergence_bounds,
+    perturb_preserving_invariant,
+    wasserstein,
 )
 from barcomb.errors import (
     BarcombError,
@@ -427,3 +438,166 @@ def test_format_from_extension():
     assert format_from_extension("bars.txt") is None
     assert format_from_extension("bars") is None
     assert format_from_extension("csv") is None
+
+
+# The endpoint array: both parsers against the per-line oracles, equality and
+# hashing, and the calls that must not build a ``Bar`` value.
+
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\x0c"])
+_FIELD = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.floats(width=64).map(repr),  # nan, inf, -0.0 and subnormals too
+    st.sampled_from(
+        ["nan", "-inf", "Infinity", "1e400", "-1e400", "9" * 400, "true", "false",
+         "1_000", "0x10", "abc", "", "1 2", "\u0663", "+.5", "2."]
+    ),
+)
+_GOOD_LINE = st.builds(
+    lambda b, length, pads: f"{pads[0]}{b}{pads[1]},{pads[2]}{b + length}{pads[3]}",
+    st.one_of(st.integers(-100, 100), st.floats(-100, 100)),
+    st.one_of(st.integers(1, 100), st.floats(1e-3, 100)),
+    st.tuples(_PAD, _PAD, _PAD, _PAD),
+)
+_FILLER = st.one_of(
+    _PAD, st.text(max_size=8).map(lambda t: "#" + t), _PAD.map(lambda p: p + "# c")
+)
+_ANY_LINE = st.builds(
+    lambda fields, pad: pad + ",".join(fields), st.lists(_FIELD, max_size=4), _PAD
+)
+_CSV_TEXT = st.builds(
+    lambda lines, sep, end: sep.join(lines) + end,
+    st.one_of(
+        st.lists(st.one_of(_GOOD_LINE, _GOOD_LINE, _FILLER), min_size=1, max_size=8),
+        st.lists(st.one_of(_GOOD_LINE, _GOOD_LINE, _FILLER, _ANY_LINE), min_size=1, max_size=8),
+    ),
+    st.sampled_from(["\n", "\r\n", "\r", "\x1e", "\u2028"]),
+    st.sampled_from(["", "\n"]),
+)
+_JSON_VALUE = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(width=64),
+    st.booleans(),
+    st.integers(10**308, 10**400),  # beyond the double range
+    st.integers(-(10**400), -(10**308)),
+    st.none(),
+    st.text(max_size=3),
+)
+_GOOD_ENTRY = st.builds(
+    lambda b, length: [b, b + length],
+    st.one_of(st.integers(-100, 100), st.floats(-100, 100)),
+    st.one_of(st.integers(1, 100), st.floats(1e-3, 100)),
+)
+_ANY_ENTRY = st.one_of(
+    st.lists(_JSON_VALUE, max_size=3),
+    _JSON_VALUE,
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_INDENT = st.sampled_from([None, 0, 2])
+_JSON_TEXT = st.one_of(
+    st.builds(json.dumps, st.lists(_GOOD_ENTRY, min_size=1, max_size=6), indent=_INDENT),
+    st.builds(
+        json.dumps,
+        st.lists(st.one_of(_GOOD_ENTRY, _GOOD_ENTRY, _ANY_ENTRY), max_size=6),
+        indent=_INDENT,
+    ),
+    st.one_of(
+        st.builds(json.dumps, _ANY_ENTRY),
+        st.sampled_from(["", "[", "[[0, 1],]", "[[0, 1]] x", "{}"]),
+    ),
+)
+
+
+def _parsed(parse, text):
+    """The barcode ``parse`` makes of ``text``, or its ParseError message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, want):
+    assert got == want
+    if isinstance(want, Barcode):
+        assert got.ends.tobytes() == want.ends.tobytes()  # bit for bit
+
+
+@given(_CSV_TEXT)
+def test_csv_parser_matches_the_per_line_parser(text):
+    _assert_same_outcome(_parsed(parse_barcode_csv, text), _parsed(line_parse_barcode_csv, text))
+
+
+@given(_JSON_TEXT)
+def test_json_parser_matches_the_per_entry_parser(text):
+    _assert_same_outcome(
+        _parsed(parse_barcode_json, text), _parsed(entry_parse_barcode_json, text)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1\n# c\n2,1\nx,3\n1,2,3\n", "line 3: bar (2.0, 1.0) needs birth < death"),
+        ("0,1\n# c\n\nx,3\n1,2,3\n", "line 4: could not convert string to float: 'x'"),
+        ("0,1\n# c\n\n\n1,2,3\n", "line 5: expected 'birth,death', got '1,2,3'"),
+        ("[[0, 1], [0, 1" + "0" * 400 + "], [1, 0]]", "entry 1: int too large to convert to float"),
+        ("[[0, 1], [2, 1], [true, 3]]", "entry 1: bar (2.0, 1.0) needs birth < death"),
+    ],
+    ids=["csv-bar", "csv-number", "csv-fields", "json-overflow", "json-bar"],
+)
+def test_the_first_line_at_fault_is_named_whatever_its_fault(text, message):
+    parse = parse_barcode_json if text.startswith("[") else parse_barcode_csv
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
+def test_equal_endpoints_are_equal_barcodes_whatever_the_sign_of_zero():
+    negative = Barcode.from_pairs([(-0.0, 1.0)])
+    positive = Barcode.from_pairs([(0.0, 1.0)])
+    assert negative.ends.tobytes() != positive.ends.tobytes()
+    assert negative == positive and hash(negative) == hash(positive)
+    assert Barcode.from_pairs([(0.0, 1.0), (2.0, 3.0)]) != positive
+    assert Barcode.from_pairs([(0.0, 2.0)]) != positive
+    assert positive != ((0.0, 1.0),)
+
+
+def test_every_constructor_gives_the_same_barcode():
+    pairs = [(1.0, 2.0), (-0.5, 3.25), (2.5, 2.75)]
+    barcodes = [
+        Barcode.from_pairs(pairs),
+        copy.deepcopy(Barcode.from_pairs(pairs)),
+        pickle.loads(pickle.dumps(Barcode.from_pairs(pairs))),
+        Barcode(tuple(Bar(b, d) for b, d in pairs)),
+        Barcode([Bar(b, d) for b, d in pairs]),
+        parse_barcode_csv("".join(f"{b},{d}\n" for b, d in pairs)),
+        parse_barcode_json(json.dumps(pairs)),
+        line_parse_barcode_csv(format_barcode_csv(Barcode.from_pairs(pairs))),
+    ]
+    for barcode in barcodes:
+        assert barcode == barcodes[0] and hash(barcode) == hash(barcodes[0])
+        assert barcode.pairs() == pairs
+        assert barcode.bars == tuple(Bar(b, d) for b, d in pairs)
+        assert not barcode.ends.flags.writeable
+
+
+def test_reading_and_comparing_build_no_bar(tmp_path, monkeypatch):
+    left = generate_barcode(12, seed=4, k=2, contained=True)
+    right = perturb_preserving_invariant(left, 1e-6, 2, seed=9)
+    files = []
+    for name, barcode in (("a.csv", left), ("b.json", right)):
+        path = tmp_path / name
+        path.write_text(format_barcode_csv(barcode) if name.endswith(".csv")
+                        else format_barcode_json(barcode))
+        files.append(str(path))
+    built = []
+    post_init = Bar.__post_init__
+    monkeypatch.setattr(Bar, "__post_init__", lambda bar: built.append(bar) or post_init(bar))
+    a, b = (read_barcode(path) for path in files)
+    assert (a, b) == (left, right)
+    assert g_k(a, 2) == g_k(b, 2)
+    bottleneck(a, b)
+    for q in (1, 2):
+        wasserstein(a, b, q)
+    assert check_convergence_bounds(a, b, 2, 2).passed
+    assert built == []
+    a.bars
+    assert len(built) == len(a)  # the spy sees a view being built

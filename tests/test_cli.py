@@ -50,6 +50,24 @@ def test_invariant(capsys, b1, b2):
     assert run(capsys, "invariant", "--input", b2, "--k", "0") == (0, "1 2 1 3 3 2\n")
 
 
+def test_invariant_writes_the_word_in_blocks(capsys, tmp_path, monkeypatch):
+    # the bytes of print(word), from blocks of a few symbols each and never
+    # from str(word)
+    barcode = barcomb.barcode.generate_barcode(40, seed=3, k=1)
+    path = tmp_path / "b.csv"
+    path.write_text(barcomb.barcode.format_barcode_csv(barcode))
+    want = {flag: f"{word_map(barcode, 1)}\n" for flag, word_map in (("", g_k), ("--labeled", f_k))}
+    writes = []
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 64)
+    monkeypatch.setattr(Multipermutation, "__str__", None)
+    monkeypatch.setattr(sys.stdout, "writelines", lambda blocks: writes.extend(blocks))
+    for flag, text in want.items():
+        writes.clear()
+        code = main(["invariant", "--input", str(path), "--k", "1", *filter(None, [flag])])
+        assert code == 0 and "".join(writes) == text
+        assert len(writes) > 10
+
+
 def test_invariant_json_input(capsys, tmp_path):
     path = tmp_path / "b.json"
     path.write_text("[[1.0, 2.0], [1.5, 3.0], [2.5, 2.75]]")
@@ -87,6 +105,18 @@ def test_rank(capsys, b1, tmp_path):
     disjoint = tmp_path / "disjoint.csv"
     disjoint.write_text("0,1\n2,3\n")
     assert run(capsys, "rank", "--input", str(disjoint), "--k", "0") == (0, "0\n")
+
+
+def test_rank_verbose_builds_no_bar(capsys, b1, monkeypatch):
+    # the crossing numbers read the endpoint array, not Bar views of it
+    built = []
+    post_init = barcomb.barcode.Bar.__post_init__
+    monkeypatch.setattr(
+        barcomb.barcode.Bar, "__post_init__", lambda bar: built.append(bar) or post_init(bar)
+    )
+    code, out = run(capsys, "rank", "--input", b1, "--k", "0", "--verbose")
+    assert code == 0 and out.splitlines()[-1] == "3"
+    assert built == []
 
 
 @pytest.mark.parametrize("rows", ["0,1\n-1e308,1e308\n", "-1e308,1e308\n0,1\n"])

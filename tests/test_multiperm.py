@@ -190,7 +190,8 @@ def test_g_k_label_and_affine_invariance():
         k = rng.randint(0, 3)
         order = list(range(len(bc)))
         rng.shuffle(order)
-        shuffled = Barcode(tuple(bc.bars[i] for i in order))
+        bars = bc.bars
+        shuffled = Barcode(tuple(bars[i] for i in order))
         assert g_k(shuffled, k) == g_k(bc, k)
         moved = affine_transform(bc, rng.uniform(0.1, 10), rng.uniform(-100, 100))
         assert g_k(moved, k) == g_k(bc, k)
@@ -495,7 +496,7 @@ def test_crossing_numbers_are_multiset_multiplicities():
         bc = random_strict_barcode(rng, rng.randint(2, 6))
         n = len(bc)
         multiset = inversion_multiset(g_k(bc, 0))
-        order = sorted(range(1, n + 1), key=lambda i: bc.bars[i - 1].birth)
+        order = sorted(range(1, n + 1), key=lambda i: bc.ends[i - 1, 0])
         birth_rank = {label: pos for pos, label in enumerate(order, start=1)}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -520,6 +521,19 @@ def test_rank():
     assert total == 3
     assert rank(words(1, 1, 2, 2, 3, 3)) == 0
     assert rank(words(1, 2, 2, 2, 1, 1)) == 6
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(2 * n))))
+def test_rank_of_g0_is_the_sum_of_crossing_numbers(ends):
+    # the abstract's reading at k = 0: the rank counts the crossings, a
+    # stepped pair once and a nested pair twice; distinct endpoints make
+    # every such barcode 0-strict
+    barcode = Barcode.from_pairs(sorted(ends[i : i + 2]) for i in range(0, len(ends), 2))
+    n = len(barcode)
+    total = sum(
+        crossing_number(barcode, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    )
+    assert rank(g_k(barcode, 0)) == total
 
 
 def test_delta_k():
@@ -590,7 +604,8 @@ def test_g_k_invariant_under_relabeling_and_affine_maps(bars, k, alpha, delta, d
     barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
     assume(is_k_strict(barcode, k))
     order = data.draw(st.permutations(range(len(bars))))
-    shuffled = Barcode(tuple(barcode.bars[i] for i in order))
+    bars = barcode.bars
+    shuffled = Barcode(tuple(bars[i] for i in order))
     moved = affine_transform(barcode, alpha, delta)
     assert g_k(shuffled, k) == g_k(moved, k) == g_k(barcode, k)
 
