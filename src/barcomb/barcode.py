@@ -4,8 +4,9 @@ A barcode is an ordered list of bars (birth, death) with birth < death.
 Labels are implicit 1-based positions; relabeling is always explicit.  A
 ``Barcode`` holds its endpoints only, as one read-only n x 2 float64 array
 checked in one vectorized pass (finite, birth < death); the CSV and JSON
-parsers write that array directly, through Python's ``float`` per field, and
-the sample table, the distances and the affine maps read it, so no ``Bar``
+parsers write that array directly, through Python's ``float`` per field (the
+CSV parser a block of about 2^20 characters of lines at a time), and the
+sample table, the distances and the affine maps read it, so no ``Bar``
 value is built unless one is asked for.  All values are immutable and all
 operations here are pure functions, so they are safe to share between
 threads.
@@ -172,12 +173,12 @@ class IntervalGraph:
 
 
 # Sample points per level, and word positions per word read at a level.
-# Measured at the cap (838 860 bars at k = 2): reading the CSV file peaks at
-# 257 MB (its text, lines and fields as Python strings) and keeps 13 MB of
-# endpoints; ``require_k_strict`` peaks at 116 MB more (the float64 table, its
-# argsort and the sorted values), and ``g_k``'s word, as a tuple of Python
-# ints, holds 144 MB; ``barcomb invariant``, which writes the word's text in
-# blocks, peaks at 371 MB RSS.
+# Measured at the cap (838 860 bars at k = 2): reading the 32 MB CSV file
+# peaks at 61 MB (its text, and the lines and fields of one block as Python
+# strings) and keeps 13 MB of endpoints; ``require_k_strict`` peaks at 116 MB
+# more (the float64 table, its argsort and the sorted values), and ``g_k``'s
+# word, as a tuple of Python ints, holds 144 MB; ``barcomb invariant``, which
+# writes the word's text in blocks, peaks at 284 MB RSS.
 MAX_SAMPLE_POINTS = 1 << 22
 
 
@@ -382,22 +383,53 @@ def _require_bar(where: str, birth: float, death: float) -> None:
         raise ParseError(f"{where}: {problem}")
 
 
+# Characters of CSV text converted at a time: the lines and fields of one
+# block are Python strings at once, never those of the whole text.
+_CSV_BLOCK = 1 << 20
+
+
+def _csv_blocks(text: str) -> Iterable[str]:
+    """Slices of ``text`` of about ``_CSV_BLOCK`` characters, each cut right
+    after a "\n", so no line and no "\r\n" is split: their lines, in turn,
+    are the lines of ``text``."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CSV_BLOCK)
+        stop = len(text) if cut < 0 else cut + 1
+        yield text[start:stop]
+        start = stop
+
+
+def _csv_values(block: str) -> np.ndarray:
+    """The fields of a block's bar lines, each through Python's ``float``,
+    in one pass over the fields of those lines joined; ValueError unless
+    each bar line has one comma and every field is a number."""
+    lines = [line for line in map(str.strip, block.splitlines()) if line and line[0] != "#"]
+    if not lines:
+        return np.empty(0)
+    if list(map(str.count, lines, repeat(","))).count(1) != len(lines):
+        raise ValueError("not two fields a line")
+    fields = ",".join(lines).split(",")
+    return np.fromiter(map(float, fields), float, len(fields))
+
+
 def parse_barcode_csv(text: str) -> Barcode:
     """The barcode of CSV text.
 
-    Every field goes through Python's ``float``, in one pass over the
-    fields of all lines joined, into the endpoint array.  Only when that
-    fails is the text parsed again line by line, to raise the ParseError of
-    the first line at fault.
+    Every field goes through Python's ``float`` into the endpoint array, a
+    block of lines at a time (a short text is one block, converted without
+    the slicing and the final concatenation).  Only when that fails is the
+    text parsed again line by line, to raise the ParseError of the first
+    line at fault.
     """
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if lines and list(map(str.count, lines, repeat(","))).count(1) == len(lines):
-        fields = ",".join(lines).split(",")
-        try:
-            values = np.fromiter(map(float, fields), float, len(fields))
-            return Barcode._of_ends(values.reshape(-1, 2))
-        except (ValueError, InvalidBarError):
-            pass
+    try:
+        if len(text) <= _CSV_BLOCK:
+            values = _csv_values(text)
+        else:
+            values = np.concatenate([_csv_values(block) for block in _csv_blocks(text)])
+        return Barcode._of_ends(values.reshape(-1, 2))
+    except (ValueError, InvalidBarError):
+        pass
     return _parse_csv_lines(text)
 
 

@@ -21,6 +21,16 @@ n x m bar-to-bar matrix and each bar's diagonal cost), and are exact:
   cost powers to almost nothing (smaller costs may have underflowed to
   ties), by that cost, and the assignment is solved again.
 
+scipy is imported inside the two functions that call it, on first use, so
+importing barcomb loads numpy and nothing heavier: a bottleneck call loads
+``scipy.sparse`` and only a Wasserstein call ``scipy.optimize``.
+
+A bar whose length d - b overflows the double range has no finite diagonal
+cost, and both solvers refuse it by name (InvalidBarError).  A bar-to-bar
+cost may still overflow to inf between far-apart bars; it then exceeds the
+two bars' diagonal costs together, so no optimal matching pairs them, and
+both solvers leave it out.
+
 Every distance returns a witness matching, and the reported value is the
 witness's cost, its pair costs read off the ground costs: the floats that
 ``bottleneck_cost`` and ``wasserstein_cost`` recompute from the witness
@@ -38,9 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .barcode import (
     Barcode,
@@ -132,13 +139,41 @@ def _lq_cost(costs: list[float], q: float) -> float:
     return top * total ** (1.0 / q)
 
 
-def _ground_costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sup-norm costs between the bars of two endpoint arrays (n x m) and
-    each bar's diagonal cost."""
-    cross = np.maximum(
-        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
-    )
+    each bar's diagonal cost (d - b) / 2."""
+    births = np.abs(a[:, None, 0] - b[None, :, 0])
+    deaths = np.abs(a[:, None, 1] - b[None, :, 1])
+    cross = np.maximum(births, deaths, out=births)
     return cross, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+
+
+def _ground_costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_costs`` with every diagonal cost finite, and no overflow warning.
+
+    InvalidBarError names the first bar, of the first array and then of the
+    second, whose length d - b overflows.  A cross cost may overflow to inf
+    between far-apart bars; it then exceeds the two bars' finite diagonal
+    costs together, so no optimal matching pairs those bars.  Costs are
+    computed again only after an overflow, so the common case pays for one
+    error-state switch and no scan.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return _costs(a, b)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore"):
+        cross, dx, dy = _costs(a, b)
+    for diagonal, ends, side in ((dx, a, "first"), (dy, b, "second")):
+        if diagonal.max() == np.inf:
+            label = int(np.argmax(diagonal)) + 1
+            birth, death = ends[label - 1].tolist()
+            raise InvalidBarError(
+                f"bar {label} ({birth!r}, {death!r}) of the {side} barcode has a"
+                " diagonal cost that is not finite: its length overflows"
+            )
+    return cross, dx, dy
 
 
 def _witness(y_of, cross, dx, dy) -> tuple[tuple[Pair, ...], list[float]]:
@@ -175,6 +210,9 @@ def _far_covers(cross, dx, dy, t: float) -> tuple[np.ndarray, np.ndarray] | None
     near it (columns m..m+n-1).  Returns y_of (bar of x -> bar of y) and
     x_of (bar of y -> bar of x), -1 off the covered bars, or None.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     n, m = cross.shape
     near = cross <= t
     far_x, far_y = np.flatnonzero(dx > t), np.flatnonzero(dy > t)
@@ -255,6 +293,8 @@ def bottleneck(left: Barcode, right: Barcode) -> tuple[float, Matching]:
 
 def wasserstein(left: Barcode, right: Barcode, q: float) -> tuple[float, Matching]:
     """Exact q-Wasserstein distance and an optimal witness matching."""
+    from scipy.optimize import linear_sum_assignment
+
     q = float(q)
     if not (q >= 1.0 and np.isfinite(q)):
         raise InvalidQError(f"need finite q >= 1, got {q!r}")
@@ -265,12 +305,16 @@ def wasserstein(left: Barcode, right: Barcode, q: float) -> tuple[float, Matchin
     cost[:n, m:] = dx[:, None]
     cost[n:, :m] = dy
     # Dividing every cost by one scale s before the power leaves the optimal
-    # assignment as it is.  Start from the largest cost, so nothing overflows.
+    # assignment as it is.  Start from the largest finite cost, so nothing
+    # finite overflows; cross costs that are already inf stay forbidden.
     # If the witness's largest cost t makes (t/s)^q tiny, small costs may
     # have underflowed to exact ties; solve again with s = t.  Entries that
     # then overflow to inf each exceed the witness's whole sum (at most n+m)
     # and cannot be in an optimal assignment.  s falls every round.
-    scale = cost.max() or 1.0
+    scale = cost.max()
+    if scale == np.inf:
+        scale = cost[cost < np.inf].max()
+    scale = scale or 1.0
     while True:
         with np.errstate(over="ignore"):
             powered = (cost / scale) ** q

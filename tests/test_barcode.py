@@ -3,6 +3,8 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from helpers import entry_parse_barcode_json, line_parse_barcode_csv
@@ -524,6 +526,31 @@ def _assert_same_outcome(got, want):
 @given(_CSV_TEXT)
 def test_csv_parser_matches_the_per_line_parser(text):
     _assert_same_outcome(_parsed(parse_barcode_csv, text), _parsed(line_parse_barcode_csv, text))
+
+
+@given(_CSV_TEXT, st.integers(1, 12))
+def test_csv_blocks_match_the_per_line_parser_wherever_they_are_cut(text, block):
+    with mock.patch.object(barcomb.barcode, "_CSV_BLOCK", block):
+        got = _parsed(parse_barcode_csv, text)
+    _assert_same_outcome(got, _parsed(line_parse_barcode_csv, text))
+
+
+def test_csv_is_read_in_blocks():
+    # 200 000 lines, 6.5 MB of text: all its lines and fields as strings at
+    # once took 52 MB; one block of them at a time, beside the endpoints'
+    # pieces and their concatenation (3 MB each), takes about 11 MB
+    text = "".join(f"{i / 7:.17g},{i / 7 + 1:.17g}\n" for i in range(200_000))
+    tracemalloc.start()
+    try:
+        barcode = parse_barcode_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert barcode.ends[-1].tolist() == [199_999 / 7, 199_999 / 7 + 1]
+    # a fault in a later block is still named by its line
+    with pytest.raises(ParseError, match="^line 200002: bar \\(2.0, 1.0\\) needs birth < death$"):
+        parse_barcode_csv(text + "# c\n2,1\n")
 
 
 @given(_JSON_TEXT)

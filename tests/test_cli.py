@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -559,6 +560,49 @@ def test_bound_check(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "A", "A"],
+        ["distance", "--metric", "wasserstein", "A", "A"],
+        ["distance", "--metric", "wasserstein", "--q", "3", "--witness", "A", "A"],
+        ["bound-check", "--k", "0", "A", "A"],
+    ],
+)
+def test_distances_refuse_an_overflowing_bar_length_in_one_line(tmp_path, argv):
+    # the length of bar 2 overflows; the bottleneck answered 0 from an
+    # infinite diagonal cost and Wasserstein failed in scipy, each after
+    # numpy warnings with their source lines
+    path = tmp_path / "big.csv"
+    path.write_text("0,1\n-1e308,1e308\n")
+    proc = _child(*(str(path) if arg == "A" else arg for arg in argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("barcomb: bar 2 (-1e+308, 1e+308) ")
+    assert proc.stderr.endswith("its length overflows\n")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["distance"], "4.9999999999999981e+306\n"),
+        (["distance", "--metric", "wasserstein"], "9.9999999999999961e+306\n"),
+        (
+            ["distance", "--metric", "wasserstein", "--q", "3", "--witness"],
+            '{"distance": 6.299605249474363e+306, "pairs": [[1, null], [null, 1]]}\n',
+        ),
+    ],
+)
+def test_distances_answer_when_a_cross_cost_overflows(tmp_path, argv, out):
+    # the two bars are 3e308 apart, beyond the double range, while each is
+    # 5e306 from the diagonal: both go there, silently
+    low, high = tmp_path / "low.csv", tmp_path / "high.csv"
+    low.write_text("-1.5e308,-1.4e308\n")
+    high.write_text("1.5e308,1.6e308\n")
+    proc = _child(*argv, str(low), str(high))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def test_polytope(capsys, tmp_path):
     code, out = run(capsys, "polytope", "--n", "2", "--k", "0")
     assert code == 0
@@ -623,3 +667,72 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 4
+
+
+_SCIPY_CHILD = """
+import contextlib, io, json, sys
+from barcomb.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+stages = []
+for argvs in json.loads(sys.argv[1]):
+    outs = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        outs.append((code, out.getvalue()))
+    stages.append((outs, scipy_modules()))
+print(json.dumps(stages))
+"""
+
+
+def test_only_the_distance_solvers_load_scipy(tmp_path):
+    # one fresh interpreter: the combinatorial subcommands load no scipy
+    # module, the bottleneck loads no scipy.optimize, and Wasserstein, which
+    # does, answers as before
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    for path, seed in ((a, 11), (b, 12)):
+        barcode = barcomb.barcode.generate_barcode(6, seed=seed, k=1)
+        with open(path, "w") as fh:
+            fh.write(barcomb.barcode.format_barcode_csv(barcode))
+    combinatorial = [
+        ["gen", "--n", "4", "--seed", "1", "--k", "1"],
+        ["invariant", "--input", a, "--k", "1"],
+        ["rank", "--input", a, "--k", "0"],
+        ["compare", "--k", "0", a, b],
+        ["hasse", "--n", "2", "--k", "1", "--json", "-"],
+        ["meetjoin", "--n", "2", "--k", "1", "--op", "join", "1 2 1 2 1 2", "1 1 2 2 1 2"],
+        ["polytope", "--n", "2", "--k", "1", "--dim"],
+    ]
+    stages = [
+        combinatorial,
+        [["distance", a, b]],
+        [["distance", "--metric", "wasserstein", "--q", "2", "--witness", a, b]],
+    ]
+    src = os.path.dirname(os.path.dirname(barcomb.barcode.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHILD, json.dumps(stages)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    (words, none), (bottleneck, sparse_only), (wasserstein, solvers) = json.loads(
+        proc.stdout
+    )
+    assert [code for code, _ in words] == [0] * len(combinatorial)
+    assert words[2:4] == [[0, "13\n"], [0, "INCOMPARABLE\n"]]
+    assert none == []
+    assert bottleneck == [[0, "1.8532657414033444\n"]]
+    assert "scipy.sparse" in sparse_only and "scipy.optimize" not in sparse_only
+    assert wasserstein == [
+        [
+            0,
+            '{"distance": 3.3938266208881878, "pairs": [[1, 5], [2, 1], [3, null],'
+            ' [4, 4], [5, 2], [6, null], [null, 3], [null, 6]]}\n',
+        ]
+    ]
+    assert "scipy.optimize" in solvers

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from itertools import combinations, permutations
 
 import pytest
@@ -60,8 +61,8 @@ def oracle_bottleneck(left, right):
 
 def lq_norm(costs, q):
     top = max(costs, default=0.0)
-    if top == 0.0:
-        return 0.0
+    if top in (0.0, math.inf):
+        return top
     return top * sum((c / top) ** q for c in costs) ** (1.0 / q)
 
 
@@ -423,6 +424,49 @@ def test_huge_coordinates():
     right = Barcode.from_pairs([(0.0, 4e300)])
     assert wasserstein(left, right, 2.0)[0] == 2e300
     assert bottleneck(left, right)[0] == 2e300
+
+
+def test_an_overflowing_bar_length_is_refused_by_name():
+    # bar 2's length d - b overflows, so its diagonal cost is not finite
+    big = Barcode.from_pairs([(0.0, 1.0), (-1e308, 1e308)])
+    small = Barcode.from_pairs([(0.0, 1.0)])
+    named = r"^bar 2 \(-1e\+308, 1e\+308\) of the {} barcode .* its length overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (bottleneck, lambda a, b: wasserstein(a, b, 2.0)):
+            with pytest.raises(InvalidBarError, match=named.format("first")):
+                solve(big, small)
+            with pytest.raises(InvalidBarError, match=named.format("second")):
+                solve(small, big)
+
+
+def _far_apart_bar(rng, centre):
+    birth = centre + rng.uniform(-1e306, 1e306)
+    return birth, birth + rng.uniform(1e305, 1e307)
+
+
+def test_overflowing_cross_costs_are_never_matched():
+    # bars near -1.5e308 and near 1.5e308: each cross cost between the two
+    # clusters overflows to inf, and every other cost is finite
+    rng = random.Random(151)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(30):
+            left, right = (
+                Barcode.from_pairs(
+                    _far_apart_bar(rng, rng.choice((-1.5e308, 1.5e308)))
+                    for _ in range(rng.randint(1, 3))
+                )
+                for _ in range(2)
+            )
+            d, w = bottleneck(left, right)
+            assert d == oracle_bottleneck(left, right) < math.inf
+            check_witness(left, right, w)
+            for q in (1.0, 2.0, 400.0):
+                dq, wq = wasserstein(left, right, q)
+                assert dq == pytest.approx(oracle_wasserstein(left, right, q), rel=1e-12)
+                check_witness(left, right, wq)
+                assert wasserstein_cost(left, right, wq.pairs, q) == dq
 
 
 def test_large_q_matches_exhaustive_oracle():
