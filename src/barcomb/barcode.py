@@ -311,10 +311,24 @@ def interval_graph(barcode: Barcode) -> IntervalGraph:
 
 
 def affine_transform(barcode: Barcode, alpha: float, delta: float) -> Barcode:
-    """Map every bar (b, d) to (alpha*b + delta, alpha*d + delta), alpha > 0."""
+    """Map every bar (b, d) to (alpha*b + delta, alpha*d + delta), alpha > 0.
+
+    InvalidBarError names the first bar whose image is not finite.
+    """
     if not alpha > 0:
         raise InvalidScaleError(f"scale must be positive, got {alpha!r}")
-    return Barcode._of_ends(alpha * barcode.ends + delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = alpha * barcode.ends + delta
+    finite = np.isfinite(ends).all(axis=1)
+    if not finite.all():
+        label = int(np.argmin(finite)) + 1
+        birth, death = barcode._endpoints(label)
+        image = tuple(ends[label - 1].tolist())
+        raise InvalidBarError(
+            f"bar {label} ({birth!r}, {death!r}) maps to {image!r} under "
+            f"x -> {alpha!r} * x + {delta!r}, which is not finite"
+        )
+    return Barcode._of_ends(ends)
 
 
 def has_containing_bar(barcode: Barcode) -> bool:

@@ -143,8 +143,7 @@ def _cmd_distance(args) -> int:
     right = bc.read_barcode(args.b, args.format)
     payload: dict = {}
     if args.align:
-        alignment = dist.align(left, right)
-        right = bc.affine_transform(right, alignment.alpha, alignment.delta)
+        alignment, right = dist._aligned(left, right)
         payload["alpha"] = alignment.alpha
         payload["delta"] = alignment.delta
     if args.metric == "bottleneck":

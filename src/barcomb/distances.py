@@ -354,6 +354,16 @@ def align(left: Barcode, right: Barcode) -> Alignment:
     return Alignment(alpha, delta)
 
 
+def _aligned(left: Barcode, right: Barcode) -> tuple[Alignment, Barcode]:
+    """``align`` and ``right`` mapped by it; InvalidBarError names the
+    aligned side when the map carries one of its bars past the floats."""
+    alignment = align(left, right)
+    try:
+        return alignment, affine_transform(right, alignment.alpha, alignment.delta)
+    except InvalidBarError as exc:
+        raise InvalidBarError(f"aligning the second barcode onto the first: {exc}") from None
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Aligned distances against their level-k bounds."""
@@ -409,8 +419,7 @@ def check_convergence_bounds(
     if failures:
         raise PreconditionFailedError(failures)
 
-    alignment = align(left, right)
-    aligned = affine_transform(right, alignment.alpha, alignment.delta)
+    alignment, aligned = _aligned(left, right)
     d_inf, _ = bottleneck(left, aligned)
     d_q, _ = wasserstein(left, aligned, q)
     births, deaths = left.ends.T

@@ -23,10 +23,16 @@ word and one gather at the positions of the copies.  It counts larger
 symbols only and is zero elsewhere, so readers compare and sum whole arrays.
 Words reach it through ``_word_array``, and symbols and counts take the
 smallest unsigned dtype that holds n and m.  Memory is bounded by ``_CELLS``
-one-hot entries: long words are walked in blocks of symbol columns.  One
-Newman test, ``_below``, serves ``newman_leq`` and the ideal check; it cuts
-a batch of words into chunks itself, and each chunk stops at the first
-block that all its words fail.
+one-hot entries: long words are walked in blocks of symbol columns.
+``rank`` and ``inversion_multiset`` read every column, block by block in
+column order.  The order tests read the column of the largest symbol first
+(``_densest_first``): it holds (n - 1)·m entries per word, the most of any
+column, and two independent words almost always fail there, so one kernel
+call on one column refuses them.  Only then come
+the other columns, in blocks, and a test stops at the first block where it
+fails.  One Newman test, ``_below``, serves ``newman_leq`` and the ideal
+check; it cuts a batch of words into chunks itself, and carries into each
+block of a chunk only the words still below t.
 
 The join of two words has as its inversion set the transitive closure of
 the union of theirs (Markowsky, "Permutation lattices revisited").
@@ -280,9 +286,9 @@ def _profiles(
     count, size = words.shape
     m, width = size // n, hi - lo
     dtype = np.min_scalar_type(m)
-    rows, cols = np.nonzero((words > lo) & (words <= hi))
+    at = np.flatnonzero((words > lo) & (words <= hi))
     seen = np.zeros((count, size, width), dtype)
-    seen[rows, cols, words[rows, cols] - (lo + 1)] = 1
+    seen.reshape(-1)[at * width + (words.reshape(-1)[at] - (lo + 1))] = 1
     np.cumsum(seen, axis=1, dtype=dtype, out=seen)  # copies up to each position
     order = np.argsort(words, axis=1, kind="stable")
     order += np.arange(0, count * size, size)[:, None]  # rows of the flattened batch
@@ -292,18 +298,29 @@ def _profiles(
     return prof
 
 
-def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The profiles of ``words`` in blocks of symbol columns, each with its
-    first column.
-
-    A block holds at most ``_CELLS`` one-hot entries, so memory stays
-    bounded however long the words are.
-    """
-    count, size = words.shape
+def _spans(count: int, size: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Symbol columns lo..hi in blocks, each given by its first and end
+    column, whose profiles for ``count`` words of ``size`` positions hold at
+    most ``_CELLS`` one-hot entries, so memory stays bounded however long the
+    words are."""
     width = max(1, _CELLS // (count * size))
-    for lo in range(0, n, width):
-        hi = min(lo + width, n)
+    for start in range(lo, hi, width):
+        yield start, min(start + width, hi)
+
+
+def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The profiles of ``words`` in blocks of symbol columns, in column
+    order, each with its first column."""
+    for lo, hi in _spans(*words.shape, 0, n):
         yield lo, _profiles(words, n, lo, hi)
+
+
+def _densest_first(count: int, size: int, n: int) -> Iterator[tuple[int, int]]:
+    """The column spans an order test reads: the largest symbol's column
+    alone, the densest with (n - 1)·m entries per word, then the other
+    columns in ``_spans`` blocks."""
+    yield n - 1, n
+    yield from _spans(count, size, 0, n - 1)
 
 
 def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -317,27 +334,36 @@ def _below(words: Sequence[Sequence[int]], t: Sequence[int], n: int) -> np.ndarr
     Newman order: whether its profile is at most that of t at every entry.
 
     The words come in chunks whose full profiles, with t's, hold at most
-    ``_CELLS`` one-hot entries.  Each chunk shares one kernel call per block
-    of columns with t, and its walk stops after the first block in which
-    every word of the chunk has failed.
+    ``_CELLS`` one-hot entries.  Each chunk shares one kernel call per span
+    of ``_densest_first`` with t: the largest symbol's column first, which
+    refuses most words that are not below t, then the other columns.  Only
+    the words still below t go on to the next span, and a chunk stops once
+    none is left.
     """
     words, top = _word_array(words, n), _word_array([t], n)
-    below = np.ones(len(words), dtype=bool)
+    below = np.zeros(len(words), dtype=bool)
     step = max(1, _CELLS // (top.size * n) - 1)
     for start in range(0, len(words), step):
-        chunk = below[start : start + step]  # a view: updates land in below
-        for _, prof in _blocks(np.concatenate((words[start : start + step], top)), n):
-            chunk &= (prof[:-1] <= prof[-1]).all(axis=(1, 2, 3))
-            if not chunk.any():
-                break
+        live = np.arange(start, min(start + step, len(words)))
+        batch = np.concatenate((words[live], top))  # t is the last row
+        for lo, hi in _densest_first(*batch.shape, n):
+            prof = _profiles(batch, n, lo, hi)
+            keep = (prof[:-1] <= prof[-1]).all(axis=(1, 2, 3))
+            if not keep.all():
+                live, batch = live[keep], batch[np.append(keep, True)]
+                if not len(live):
+                    break
+        below[live] = True
     return below
 
 
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     """Multinomial Newman order: inversions of iota(s) within iota(t).
 
-    Holds iff the profile of s is at most that of t at every entry; stops
-    at the first block of columns where it is not.
+    Holds iff the profile of s is at most that of t at every entry.  The
+    largest symbol's column is compared first and refuses most pairs that
+    are not ordered; the other columns follow block by block, and the test
+    stops at the first where s exceeds t.
     """
     _check_same_shape(s, t)
     return bool(_below([s.word], t.word, s.n)[0])
@@ -362,14 +388,17 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
     """Order on canonical representatives via inversion-multiset containment.
 
     Agrees with ``newman_leq`` on canonical words of multiplicity 2, the
-    classical statement; the test suite checks this exhaustively.
+    classical statement; the test suite checks this exhaustively.  Reads the
+    pair counts in the column order of ``newman_leq``, the largest symbol's
+    first, and stops at the first span where a count of s exceeds t's.
     """
     _check_same_shape(s, t)
     for u in (s, t):
         if not u.is_canonical:
             raise NotCanonicalError(f"not canonical: {u}")
-    for _, prof in _blocks(_word_array([s.word, t.word], s.n), s.n):
-        a, b = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2))  # pair counts
+    words, dtype = _word_array([s.word, t.word], s.n), np.min_scalar_type(s.m**2)
+    for lo, hi in _densest_first(*words.shape, s.n):
+        a, b = _profiles(words, s.n, lo, hi).sum(axis=2, dtype=dtype)  # pair counts
         if (a > b).any():
             return False
     return True

@@ -1,9 +1,11 @@
 import copy
 import json
+import math
 import pickle
 import random
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import pytest
@@ -295,6 +297,12 @@ def test_affine_transform():
         affine_transform(bc, 0, 1)
     with pytest.raises(InvalidScaleError):
         affine_transform(bc, -2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or invalid warning
+        with pytest.raises(InvalidBarError, match=r"^bar 2 \(2\.0, 3\.0\) maps to \(inf, inf\)"):
+            affine_transform(bc, 1e308, 0)
+        with pytest.raises(InvalidBarError, match=r"^bar 1 \(0\.0, 1\.0\) maps to \(nan, inf\)"):
+            affine_transform(bc, math.inf, 0)
 
 
 def test_affine_preserves_strictness_and_graph():

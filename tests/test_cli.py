@@ -603,6 +603,22 @@ def test_distances_answer_when_a_cross_cost_overflows(tmp_path, argv, out):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
+@pytest.mark.parametrize("argv", [["distance", "--align"], ["distance", "--align", "--witness"]])
+def test_an_alignment_that_overflows_exits_2_in_one_line(tmp_path, argv):
+    # alpha = 1e300 carries the death of bar 2 of b past the double range;
+    # numpy warned with its source line, and the message named no bar
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("0,1e300\n1,2\n")
+    b.write_text("0,1\n0.5,1e10\n")
+    proc = _child(*argv, str(a), str(b))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "barcomb: aligning the second barcode onto the first: bar 2 "
+        "(0.5, 10000000000.0) maps to (5e+299, inf) under x -> 1e+300 * x + 0.0, "
+        "which is not finite\n"
+    )
+
+
 def test_polytope(capsys, tmp_path):
     code, out = run(capsys, "polytope", "--n", "2", "--k", "0")
     assert code == 0

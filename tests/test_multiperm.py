@@ -395,9 +395,10 @@ def test_below_matches_list_profile_row_by_row(case, cells):
 
 def test_below_stops_after_the_first_block_every_word_fails(monkeypatch):
     # each kernel call is logged as (rows, first column, end column).  A chunk
-    # holds one word, and a block symbol columns (1, 2), (3, 4), (5, 6) for
-    # that word and t; a word fails in the block of the larger symbol of an
-    # inversion t lacks, and its chunk stops there
+    # holds one word; its first call reads the column of symbol 6 alone, then
+    # blocks of columns (1, 2), (3, 4) and (5) for that word and t.  A word
+    # fails in the column of the larger symbol of an inversion t lacks, and
+    # its chunk stops there
     n = 6
     t = (1, 2, 3, 4, 5, 6) * 2
     first = [(2, 1) + t[2:], t[:6] + (2, 1) + t[8:]]  # a 2 before a 1
@@ -411,19 +412,44 @@ def test_below_stops_after_the_first_block_every_word_fails(monkeypatch):
     )
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", 2 * 12 * 2)
     assert _below(first, t, n).tolist() == [False, False]
-    assert calls == [(2, 0, 2), (2, 0, 2)]
+    assert calls == [(2, 5, 6), (2, 0, 2), (2, 5, 6), (2, 0, 2)]
     calls.clear()
     assert _below([first[0], last], t, n).tolist() == [False, False]
-    assert calls == [(2, 0, 2), (2, 0, 2), (2, 2, 4), (2, 4, 6)]
+    assert calls == [(2, 5, 6), (2, 0, 2), (2, 5, 6)]  # last fails in column 6
     calls.clear()
     assert _below([t, first[1]], t, n).tolist() == [True, False]
-    assert calls == [(2, 0, 2), (2, 2, 4), (2, 4, 6), (2, 0, 2)]
+    assert calls == [(2, 5, 6), (2, 0, 2), (2, 2, 4), (2, 4, 5), (2, 5, 6), (2, 0, 2)]
     # room for the full profiles of three rows: chunks of two words and t,
-    # each in one block
+    # column 6 and then one block of the rest; a word that fails leaves the
+    # batch before the next call
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", 3 * 12 * 6)
     calls.clear()
     assert _below([t, *first, last], t, n).tolist() == [True, False, False, False]
-    assert calls == [(3, 0, 6), (3, 0, 6)]
+    assert calls == [(3, 5, 6), (3, 0, 5), (3, 5, 6), (2, 0, 5)]
+
+
+@pytest.mark.parametrize("order", [newman_leq, prec])
+def test_orders_refuse_in_the_largest_column_first(monkeypatch, order):
+    # canonical words of shape (4, 2); with one column a block the spans are
+    # the column of 4, then those of 1, 2 and 3
+    t = words(1, 2, 3, 4, 1, 2, 3, 4)
+    high = words(1, 2, 3, 4, 1, 2, 4, 3)  # a 4 before a 3: only column 4 fails
+    low = words(1, 2, 3, 4, 1, 3, 2, 4)  # a 3 before a 2: only column 3 fails
+    calls = []
+    real = barcomb.multiperm._profiles
+    monkeypatch.setattr(
+        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
+    )
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 2 * 8)
+    oracle = list_newman_leq if order is newman_leq else list_prec
+    assert not order(high, t) and not oracle(high, t)
+    assert calls == [(3, 4)]  # refused after one call
+    calls.clear()
+    assert not order(low, t) and not oracle(low, t)
+    assert calls == [(3, 4), (0, 1), (1, 2), (2, 3)]
+    calls.clear()
+    assert order(t, high) and order(t, low) and oracle(t, high) and oracle(t, low)
+    assert calls == [(3, 4), (0, 1), (1, 2), (2, 3)] * 2
 
 
 def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
@@ -449,7 +475,13 @@ def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(
         barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
     )
-    assert not newman_leq(u, v) and len(calls) == 1  # stops at the first block
+    width = barcomb.multiperm._CELLS // (2 * len(base))  # columns a block
+    assert not newman_leq(u, v)  # u passes column n, fails in the first block
+    assert calls == [(n - 1, n), (0, width)]
+    calls.clear()
+    assert not newman_leq(v, u) and calls == [(n - 1, n)]  # v fails in column n
+    calls.clear()
+    assert not prec(u, v) and calls == [(n - 1, n), (0, width)]
     a, b = tmp_path / "u.txt", tmp_path / "v.txt"
     a.write_text(str(u))
     b.write_text(str(v))
