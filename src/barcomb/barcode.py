@@ -85,12 +85,19 @@ def _checked(ends: np.ndarray) -> np.ndarray:
     """
     if len(ends) == 0:
         raise InvalidBarError("barcode needs at least one bar")
-    births, deaths = ends.T
-    ok = (-np.inf < births) & (births < deaths) & (deaths < np.inf)
-    if not ok.all():
-        raise InvalidBarError(_bar_problem(*ends[np.argmin(ok)].tolist()))
+    bad = _first_non_bar(ends)
+    if bad is not None:
+        raise InvalidBarError(_bar_problem(*ends[bad].tolist()))
     ends.setflags(write=False)
     return ends
+
+
+def _first_non_bar(ends: np.ndarray) -> int | None:
+    """The index of the first row of an n x 2 endpoint array that is not a
+    bar (finite endpoints, birth < death), or None when every row is one."""
+    births, deaths = ends.T
+    ok = (-np.inf < births) & (births < deaths) & (deaths < np.inf)
+    return None if ok.all() else int(np.argmin(ok))
 
 
 class Barcode:
@@ -176,9 +183,10 @@ class IntervalGraph:
 # Measured at the cap (838 860 bars at k = 2): reading the 32 MB CSV file
 # peaks at 61 MB (its text, and the lines and fields of one block as Python
 # strings) and keeps 13 MB of endpoints; ``require_k_strict`` peaks at 116 MB
-# more (the float64 table, its argsort and the sorted values), and ``g_k``'s
-# word, as a tuple of Python ints, holds 144 MB; ``barcomb invariant``, which
-# writes the word's text in blocks, peaks at 284 MB RSS.
+# more (the float64 table, its argsort and the sorted values) and returns the
+# word as 17 MB of uint32 labels; ``barcomb invariant``, which relabels that
+# array and writes its text in blocks, peaks at 172 MB RSS.  ``g_k``'s word,
+# a tuple of Python ints, would hold 144 MB more.
 MAX_SAMPLE_POINTS = 1 << 22
 
 
@@ -313,20 +321,21 @@ def interval_graph(barcode: Barcode) -> IntervalGraph:
 def affine_transform(barcode: Barcode, alpha: float, delta: float) -> Barcode:
     """Map every bar (b, d) to (alpha*b + delta, alpha*d + delta), alpha > 0.
 
-    InvalidBarError names the first bar whose image is not finite.
+    InvalidBarError names the first bar whose image is not a bar: one that
+    is not finite, or one whose ends the map rounds to one float.
     """
     if not alpha > 0:
         raise InvalidScaleError(f"scale must be positive, got {alpha!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         ends = alpha * barcode.ends + delta
-    finite = np.isfinite(ends).all(axis=1)
-    if not finite.all():
-        label = int(np.argmin(finite)) + 1
-        birth, death = barcode._endpoints(label)
-        image = tuple(ends[label - 1].tolist())
+    bad = _first_non_bar(ends)
+    if bad is not None:
+        birth, death = barcode.ends[bad].tolist()
+        image = tuple(ends[bad].tolist())
+        why = "is not finite" if not np.isfinite(image).all() else "needs birth < death"
         raise InvalidBarError(
-            f"bar {label} ({birth!r}, {death!r}) maps to {image!r} under "
-            f"x -> {alpha!r} * x + {delta!r}, which is not finite"
+            f"bar {bad + 1} ({birth!r}, {death!r}) maps to {image!r} under "
+            f"x -> {alpha!r} * x + {delta!r}, which {why}"
         )
     return Barcode._of_ends(ends)
 
@@ -431,16 +440,11 @@ def parse_barcode_csv(text: str) -> Barcode:
     """The barcode of CSV text.
 
     Every field goes through Python's ``float`` into the endpoint array, a
-    block of lines at a time (a short text is one block, converted without
-    the slicing and the final concatenation).  Only when that fails is the
-    text parsed again line by line, to raise the ParseError of the first
-    line at fault.
+    block of lines at a time.  Only when that fails is the text parsed again
+    line by line, to raise the ParseError of the first line at fault.
     """
     try:
-        if len(text) <= _CSV_BLOCK:
-            values = _csv_values(text)
-        else:
-            values = np.concatenate([_csv_values(block) for block in _csv_blocks(text)])
+        values = np.concatenate([_csv_values(block) for block in _csv_blocks(text)])
         return Barcode._of_ends(values.reshape(-1, 2))
     except (ValueError, InvalidBarError):
         pass
@@ -479,17 +483,26 @@ def _is_pair(item) -> bool:
 
 
 def parse_barcode_json(text: str) -> Barcode:
-    """The barcode of JSON text.
+    """The barcode of JSON text: ``_barcode_of_json`` of ``_load_json``."""
+    return _barcode_of_json(_load_json(text))
+
+
+def _load_json(text: str):
+    """The value of JSON text; ParseError when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _barcode_of_json(data) -> Barcode:
+    """The barcode of a loaded JSON value.
 
     Every number goes through Python's ``float``, in one pass over all
     entries, into the endpoint array.  Only when that fails are the entries
     read again one at a time, to raise the ParseError of the first entry at
     fault.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty JSON array of [birth, death] pairs")
     if all(map(_is_pair, data)):
@@ -502,7 +515,7 @@ def parse_barcode_json(text: str) -> Barcode:
 
 
 def _parse_json_entries(data: list) -> Barcode:
-    """``parse_barcode_json`` of loaded entries one at a time, with its errors."""
+    """``_barcode_of_json`` of loaded entries one at a time, with its errors."""
     pairs = []
     for idx, item in enumerate(data):
         if not _is_pair(item):

@@ -15,8 +15,6 @@ import sys
 from itertools import chain
 from typing import Iterable
 
-import numpy as np
-
 from . import barcode as bc
 from . import distances as dist
 from . import lattice as lat
@@ -49,9 +47,11 @@ def _print_json(obj) -> None:
 
 def _cmd_invariant(args) -> int:
     barcode = bc.read_barcode(args.input, args.format)
-    word = mp.f_k(barcode, args.k) if args.labeled else mp.g_k(barcode, args.k)
+    word = bc.require_k_strict(barcode, args.k)  # the labels of f_k
+    if not args.labeled:
+        word = mp._canonical(word, (1 << args.k) + 1)  # g_k
     # the text of print(word), written block by block, never as one string
-    blocks = lat._text_blocks(len(word.word), [" ", np.asarray(word.word)])
+    blocks = lat._text_blocks(len(word), [" ", word])
     _write("-", chain([next(blocks)[1:]], blocks, ["\n"]))
     return 0
 
@@ -76,15 +76,11 @@ def _load_comparand(path: str, k: int, fmt: str | None) -> mp.Multipermutation:
         if fmt == "json":
             # barcode files hold an array; word files hold an object
             with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}") from exc
+                data = bc._load_json(fh.read())
             if isinstance(data, dict):
                 word = mp.Multipermutation.from_json_dict(data)
                 return _as_level_word(word, k)
-            barcode = bc.parse_barcode_json(text)
+            barcode = bc._barcode_of_json(data)
         else:
             barcode = bc.read_barcode(path, "csv")
         return mp.g_k(barcode, k)

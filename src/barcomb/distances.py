@@ -25,16 +25,18 @@ scipy is imported inside the two functions that call it, on first use, so
 importing barcomb loads numpy and nothing heavier: a bottleneck call loads
 ``scipy.sparse`` and only a Wasserstein call ``scipy.optimize``.
 
-A bar whose length d - b overflows the double range has no finite diagonal
-cost, and both solvers refuse it by name (InvalidBarError).  A bar-to-bar
-cost may still overflow to inf between far-apart bars; it then exceeds the
-two bars' diagonal costs together, so no optimal matching pairs them, and
-both solvers leave it out.
+The ground costs are computed once, with overflow to inf allowed.  A bar
+whose length d - b overflows the double range has no finite diagonal cost,
+and both solvers refuse it by name (InvalidBarError).  A bar-to-bar cost may
+still overflow to inf between far-apart bars; it then exceeds the two bars'
+diagonal costs together, so no optimal matching pairs them, and both solvers
+leave it out.
 
 Every distance returns a witness matching, and the reported value is the
-witness's cost, its pair costs read off the ground costs: the floats that
-``bottleneck_cost`` and ``wasserstein_cost`` recompute from the witness
-pairs, so the two always agree exactly; the q-Wasserstein value is
+witness's cost, its pair costs read off the ground costs.  The cost formula
+is written once, in ``_costs``: ``bottleneck_cost`` and ``wasserstein_cost``
+recompute a witness's pair costs from the endpoint arrays with it, so they
+agree exactly with the solvers; the q-Wasserstein value is
 M * (sum of (c / M)^q)^(1/q) with M the witness's largest pair cost.
 
 ``align`` fits the affine map sending the earliest-born bar of one barcode
@@ -93,34 +95,20 @@ class Alignment:
     delta: float
 
 
-def _cost(xs, ys, pair: Pair) -> float:
-    """Ground cost of one witness pair, given both diagrams' endpoint rows."""
-    l, r = pair
-    if l is not None and r is not None:
-        (b1, d1), (b2, d2) = xs[l - 1], ys[r - 1]
-        return max(abs(b1 - b2), abs(d1 - d2))
-    if l is None and r is None:
-        return 0.0
-    b, d = xs[l - 1] if l is not None else ys[r - 1]
-    return (d - b) / 2.0
-
-
 def pair_cost(left: Barcode, right: Barcode, pair: Pair) -> float:
     """Ground cost of one witness pair."""
-    return _cost(left.ends.tolist(), right.ends.tolist(), pair)
+    return float(_pair_costs(left.ends, right.ends, [pair])[0])
 
 
 def bottleneck_cost(left: Barcode, right: Barcode, pairs) -> float:
     """Max pair cost; how a bottleneck witness's cost is recomputed."""
-    xs, ys = left.ends.tolist(), right.ends.tolist()
-    return max((_cost(xs, ys, p) for p in pairs), default=0.0)
+    return float(_pair_costs(left.ends, right.ends, pairs).max(initial=0.0))
 
 
 def wasserstein_cost(left: Barcode, right: Barcode, pairs, q: float) -> float:
     """``_lq_cost`` of the pair costs; how a q-Wasserstein witness's cost is
     recomputed."""
-    xs, ys = left.ends.tolist(), right.ends.tolist()
-    return _lq_cost([_cost(xs, ys, p) for p in pairs], q)
+    return _lq_cost(_pair_costs(left.ends, right.ends, pairs).tolist(), q)
 
 
 def _lq_cost(costs: list[float], q: float) -> float:
@@ -140,31 +128,36 @@ def _lq_cost(costs: list[float], q: float) -> float:
 
 
 def _costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sup-norm costs between the bars of two endpoint arrays (n x m) and
-    each bar's diagonal cost (d - b) / 2."""
-    births = np.abs(a[:, None, 0] - b[None, :, 0])
-    deaths = np.abs(a[:, None, 1] - b[None, :, 1])
-    cross = np.maximum(births, deaths, out=births)
-    return cross, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+    """Sup-norm costs between the endpoint rows (..., 2) of a and of b,
+    broadcast against each other, and the diagonal cost (d - b) / 2 of each
+    row of a and of b: the one formula of every ground cost."""
+    births = np.abs(a[..., 0] - b[..., 0])
+    cross = np.maximum(births, np.abs(a[..., 1] - b[..., 1]), out=births)
+    return cross, (a[..., 1] - a[..., 0]) / 2.0, (b[..., 1] - b[..., 0]) / 2.0
+
+
+def _pair_costs(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
+    """The ``_costs`` of witness pairs, in pair order: bar to bar, bar to the
+    diagonal, and 0.0 for the diagonal to itself; inf where one overflows."""
+    labels = np.array([[label or 0 for label in pair] for pair in pairs], dtype=np.intp)
+    left, right = labels.reshape(-1, 2).T  # 0 for the diagonal
+    with np.errstate(over="ignore"):  # the diagonal's 0 reads row -1, unused
+        cross, dx, dy = _costs(a[left - 1], b[right - 1])
+    return np.select([(left > 0) & (right > 0), left > 0, right > 0], [cross, dx, dy], 0.0)
 
 
 def _ground_costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_costs`` with every diagonal cost finite, and no overflow warning.
+    """``_costs`` of every bar of a against every bar of b (n x m), with
+    every diagonal cost finite, and no overflow warning.
 
     InvalidBarError names the first bar, of the first array and then of the
     second, whose length d - b overflows.  A cross cost may overflow to inf
     between far-apart bars; it then exceeds the two bars' finite diagonal
-    costs together, so no optimal matching pairs those bars.  Costs are
-    computed again only after an overflow, so the common case pays for one
-    error-state switch and no scan.
+    costs together, so no optimal matching pairs those bars.
     """
-    try:
-        with np.errstate(over="raise"):
-            return _costs(a, b)
-    except FloatingPointError:
-        pass
     with np.errstate(over="ignore"):
-        cross, dx, dy = _costs(a, b)
+        cross, dx, dy = _costs(a[:, None], b)
+    dx = dx[:, 0]
     for diagonal, ends, side in ((dx, a, "first"), (dy, b, "second")):
         if diagonal.max() == np.inf:
             label = int(np.argmax(diagonal)) + 1
@@ -182,8 +175,8 @@ def _witness(y_of, cross, dx, dy) -> tuple[tuple[Pair, ...], list[float]]:
 
     y_of[i] is -1 where bar i goes to the diagonal, and right bars no left
     bar reaches go there too.  Pairs with a left bar come first, by label.
-    Each cost is read off the ground costs, which hold the floats ``_cost``
-    computes for the same pair.
+    Each cost is read off the ground costs, which hold the floats
+    ``_pair_costs`` computes for the same pair.
     """
     y_of = np.asarray(y_of)
     n, m = cross.shape

@@ -383,9 +383,7 @@ class HasseDiagram:
         n, word = self.spec.n, s.word
         if len(word) != self.words.shape[1] or max(word) > n:
             return None
-        key = 0
-        for sym in word:
-            key = key * (n + 1) + sym
+        (key,) = _word_keys(_word_array([word], n), n)
         at = int(np.searchsorted(self._keys, key))
         return at if at < len(self._keys) and self._keys[at] == key else None
 

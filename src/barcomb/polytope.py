@@ -16,8 +16,10 @@ rows while every entry is provably an integer below 2^53, and is summed
 over Python integers beyond that, and fraction-free (Bareiss) elimination
 ranks G without floats.  This is exact because Gx = 0 gives
 |Dx|^2 = x^T G x = 0, so G and D have the same kernel.  The second is N
-minus the number of blocks cut out by one maximal sorting chain up to the
-fully nested permutation.  Both equal N - 2 whenever n >= 2.
+minus the number of blocks cut out by a maximal sorting chain up to the
+fully nested permutation, read off the top's copy labels: the chain swaps
+across the cut after position p exactly when the largest of the first p
+labels exceeds p.  Both equal N - 2 whenever n >= 2.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .lattice import (
     _word_table,
     top_element,
 )
-from .multiperm import iota
 
 
 class VertexSet:
@@ -164,32 +165,21 @@ def affine_dimension(vertex_set: VertexSet) -> int:
 
 
 def pi_partition_blocks(spec: LatticeSpec) -> int:
-    """Blocks of the transposition graph along one maximal sorting chain.
+    """Blocks of the transposition graph along a maximal sorting chain.
 
-    Walks from the identity to the fully nested permutation by moving each
-    symbol-copy into place, symbols ascending and copies in descending copy
-    order, each step an adjacent swap of an increasing pair.  Returns the
-    number of connected components of the path graph on the N positions
-    whose edges are the swap positions used; the polytope dimension is N
-    minus this count.
+    Every chain of covers from the identity up to the fully nested
+    permutation swaps adjacent increasing pairs, and it swaps across the cut
+    after position p exactly when the top's copy labels do not fill the
+    first p positions with 1..p, that is when the largest of the first p
+    labels exceeds p.  Returns N minus the number of such cuts: the number
+    of connected components of the path graph on the N positions whose
+    edges are the swap positions used.  The polytope dimension is N minus
+    this count.
     """
-    target = list(iota(top_element(spec)))
-    position = {elem: p for p, elem in enumerate(target)}
-    current = sorted(target)
-    used: set[int] = set()
-    for sym in range(1, spec.n + 1):
-        for copy in range(spec.m, 0, -1):
-            elem = (sym, copy)
-            cur = current.index(elem)
-            tgt = position[elem]
-            assert cur <= tgt, "sorting chain moved an element backwards"
-            while cur < tgt:
-                assert current[cur] < current[cur + 1], "swap is not a cover"
-                current[cur], current[cur + 1] = current[cur + 1], current[cur]
-                used.add(cur)
-                cur += 1
-    assert current == target
-    return spec.positions - len(used)
+    word, copies = multiperm._copies(top_element(spec))
+    labels = (word - 1).astype(np.intp) * spec.m + copies + 1
+    cuts = np.maximum.accumulate(labels) > np.arange(1, len(labels) + 1)
+    return spec.positions - int(cuts.sum())
 
 
 def dimension_report(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> dict:

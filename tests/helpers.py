@@ -13,7 +13,9 @@ over the covers of an enumerated lattice, the recursive word enumerator
 with its swap-and-lookup cover test, the word stream of tuples and ranks
 that the array word table replaced, vertex vectors built one word at a
 time, the affine dimension by Bareiss elimination on the difference rows,
-and the DOT, JSON and CSV writers that format one line at a time."""
+the polytope's block count by walking one sorting chain over ``iota``
+tuples, and the DOT, JSON and CSV writers that format one line at a
+time."""
 
 import json
 import random
@@ -33,7 +35,7 @@ from barcomb.distances import (
     bottleneck_cost,
 )
 from barcomb.errors import InvalidBarError, NotStrictError, ParseError
-from barcomb.lattice import HasseDiagram, LatticeSpec
+from barcomb.lattice import HasseDiagram, LatticeSpec, top_element
 from barcomb.multiperm import Multipermutation, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
 
@@ -541,6 +543,35 @@ def bareiss_affine_dimension(vertex_set: VertexSet) -> int:
     """Bareiss rank of the differences to the first vertex."""
     base, *rest = vertex_set.vectors.tolist()
     return integer_rank([[v - b for v, b in zip(vec, base)] for vec in rest])
+
+
+def chain_partition_blocks(spec: LatticeSpec) -> int:
+    """Blocks of the transposition graph along one maximal sorting chain:
+    the oracle of ``polytope.pi_partition_blocks``.
+
+    Walks from the identity to the fully nested permutation by moving each
+    symbol-copy into place, symbols ascending and copies in descending copy
+    order, each step an adjacent swap of an increasing pair.  Returns the
+    number of connected components of the path graph on the N positions
+    whose edges are the swap positions used.
+    """
+    target = list(iota(top_element(spec)))
+    position = {elem: p for p, elem in enumerate(target)}
+    current = sorted(target)
+    used: set[int] = set()
+    for sym in range(1, spec.n + 1):
+        for copy in range(spec.m, 0, -1):
+            elem = (sym, copy)
+            cur = current.index(elem)
+            tgt = position[elem]
+            assert cur <= tgt, "sorting chain moved an element backwards"
+            while cur < tgt:
+                assert current[cur] < current[cur + 1], "swap is not a cover"
+                current[cur], current[cur + 1] = current[cur + 1], current[cur]
+                used.add(cur)
+                cur += 1
+    assert current == target
+    return spec.positions - len(used)
 
 
 def fstring_dot(diagram: HasseDiagram) -> str:

@@ -303,6 +303,14 @@ def test_affine_transform():
             affine_transform(bc, 1e308, 0)
         with pytest.raises(InvalidBarError, match=r"^bar 1 \(0\.0, 1\.0\) maps to \(nan, inf\)"):
             affine_transform(bc, math.inf, 0)
+        # both ends of bar 2 round to 1e20: finite, but no longer a bar
+        near = Barcode.from_pairs([(0, 1), (0.1, 0.2)])
+        with pytest.raises(InvalidBarError) as info:
+            affine_transform(near, 32768.0, 1e20)
+        assert str(info.value) == (
+            "bar 2 (0.1, 0.2) maps to (1e+20, 1e+20) under x -> 32768.0 * x + 1e+20,"
+            " which needs birth < death"
+        )
 
 
 def test_affine_preserves_strictness_and_graph():

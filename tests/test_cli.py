@@ -15,6 +15,7 @@ import barcomb.barcode
 import barcomb.multiperm
 import barcomb.polytope
 from barcomb.cli import main
+from barcomb.errors import ParseError
 from barcomb.lattice import LatticeSpec, enumerate_lattice
 from barcomb.multiperm import Multipermutation, f_k, g_k, newman_leq
 
@@ -52,15 +53,17 @@ def test_invariant(capsys, b1, b2):
 
 
 def test_invariant_writes_the_word_in_blocks(capsys, tmp_path, monkeypatch):
-    # the bytes of print(word), from blocks of a few symbols each and never
-    # from str(word)
+    # the bytes of print(word), from blocks of a few symbols each, written
+    # from the label array: never from str(word), and with no
+    # Multipermutation built on the way
     barcode = barcomb.barcode.generate_barcode(40, seed=3, k=1)
     path = tmp_path / "b.csv"
     path.write_text(barcomb.barcode.format_barcode_csv(barcode))
     want = {flag: f"{word_map(barcode, 1)}\n" for flag, word_map in (("", g_k), ("--labeled", f_k))}
     writes = []
-    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 64)
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 16)
     monkeypatch.setattr(Multipermutation, "__str__", None)
+    monkeypatch.setattr(Multipermutation, "_of_valid_word", None)
     monkeypatch.setattr(sys.stdout, "writelines", lambda blocks: writes.extend(blocks))
     for flag, text in want.items():
         writes.clear()
@@ -309,6 +312,26 @@ def test_compare_word_json(capsys, tmp_path):
     # non-canonical input denotes its orbit: (2 1 1 2) canonicalizes to
     # (1 2 2 1), the same element
     assert run(capsys, "compare", "--k", "0", str(path), str(other)) == (0, "EQ\n")
+
+
+def test_compare_loads_each_json_barcode_once(capsys, tmp_path, monkeypatch):
+    # the value that tells a barcode from a word is the value the barcode is
+    # read from, with parse_barcode_json's messages
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text("[[1.0, 2.0], [1.5, 3.0], [2.5, 2.75]]")
+    b.write_text("[[1.5, 3.0], [1.0, 2.0], [2.5, 2.75]]")
+    loads, real = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: loads.append(text) or real(text, **kw))
+    assert run(capsys, "compare", "--k", "0", str(a), str(b)) == (0, "EQ\n")
+    assert loads == [a.read_text(), b.read_text()]
+    for text in ("[", "[]", "[[0, 1], [2, 2]]", "[[0, true]]"):
+        with pytest.raises(ParseError) as info:
+            barcomb.barcode.parse_barcode_json(text)
+        a.write_text(text)
+        loads.clear()
+        assert main(["compare", "--k", "0", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == f"barcomb: {info.value}\n"
+        assert loads == [text]
 
 
 def test_hasse_dot_and_json(capsys, tmp_path):
@@ -619,6 +642,20 @@ def test_an_alignment_that_overflows_exits_2_in_one_line(tmp_path, argv):
     )
 
 
+def test_an_alignment_that_collapses_a_bar_exits_2_in_one_line(tmp_path):
+    # alpha = 32768 and delta = 1e20 round both ends of bar 2 of d to 1e20;
+    # the message named no bar
+    c, d = tmp_path / "c.csv", tmp_path / "d.csv"
+    c.write_text("1e20,100000000000000032768\n1e21,2e21\n")
+    d.write_text("0,1\n0.1,0.2\n")
+    proc = _child("distance", "--align", str(c), str(d))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "barcomb: aligning the second barcode onto the first: bar 2 (0.1, 0.2) maps to"
+        " (1e+20, 1e+20) under x -> 32768.0 * x + 1e+20, which needs birth < death\n"
+    )
+
+
 def test_polytope(capsys, tmp_path):
     code, out = run(capsys, "polytope", "--n", "2", "--k", "0")
     assert code == 0
@@ -688,6 +725,7 @@ def test_console_entry_point():
 _SCIPY_CHILD = """
 import contextlib, io, json, sys
 from barcomb.cli import main
+from barcomb.errors import ParseError
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

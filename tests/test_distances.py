@@ -11,6 +11,7 @@ import barcomb.barcode
 import barcomb.distances
 from barcomb.barcode import Barcode, affine_transform, generate_barcode
 from barcomb.distances import (
+    _lq_cost,
     align,
     bottleneck,
     bottleneck_cost,
@@ -343,6 +344,29 @@ def test_pair_cost_diagonal():
     assert pair_cost(left, right, (1, None)) == 2.0
     assert pair_cost(left, right, (None, 1)) == 0.5
     assert pair_cost(left, right, (None, None)) == 0.0
+
+
+def test_pair_costs_match_the_oracle_without_a_warning():
+    # the costs of the solvers' formula, read off the endpoint arrays; bars
+    # 3e308 apart have a cross cost that overflows to inf, and the last
+    # bar of left a diagonal cost that does, both silently
+    left = Barcode.from_pairs([(0, 4), (-1.5e308, -1.4e308), (-1e308, 1e308)])
+    right = Barcode.from_pairs([(1, 2), (1.5e308, 1.6e308)])
+    lp, rp = left.pairs(), right.pairs()
+    pairs = [(l, r) for l in (None, 1, 2, 3) for r in (None, 1, 2) if l or r]
+    want = [oracle_pair_cost(lp, rp, p) for p in pairs]
+    assert want.count(math.inf) == 3
+    matchings = [[(1, None), (2, None), (3, 1), (None, 2)], [(1, 1), (2, None), (None, 2)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [pair_cost(left, right, p) for p in pairs] == want
+        assert bottleneck_cost(left, right, pairs) == math.inf
+        assert bottleneck_cost(left, right, []) == 0.0
+        for pairs in matchings:
+            costs = [oracle_pair_cost(lp, rp, p) for p in pairs]
+            assert bottleneck_cost(left, right, pairs) == max(costs)
+            for q in (1.0, 2.0, 7.5):
+                assert wasserstein_cost(left, right, pairs, q) == _lq_cost(costs, q)
 
 
 def test_bottleneck_matches_dense_oracle_bit_for_bit():

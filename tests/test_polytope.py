@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     ORACLE_SPECS,
     bareiss_affine_dimension,
+    chain_partition_blocks,
     dumps_vertices_json,
     joined_vertices_csv,
     reference_vertices,
@@ -78,6 +79,18 @@ def test_blocks_and_rank_agree(n, k):
     blocks = pi_partition_blocks(spec)
     assert blocks == 2
     assert affine_dimension(vertices(spec)) == spec.positions - blocks
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(n, 0) for n in range(1, 9)]
+    + [(n, 1) for n in range(1, 6)]
+    + [(2, 3), (3, 2)]
+    + [(1, k) for k in range(5)],
+)
+def test_blocks_match_the_sorting_chain(n, k):
+    spec = LatticeSpec(n, k)
+    assert pi_partition_blocks(spec) == chain_partition_blocks(spec)
 
 
 def test_single_bar_higher_levels_are_points():
