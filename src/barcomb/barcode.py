@@ -505,12 +505,16 @@ def _barcode_of_json(data) -> Barcode:
     """
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty JSON array of [birth, death] pairs")
-    if all(map(_is_pair, data)):
-        try:
-            values = np.fromiter(map(float, chain.from_iterable(data)), float, 2 * len(data))
-            return Barcode._of_ends(values.reshape(-1, 2))
-        except (OverflowError, InvalidBarError):
-            pass
+    # ``_is_pair`` of every entry, in C-level passes over the entry types,
+    # the entry lengths and the number types
+    if set(map(type, data)) == {list} and set(map(len, data)) == {2}:
+        ends = list(chain.from_iterable(data))
+        if set(map(type, ends)) <= {int, float}:
+            try:
+                values = np.fromiter(map(float, ends), float, len(ends))
+                return Barcode._of_ends(values.reshape(-1, 2))
+            except (OverflowError, InvalidBarError):
+                pass
     return _parse_json_entries(data)
 
 

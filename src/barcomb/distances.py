@@ -59,6 +59,7 @@ from .barcode import (
 from .errors import (
     DegenerateBarError,
     InvalidBarError,
+    InvalidLabelError,
     InvalidQError,
     NotStrictError,
     PreconditionFailedError,
@@ -138,8 +139,16 @@ def _costs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _pair_costs(a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     """The ``_costs`` of witness pairs, in pair order: bar to bar, bar to the
-    diagonal, and 0.0 for the diagonal to itself; inf where one overflows."""
-    labels = np.array([[label or 0 for label in pair] for pair in pairs], dtype=np.intp)
+    diagonal, and 0.0 for the diagonal to itself; inf where one overflows.
+    A label is None for the diagonal or one of 1..len on its side;
+    InvalidLabelError names the first that is neither."""
+    sizes, rows = (len(a), len(b)), []
+    for pair in pairs:
+        for label, size in zip(pair, sizes):
+            if label is not None and not 1 <= label <= size:
+                raise InvalidLabelError(f"label {label!r} of pair {pair!r} is not in 1..{size}")
+        rows.append([label or 0 for label in pair])
+    labels = np.array(rows, dtype=np.intp)
     left, right = labels.reshape(-1, 2).T  # 0 for the diagonal
     with np.errstate(over="ignore"):  # the diagonal's 0 reads row -1, unused
         cross, dx, dy = _costs(a[left - 1], b[right - 1])

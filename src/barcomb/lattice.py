@@ -55,7 +55,7 @@ import numpy as np
 from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _below, _newman_join, _word_array
+from .multiperm import Multipermutation, _below, _frozen, _newman_join, _word_array
 
 DEFAULT_POSITION_CAP = 16
 
@@ -179,13 +179,14 @@ def _label_words(labels, m: int) -> np.ndarray:
 
 def _word_keys(words: np.ndarray, n: int) -> np.ndarray:
     """Words over symbols 1..n, one row each, read as base-(n+1) numbers,
-    which sort as the words do: int64 while (n+1)^N fits, else Python
-    integers."""
-    dtype = np.int64 if (n + 1) ** words.shape[1] < 2**63 else object
-    keys = np.zeros(len(words), dtype=dtype)
-    for column in words.T:
-        keys = keys * (n + 1) + column
-    return keys
+    which sort as the words do: each row's product with the place values
+    (n+1)^(N-1-p), int64 while (n+1)^N fits, else Python integers.
+    ``einsum`` casts the words a buffer at a time, so no wide copy of a
+    large table is made."""
+    size = words.shape[1]
+    dtype = np.int64 if (n + 1) ** size < 2**63 else object
+    places = np.array([(n + 1) ** p for p in range(size - 1, -1, -1)], dtype=dtype)
+    return np.einsum("ij,j->i", words, places)
 
 
 def _covers(words: np.ndarray, n: int) -> np.ndarray:
@@ -281,13 +282,6 @@ def _text_blocks(rows: int, fields: Sequence[str | np.ndarray]) -> Iterator[str]
         yield text.translate(None, b"\0").decode("ascii")
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A read-only view of an array, so a value that holds it stays hashable."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector while a table becomes tuples or
@@ -320,7 +314,8 @@ class HasseDiagram:
     dtype that holds them.
 
     ``elements`` (``Multipermutation`` values), ``covers`` (pairs of ints)
-    and ``ranks`` are tuples built from the arrays on first use.  Diagrams
+    and ``ranks`` are tuples built from the arrays on first use; each
+    element leaves its memo to its own first use.  Diagrams
     are equal when their specs and arrays are, and hash alike then.
     ``index_of`` and ``in`` binary-search the words, so they need them in
     lexicographic order, as ``enumerate_lattice`` lists them.
@@ -380,10 +375,10 @@ class HasseDiagram:
 
     def _find(self, s: Multipermutation) -> int | None:
         """The index of ``s`` among the words, or None."""
-        n, word = self.spec.n, s.word
-        if len(word) != self.words.shape[1] or max(word) > n:
+        n = self.spec.n
+        if len(s.word) != self.words.shape[1] or s.n > n:
             return None
-        (key,) = _word_keys(_word_array([word], n), n)
+        (key,) = _word_keys(s._array[None], n)
         at = int(np.searchsorted(self._keys, key))
         return at if at < len(self._keys) and self._keys[at] == key else None
 
@@ -490,10 +485,10 @@ def enumerate_lattice(
     return HasseDiagram(spec, words, _covers(words, spec.n), ranks)
 
 
-def _element_word(s: Multipermutation, spec: LatticeSpec) -> tuple[int, ...]:
+def _element_word(s: Multipermutation, spec: LatticeSpec) -> np.ndarray:
     if s.n != spec.n or s.m != spec.m or not s.is_canonical:
         raise NotAnElementError(f"{s} is not an element of the lattice {spec}")
-    return s.word
+    return s._array
 
 
 def meet(
@@ -505,7 +500,8 @@ def meet(
     """Greatest common lower bound: the reversed join of the reversals."""
     _check_cap(spec, cap)
     a, b = _element_word(s, spec), _element_word(t, spec)
-    return Multipermutation._of_valid_word(_newman_join(a[::-1], b[::-1], spec.n)[::-1])
+    word = _newman_join(a[::-1], b[::-1], spec.n)[::-1]
+    return Multipermutation._of_array(word, spec.n, canonical=True)
 
 
 def join(
@@ -517,7 +513,7 @@ def join(
     """Least common upper bound, from the closed union of inversion sets."""
     _check_cap(spec, cap)
     a, b = _element_word(s, spec), _element_word(t, spec)
-    return Multipermutation._of_valid_word(_newman_join(a, b, spec.n))
+    return Multipermutation._of_array(_newman_join(a, b, spec.n), spec.n, canonical=True)
 
 
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
@@ -567,7 +563,7 @@ def verify_ideal_isomorphism(
     """
     _check_cap(spec, cap)
     n = spec.n
-    top = top_element(spec).word
+    top = top_element(spec)._array
     words = _label_words(_word_table(n, spec.m)[0], spec.m)
     identity = tuple(range(1, n + 1))
     ideal, total, missing = 0, 0, []

@@ -5,6 +5,16 @@ of length n*m in which every symbol occurs exactly m times.  The embedding
 ``iota`` distinguishes the copies of each symbol: the r-th occurrence of i
 becomes i_r, copies of a symbol always staying in increasing copy order.
 
+A ``Multipermutation`` holds its word as a tuple of ints, which is its
+value: equality, hashing, ``repr`` and ``.word`` read the tuple alone.
+Beside it each word keeps a memo of what the kernels ask for again and
+again: ``n``, whether it ``is_canonical``, and its word as a read-only array
+in ``_word_array``'s dtype.  Each is worked out at most once per word, and
+not at all where a constructor knows it already: ``f_k``, ``g_k``,
+``canonicalize``, ``delta_k`` and the lattice's meet and join fill it from
+the arrays they compute.  The array costs N·itemsize bytes beside the tuple,
+one byte per position while n < 256.
+
 Every order question reads one encoding of a word, its *interleaving
 profile*: for each symbol i, each copy of i and each larger symbol j, the
 number of copies of j that precede that copy of i.  Copies of j stay in
@@ -21,7 +31,7 @@ read the profile from one numpy kernel, ``_profiles``, that builds it for a
 batch of words: a scattered one-hot of the symbols, one ``cumsum`` along the
 word and one gather at the positions of the copies.  It counts larger
 symbols only and is zero elsewhere, so readers compare and sum whole arrays.
-Words reach it through ``_word_array``, and symbols and counts take the
+Words reach it as their memo's array, and symbols and counts take the
 smallest unsigned dtype that holds n and m.  Memory is bounded by ``_CELLS``
 one-hot entries: long words are walked in blocks of symbol columns.
 ``rank`` and ``inversion_multiset`` read every column, block by block in
@@ -69,9 +79,31 @@ from .errors import InvalidWordError, NotCanonicalError, ShapeMismatchError
 # One-hot entries per block of ``_profiles``: a few MB at one byte each.
 _CELLS = 1 << 22
 
+
+class _once:
+    """A method whose result is stored on the instance at its first call, so
+    later reads are plain attribute reads: ``functools.cached_property``
+    without the lock it holds before Python 3.12, which costs more than
+    working out a short word's memo itself."""
+
+    def __init__(self, method):
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Multipermutation:
     """A word over {1..n} in which every symbol occurs exactly m times.
+
+    The tuple ``word`` is the value that equality, hashing and ``repr``
+    read.  Beside it a memo holds ``n``, ``is_canonical`` and ``_array``, the
+    read-only word array the kernels read, each worked out at most once; the
+    array takes N·itemsize bytes beside the tuple.
 
     >>> s = Multipermutation((1, 2, 1, 3, 3, 2))
     >>> s.n, s.m
@@ -105,12 +137,27 @@ class Multipermutation:
     @classmethod
     def _of_valid_words(cls, words: Sequence[tuple[int, ...]]) -> tuple["Multipermutation", ...]:
         """``_of_valid_word`` of each word, built in one batch: no Python
-        frame runs per word."""
+        frame runs per word, and each memo is left to first use."""
         batch = tuple(map(object.__new__, repeat(cls, len(words))))
         deque(map(object.__setattr__, batch, repeat("word"), words), 0)
         return batch
 
-    @property
+    @classmethod
+    def _of_array(
+        cls, array: np.ndarray, n: int, canonical: bool | None = None
+    ) -> "Multipermutation":
+        """Wrap a valid word over {1..n}, given as a 1-D array in
+        ``_word_array``'s dtype, with its memo filled: ``n``, a read-only
+        view of the array and, unless ``canonical`` is None, whether the
+        word is canonical."""
+        array = _frozen(array)
+        s = cls._of_valid_word(tuple(array.tolist()))
+        s.__dict__.update(n=n, _array=array)
+        if canonical is not None:
+            s.__dict__["is_canonical"] = canonical
+        return s
+
+    @_once
     def n(self) -> int:
         return max(self.word)
 
@@ -118,10 +165,20 @@ class Multipermutation:
     def m(self) -> int:
         return len(self.word) // self.n
 
-    @property
+    @_once
     def is_canonical(self) -> bool:
         """True iff first occurrences of 1..n appear in increasing order."""
         return all(sym == r for r, sym in enumerate(dict.fromkeys(self.word), start=1))
+
+    @_once
+    def _array(self) -> np.ndarray:
+        """The word as a read-only array in ``_word_array``'s dtype."""
+        return _frozen(_word_array(self.word, self.n))
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the value alone: a copy works out its
+        memo again, so its array is read-only too."""
+        return {"word": self.word}
 
     def __str__(self) -> str:
         return " ".join(map(str, self.word))
@@ -165,7 +222,7 @@ def f_k(barcode: Barcode, k: int) -> Multipermutation:
     The result has alphabet size n = number of bars and multiplicity
     m = 2^k + 1.  Raises NotStrictError when sample points collide.
     """
-    return Multipermutation._of_valid_word(tuple(require_k_strict(barcode, k).tolist()))
+    return Multipermutation._of_array(require_k_strict(barcode, k), len(barcode))
 
 
 def relabel(s: Multipermutation, pi: Sequence[int]) -> Multipermutation:
@@ -193,8 +250,7 @@ def canonicalize(s: Multipermutation) -> Multipermutation:
     >>> str(canonicalize(Multipermutation((2, 1, 4, 1, 3, 3, 2, 4))))
     '1 2 3 2 4 4 1 3'
     """
-    word = _canonical(_word_array(s.word, s.n), s.m)
-    return Multipermutation._of_valid_word(tuple(word.tolist()))
+    return Multipermutation._of_array(_canonical(s._array, s.m), s.n, canonical=True)
 
 
 def _canonical(word: np.ndarray, m: int) -> np.ndarray:
@@ -217,7 +273,7 @@ def g_k(barcode: Barcode, k: int) -> Multipermutation:
     real line; orbit equality is representative equality.
     """
     word = _canonical(require_k_strict(barcode, k), (1 << k) + 1)
-    return Multipermutation._of_valid_word(tuple(word.tolist()))
+    return Multipermutation._of_array(word, len(barcode), canonical=True)
 
 
 def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -239,7 +295,7 @@ def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
+def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> np.ndarray:
     """Join of two words of one shape in the multinomial Newman lattice.
 
     Its inversion set is the transitive closure of the union of theirs.
@@ -252,6 +308,7 @@ def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     already, so one pass suffices.  Copy x of the join then stands after
     the row-sum(x) larger copies before it and the x - column-sum(x) smaller
     ones.  The matrix takes N^2 bytes, and building it briefly twice that.
+    The join comes back as an array in ``_word_array``'s dtype.
     """
     ps, pt = np.argsort(_word_array([s, t], n), axis=1, kind="stable")
     size = len(ps)
@@ -263,9 +320,9 @@ def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     for lo in range(size - 2 * m, -1, -m):
         hi = lo + m
         inv[lo:hi, hi:] |= inv[lo:hi, hi:] @ inv[hi:, hi:]
-    word = np.empty(size, dtype=np.int64)
+    word = np.empty(size, dtype=np.min_scalar_type(n))
     word[inv.sum(axis=1) + copies - inv.sum(axis=0)] = copies // m + 1
-    return tuple(word.tolist())
+    return word
 
 
 def _profiles(
@@ -329,6 +386,13 @@ def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return np.asarray(words, dtype=np.min_scalar_type(n))
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of an array, so a value that holds it stays hashable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 def _below(words: Sequence[Sequence[int]], t: Sequence[int], n: int) -> np.ndarray:
     """For each of ``words``, whether it lies at or below ``t`` in the
     Newman order: whether its profile is at most that of t at every entry.
@@ -340,7 +404,7 @@ def _below(words: Sequence[Sequence[int]], t: Sequence[int], n: int) -> np.ndarr
     the words still below t go on to the next span, and a chunk stops once
     none is left.
     """
-    words, top = _word_array(words, n), _word_array([t], n)
+    words, top = _word_array(words, n), _word_array(t, n)[None]
     below = np.zeros(len(words), dtype=bool)
     step = max(1, _CELLS // (top.size * n) - 1)
     for start in range(0, len(words), step):
@@ -366,7 +430,7 @@ def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     stops at the first where s exceeds t.
     """
     _check_same_shape(s, t)
-    return bool(_below([s.word], t.word, s.n)[0])
+    return bool(_below(s._array[None], t._array, s.n)[0])
 
 
 def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
@@ -377,7 +441,7 @@ def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
     [((2, 1), 2), ((3, 1), 1), ((3, 2), 1), ((4, 1), 2), ((4, 3), 2)]
     """
     counts: Counter[tuple[int, int]] = Counter()
-    for lo, prof in _blocks(_word_array([s.word], s.n), s.n):
+    for lo, prof in _blocks(s._array[None], s.n):
         (totals,) = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2))
         for i, j in zip(*np.nonzero(totals)):
             counts[(lo + int(j) + 1, int(i) + 1)] = int(totals[i, j])
@@ -396,7 +460,7 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
     for u in (s, t):
         if not u.is_canonical:
             raise NotCanonicalError(f"not canonical: {u}")
-    words, dtype = _word_array([s.word, t.word], s.n), np.min_scalar_type(s.m**2)
+    words, dtype = np.array((s._array, t._array)), np.min_scalar_type(s.m**2)
     for lo, hi in _densest_first(*words.shape, s.n):
         a, b = _profiles(words, s.n, lo, hi).sum(axis=2, dtype=dtype)  # pair counts
         if (a > b).any():
@@ -406,7 +470,7 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
 
 def rank(s: Multipermutation) -> int:
     """Total inversion count, the profile's sum: the grading of the lattices."""
-    return sum(int(prof.sum()) for _, prof in _blocks(_word_array([s.word], s.n), s.n))
+    return sum(int(prof.sum()) for _, prof in _blocks(s._array[None], s.n))
 
 
 def delta_k(s: Multipermutation) -> Multipermutation:
@@ -425,14 +489,16 @@ def delta_k(s: Multipermutation) -> Multipermutation:
             f"multiplicity {m} is not 2^(k+1)+1 for any k >= 0"
         )
     word, copies = _copies(s)
-    return Multipermutation._of_valid_word(tuple(word[copies % 2 == 0].tolist()))
+    # first occurrences are copy 0 and stay, in order: canonicity is kept
+    canonical = s.__dict__.get("is_canonical")
+    return Multipermutation._of_array(word[copies % 2 == 0], s.n, canonical)
 
 
 def _copies(s: Multipermutation) -> tuple[np.ndarray, np.ndarray]:
     """The word as an array, and the copy index, counted from 0, at each of
     its positions: one stable argsort lists the positions symbol by symbol
     in copy order."""
-    word = _word_array(s.word, s.n)
+    word = s._array
     copies = np.empty(len(word), dtype=np.intp)
     copies[np.argsort(word, kind="stable")] = np.arange(len(word)) % s.m
     return word, copies

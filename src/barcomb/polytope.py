@@ -29,11 +29,11 @@ from typing import Iterator
 import numpy as np
 
 from . import multiperm
+from .multiperm import _frozen
 from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
     _check_cap,
-    _frozen,
     _joined,
     _json_rows,
     _label_words,

@@ -9,7 +9,8 @@ death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
 orders, pair counts and the closed Newman join read off it, order, meet and
 join by reachability
-over the covers of an enumerated lattice, the recursive word enumerator
+over the covers of an enumerated lattice, the word keys built one column at
+a time, the recursive word enumerator
 with its swap-and-lookup cover test, the word stream of tuples and ranks
 that the array word table replaced, vertex vectors built one word at a
 time, the affine dimension by Bareiss elimination on the difference rows,
@@ -463,6 +464,16 @@ def reference_lattice(n: int, k: int) -> HasseDiagram:
     ranks = tuple(rank(s) for s in elements)
     words = [s.word for s in elements]
     return HasseDiagram(spec, words, tuple(sorted(covers)), ranks)
+
+
+def column_word_keys(words: np.ndarray, n: int) -> np.ndarray:
+    """The lattice's word keys one column at a time: each key times n + 1
+    plus the next symbol, int64 while (n+1)^N fits, else Python integers."""
+    dtype = np.int64 if (n + 1) ** words.shape[1] < 2**63 else object
+    keys = np.zeros(len(words), dtype=dtype)
+    for column in words.T:
+        keys = keys * (n + 1) + column
+    return keys
 
 
 def reference_vertices(n: int, k: int) -> VertexSet:

@@ -576,6 +576,37 @@ def test_json_parser_matches_the_per_entry_parser(text):
     )
 
 
+_BIG = "9" * 400  # an integer beyond the double range
+
+
+@pytest.mark.parametrize(
+    "csv_text, json_text, read",
+    [
+        ("0,1.5\n2,3\n", "[[0, 1.5], [2, 3]]", True),
+        ("0,1\ntrue,2\n", "[[0, 1], [true, 2]]", False),
+        ("0,false\n", "[[0, false]]", False),
+        ('"0","1"\n', '[["0", "1"]]', False),
+        ("0,1\n0\n", "[[0, 1], [0]]", False),
+        ("0,1,2\n", "[[0, 1, 2]]", False),
+        ("[0],[1]\n", "[[[0], [1]]]", False),
+        ("0,[1]\n", "[[0, 1], [0, [1]]]", False),
+        (f"0,{_BIG}\n", f"[[0, {_BIG}]]", False),
+        (f"-{_BIG},0\n", f"[[0, 1], [-{_BIG}, 0]]", False),
+    ],
+    ids=["numbers", "true", "false", "strings", "1 element", "3 elements", "nested",
+         "nested later", "big", "-big later"],
+)
+def test_csv_and_json_entry_checks_match_the_per_entry_parsers(csv_text, json_text, read):
+    # the readers check all entries at once, and the entry at fault is still
+    # named as the per-line and per-entry parsers name it
+    got, want = _parsed(parse_barcode_json, json_text), _parsed(entry_parse_barcode_json, json_text)
+    _assert_same_outcome(got, want)
+    assert isinstance(got, Barcode) == read
+    got, want = _parsed(parse_barcode_csv, csv_text), _parsed(line_parse_barcode_csv, csv_text)
+    _assert_same_outcome(got, want)
+    assert isinstance(got, Barcode) == read
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

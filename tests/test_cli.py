@@ -55,7 +55,7 @@ def test_invariant(capsys, b1, b2):
 def test_invariant_writes_the_word_in_blocks(capsys, tmp_path, monkeypatch):
     # the bytes of print(word), from blocks of a few symbols each, written
     # from the label array: never from str(word), and with no
-    # Multipermutation built on the way
+    # Multipermutation built on the way, by either private constructor
     barcode = barcomb.barcode.generate_barcode(40, seed=3, k=1)
     path = tmp_path / "b.csv"
     path.write_text(barcomb.barcode.format_barcode_csv(barcode))
@@ -64,6 +64,7 @@ def test_invariant_writes_the_word_in_blocks(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", 16)
     monkeypatch.setattr(Multipermutation, "__str__", None)
     monkeypatch.setattr(Multipermutation, "_of_valid_word", None)
+    monkeypatch.setattr(Multipermutation, "_of_array", None)
     monkeypatch.setattr(sys.stdout, "writelines", lambda blocks: writes.extend(blocks))
     for flag, text in want.items():
         writes.clear()

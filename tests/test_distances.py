@@ -24,6 +24,7 @@ from barcomb.distances import (
 from barcomb.errors import (
     DegenerateBarError,
     InvalidBarError,
+    InvalidLabelError,
     InvalidQError,
     PreconditionFailedError,
     RetriesExhaustedError,
@@ -344,6 +345,23 @@ def test_pair_cost_diagonal():
     assert pair_cost(left, right, (1, None)) == 2.0
     assert pair_cost(left, right, (None, 1)) == 0.5
     assert pair_cost(left, right, (None, None)) == 0.0
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (-1, 1), (1, 0), (3, 1), (1, 3), (0, None), (None, 3)])
+def test_pair_costs_refuse_labels_out_of_range(pair):
+    # a label is None for the diagonal or names a bar of its side: 0 is no
+    # diagonal, and -1 reads no bar from the end
+    left = Barcode.from_pairs([(0, 4), (1, 2)])
+    right = Barcode.from_pairs([(1, 2), (0, 3)])
+    witness = [(1, 1), (2, None), (None, 2)]
+    assert pair_cost(left, right, (None, 2)) == 1.5
+    assert bottleneck_cost(left, right, witness) == 2.0
+    with pytest.raises(InvalidLabelError, match="not in 1..2"):
+        pair_cost(left, right, pair)
+    with pytest.raises(InvalidLabelError):
+        bottleneck_cost(left, right, witness + [pair])
+    with pytest.raises(InvalidLabelError):
+        wasserstein_cost(left, right, [pair] + witness, 2.0)
 
 
 def test_pair_costs_match_the_oracle_without_a_warning():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from helpers import (
     ORACLE_SPECS,
     ReachabilityOrder,
+    column_word_keys,
     dumps_json,
     dumps_vertices_json,
     fstring_dot,
@@ -305,9 +307,11 @@ def test_newman_join_matches_list_closure(case):
     # meet joins reversed words, so the join must hold on every word
     n, s, t = case
     got = _newman_join(s, t, n)
-    assert got == list_newman_join(s, t, n)
-    assert all(type(sym) is int for sym in got)
-    assert W._of_valid_word(got) == W(got)
+    assert got.shape == (len(s),) and got.dtype == np.min_scalar_type(n)
+    word = tuple(got.tolist())
+    assert word == list_newman_join(s, t, n)
+    assert all(type(sym) is int for sym in word)
+    assert W._of_array(got, n) == W._of_valid_word(word) == W(word)
 
 
 def test_newman_join_matches_list_closure_on_200_bars():
@@ -565,6 +569,34 @@ def test_covers_exact_beyond_int64(n, k):
     words = np.asarray(d.words, dtype=np.min_scalar_type(wide))
     assert barcomb.lattice._word_keys(words, wide).dtype == object
     assert np.array_equal(barcomb.lattice._covers(words, wide), d.cover_array)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (2, 3), (6, 0)])
+def test_word_keys_match_the_column_oracle_in_int64(n, k):
+    # no int64 copy of the table is made: at (2,3) it would take 3.5 MB
+    spec = LatticeSpec(n, k)
+    words = enumerate_lattice(spec, cap=spec.positions).words
+    tracemalloc.start()
+    try:
+        got = barcomb.lattice._word_keys(words, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + 2**17
+    assert got.dtype == np.int64
+    assert np.array_equal(got, column_word_keys(words, n))
+    assert np.array_equal(barcomb.lattice._word_keys(words[:0], n), words[:0, 0])
+
+
+def test_word_keys_match_the_column_oracle_in_python_integers():
+    # 5^36 > 2^63: keys past int64, exact as Python integers
+    rng = np.random.default_rng(36)
+    words = rng.integers(1, 5, size=(50, 36), endpoint=True).astype(np.uint8)
+    words[0], words[1] = 4, 1  # the largest and the smallest key
+    got = barcomb.lattice._word_keys(words, 4)
+    assert got.dtype == object and {type(key) for key in got} == {int}
+    assert got.tolist() == column_word_keys(words, 4).tolist()
+    assert got[0] == 5**36 - 1 and got[1] == (5**36 - 1) // 4
 
 
 @pytest.mark.parametrize("n,k", ORACLE_SPECS)

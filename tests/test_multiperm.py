@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import doctest
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -25,6 +28,7 @@ from barcomb.barcode import (
     Barcode,
     affine_transform,
     crossing_number,
+    generate_barcode,
     is_k_strict,
     require_k_strict,
 )
@@ -35,7 +39,7 @@ from barcomb.errors import (
     NotStrictError,
     ShapeMismatchError,
 )
-from barcomb.lattice import LatticeSpec, enumerate_lattice
+from barcomb.lattice import LatticeSpec, enumerate_lattice, join, meet
 from barcomb.multiperm import (
     Multipermutation,
     canonicalize,
@@ -678,3 +682,95 @@ def test_barcode_maps_match_the_tuple_path(bars, k):
         assert second_occurrence_subword(W(word)) == iota_second_occurrences(word)
         if k >= 1:
             assert delta_k(W(word)).word == iota_delta_k(word)
+
+
+# The memo: n, canonicity and the array, filled at most once per word.
+
+
+def assert_memo_matches_a_fresh_word(s):
+    """``s`` and a fresh word of its tuple compare and hash alike while the
+    fresh memo is still empty, then report the same n, m, canonicity and
+    read-only array."""
+    fresh = W(s.word)
+    assert vars(fresh) == {"word": s.word}  # nothing worked out yet
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert {s: 1}[fresh] == 1 and {fresh: 1}[s] == 1
+    assert (s.n, s.m, s.is_canonical) == (fresh.n, fresh.m, fresh.is_canonical)
+    assert s._array.dtype == fresh._array.dtype == np.min_scalar_type(s.n)
+    assert s._array.shape == (len(s.word),) and s._array.tolist() == list(s.word)
+    assert s._array is s._array
+    for u in (s, fresh):
+        assert not u._array.flags.writeable
+        with pytest.raises(ValueError):
+            u._array[0] = 1
+    assert vars(s).keys() <= {"word", "n", "is_canonical", "_array"}
+
+
+@settings(deadline=None)
+@given(integer_bars, st.integers(0, 2), st.data())
+def test_every_constructor_fills_the_memo_a_fresh_word_would(bars, k, data):
+    barcode = Barcode.from_pairs([(b, b + length) for b, length in bars])
+    assume(is_k_strict(barcode, k + 1))
+    n, m = len(bars), (2 << k) + 1
+    spec = LatticeSpec(n, k + 1)
+    letters = [sym for sym in range(1, n + 1) for _ in range(m)]
+    drawn = W(tuple(data.draw(st.permutations(letters))))
+    labeled, s, t = f_k(barcode, k + 1), g_k(barcode, k + 1), canonicalize(drawn)
+    halved = delta_k(drawn)  # canonicity not known yet: left to first use
+    assert "is_canonical" not in vars(halved)
+    drawn.is_canonical
+    made = [
+        drawn, labeled, s, t, halved, canonicalize(labeled), f_k(barcode, k), g_k(barcode, k),
+        delta_k(labeled), delta_k(s), delta_k(t), delta_k(drawn),
+        meet(s, t, spec, spec.positions), join(s, t, spec, spec.positions),
+    ]
+    for u in made:
+        assert_memo_matches_a_fresh_word(u)
+    assert all(vars(u)["is_canonical"] for u in made[2:4] + made[-2:])
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
+def test_lattice_elements_fill_their_memo_on_first_use(n, k):
+    d = enumerate_lattice(LatticeSpec(n, k))
+    assert {tuple(vars(s)) for s in d.elements} == {("word",)}  # nothing paid at build
+    for i, s in enumerate(d.elements):
+        assert_memo_matches_a_fresh_word(s)
+        assert s.is_canonical and np.array_equal(s._array, d.words[i])
+        assert d.index_of(s) == i
+
+
+def test_the_memo_is_no_field():
+    s = g_k(B1, 0)
+    assert [field.name for field in dataclasses.fields(s)] == ["word"]
+    assert vars(s).keys() == {"word", "n", "is_canonical", "_array"}
+    assert repr(s) == f"Multipermutation(word={s.word!r})"
+    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert vars(copied) == {"word": s.word}
+        assert_memo_matches_a_fresh_word(copied)
+
+
+def test_rank_and_orders_of_g_k_words_convert_no_tuple(monkeypatch):
+    # g_k and join fill the memo, so the kernels read its array: every word
+    # that reaches _word_array is an array already.  s <= u, so the orders
+    # read every column of that pair
+    s, t = (g_k(generate_barcode(50, seed=seed, k=1), 1) for seed in (1, 2))
+    spec = LatticeSpec(50, 1)
+    u = join(s, t, spec, spec.positions)
+    pairs = [(s, t), (t, s), (s, u), (u, s)]
+
+    def results(fresh):
+        return [rank(fresh(a)) for a in (s, t, u)] + [
+            order(fresh(a), fresh(b)) for order in (newman_leq, prec) for a, b in pairs
+        ]
+
+    want = results(lambda a: W(a.word))
+    real, kinds = barcomb.multiperm._word_array, []
+
+    def spy(words, n):
+        kinds.append(type(words))
+        return real(words, n)
+
+    monkeypatch.setattr(barcomb.multiperm, "_word_array", spy)
+    got = results(lambda a: a)
+    assert got == want and want[3:] == [False, False, True, False] * 2
+    assert kinds and set(kinds) == {np.ndarray}
