@@ -5,8 +5,8 @@ with alphabet size n and multiplicity m = 2^k + 1, ordered by the Newman
 relation.  Equivalently (and verified by ``verify_ideal_isomorphism``) it is
 the principal ideal below the fully nested word inside the full multinomial
 Newman lattice.  That lattice is never enumerated: its words are the n!
-symbol relabelings of the canonical words, and the check tests them one
-relabeling at a time.
+symbol relabelings of the canonical words, and the check reads each
+canonical word's profile once and relabels the top's profile instead.
 
 An enumerated lattice is arrays end to end.  One private builder,
 ``_word_table``, returns the words as the rows of one array in
@@ -55,7 +55,7 @@ import numpy as np
 from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _below, _frozen, _newman_join, _word_array
+from .multiperm import Multipermutation, _frozen, _newman_join, _profiles, _word_array
 
 DEFAULT_POSITION_CAP = 16
 
@@ -555,33 +555,56 @@ def verify_ideal_isomorphism(
     Every word of the full multinomial Newman lattice is exactly one
     relabeling of exactly one canonical word, and only the identity keeps a
     word canonical.  So the canonical words, relabeled by each of the n!
-    symbol permutations in turn, cover the full lattice once, and each batch
-    is tested against the fully nested word with the Newman test of
-    ``newman_leq``.  The identity comes first: its words not below the top
-    are ``extra``; the words below the top from any other relabeling are
-    ``missing``.
+    symbol permutations, cover the full lattice once.  No relabeled word is
+    built to be tested.  Let F_w[i, r, j] count the copies of j before copy
+    r of i in w, for every pair of symbols i != j: ``_profiles`` gives the
+    pairs with j > i, and on the reversed word n + 1 - w, read back through
+    the reversal, the pairs with j < i, since reversing the alphabet swaps
+    larger and smaller.  Relabeling w by pi puts it at or below the top with
+    profile P exactly when F_w[i, r, j] <= P[pi(i), r, pi(j)] wherever
+    pi(j) > pi(i); elsewhere the bound is m, which every count meets.  So
+    each chunk of words, its profiles read once, is compared with the top's
+    profile read through a group of relabelings in one broadcast.  The chunk
+    keeps its one-hot within ``multiperm._CELLS`` entries, and the group the
+    comparison within as many booleans; the top's profile under all n!
+    relabelings takes n!·N·n bytes, 5 MB at (8,0).  The identity comes
+    first: its words not below the top are ``extra``; the words below the
+    top under any other relabeling are ``missing``, and only they are
+    relabeled.
     """
     _check_cap(spec, cap)
-    n = spec.n
-    top = top_element(spec)._array
-    words = _label_words(_word_table(n, spec.m)[0], spec.m)
-    identity = tuple(range(1, n + 1))
-    ideal, total, missing = 0, 0, []
-    for p in permutations(identity):
-        batch = np.array((0, *p), dtype=words.dtype)[words]
-        below = _below(batch, top, n)
-        ideal += int(below.sum())
-        if p == identity:  # comes first
-            extra = tuple(map(tuple, batch[~below].tolist()))
-        else:
-            missing += map(tuple, batch[below].tolist())
-        total += len(batch)
+    n, m = spec.n, spec.m
+    (top,) = _profiles(top_element(spec)._array[None], n)
+    symbols = np.arange(n)
+    bound = np.where(symbols > symbols[:, None, None], top, m)
+    perms = np.array(list(permutations(range(n))))  # the identity first
+    pi, pj = perms[:, :, None, None], perms[:, None, None, :]
+    # bound[pi(i), r, pi(j)], one row per entry [i, r, j] and a column each pi
+    tops = bound[pi, np.arange(m)[:, None], pj].reshape(len(perms), -1).T[:, :, None]
+    words = _label_words(_word_table(n, m)[0], m)
+    count, size = words.shape
+    step = max(1, multiperm._CELLS // (size * n))
+    group = max(1, multiperm._CELLS // (min(step, count) * size * n))
+    ideal, extra, missing = 0, [], []
+    for start in range(0, count, step):
+        chunk = words[start : start + step]
+        profile = _profiles(chunk, n) + _profiles(n + 1 - chunk, n)[:, ::-1, :, ::-1]
+        # entries as rows: reducing over the first axis ANDs whole rows
+        profile = np.ascontiguousarray(profile.reshape(len(chunk), -1).T)[:, None]
+        for first in range(0, len(perms), group):
+            below = (profile <= tops[:, first : first + group]).all(axis=0)
+            ideal += int(below.sum())
+            if not first:  # the identity
+                extra += chunk[~below[0]].tolist()
+                below[0] = False
+            relabelings, rows = np.nonzero(below)
+            missing += (perms[first + relabelings[:, None], chunk[rows] - 1] + 1).tolist()
     return IdealReport(
         spec=spec,
-        canonical_count=len(words),
+        canonical_count=count,
         ideal_count=ideal,
-        total_words=total,
+        total_words=count * len(perms),
         equal=not missing and not extra,
-        missing=tuple(sorted(missing)),
-        extra=extra,
+        missing=tuple(sorted(map(tuple, missing))),
+        extra=tuple(map(tuple, extra)),
     )

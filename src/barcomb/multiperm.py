@@ -40,9 +40,10 @@ column order.  The order tests read the column of the largest symbol first
 column, and two independent words almost always fail there, so one kernel
 call on one column refuses them.  Only then come
 the other columns, in blocks, and a test stops at the first block where it
-fails.  One Newman test, ``_below``, serves ``newman_leq`` and the ideal
-check; it cuts a batch of words into chunks itself, and carries into each
-block of a chunk only the words still below t.
+fails.  The lattice's ideal check reads whole profiles of chunks of words
+instead, over every symbol pair: the kernel on the words gives the larger
+pairs, and on the words with their alphabet reversed (i -> n + 1 - i) it
+gives the smaller pairs, read back through the reversal.
 
 The join of two words has as its inversion set the transitive closure of
 the union of theirs (Markowsky, "Permutation lattices revisited").
@@ -115,7 +116,7 @@ class Multipermutation:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        word = tuple(self.word)
+        word = _integers(self.word, "symbols")
         object.__setattr__(self, "word", word)
         if not word:
             raise InvalidWordError("empty word")
@@ -209,6 +210,22 @@ class Multipermutation:
         return s
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints, numpy integers converted.
+
+    InvalidWordError for a bool, a float or any other type: equal values of
+    those would pass as symbols (True == 1, 2.0 == 2).  The types present
+    are read in one C-level pass.
+    """
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= {int}:
+        return values
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
+        raise InvalidWordError(f"{what} must be integers: {values!r}")
+    return tuple(map(int, values))
+
+
 def _check_same_shape(s: Multipermutation, t: Multipermutation) -> None:
     if s.n != t.n or s.m != t.m:
         raise ShapeMismatchError(
@@ -233,7 +250,7 @@ def relabel(s: Multipermutation, pi: Sequence[int]) -> Multipermutation:
     >>> str(relabel(Multipermutation((1, 2, 1, 3, 3, 2)), (2, 1, 3)))
     '2 1 2 3 3 1'
     """
-    n = s.n
+    n, pi = s.n, _integers(pi, "a permutation's images")
     if sorted(pi) != list(range(1, n + 1)):
         raise InvalidWordError(f"not a permutation of 1..{n}: {pi!r}")
     return Multipermutation(tuple(pi[sym - 1] for sym in s.word))
@@ -393,34 +410,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _below(words: Sequence[Sequence[int]], t: Sequence[int], n: int) -> np.ndarray:
-    """For each of ``words``, whether it lies at or below ``t`` in the
-    Newman order: whether its profile is at most that of t at every entry.
-
-    The words come in chunks whose full profiles, with t's, hold at most
-    ``_CELLS`` one-hot entries.  Each chunk shares one kernel call per span
-    of ``_densest_first`` with t: the largest symbol's column first, which
-    refuses most words that are not below t, then the other columns.  Only
-    the words still below t go on to the next span, and a chunk stops once
-    none is left.
-    """
-    words, top = _word_array(words, n), _word_array(t, n)[None]
-    below = np.zeros(len(words), dtype=bool)
-    step = max(1, _CELLS // (top.size * n) - 1)
-    for start in range(0, len(words), step):
-        live = np.arange(start, min(start + step, len(words)))
-        batch = np.concatenate((words[live], top))  # t is the last row
-        for lo, hi in _densest_first(*batch.shape, n):
-            prof = _profiles(batch, n, lo, hi)
-            keep = (prof[:-1] <= prof[-1]).all(axis=(1, 2, 3))
-            if not keep.all():
-                live, batch = live[keep], batch[np.append(keep, True)]
-                if not len(live):
-                    break
-        below[live] = True
-    return below
-
-
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     """Multinomial Newman order: inversions of iota(s) within iota(t).
 
@@ -430,7 +419,12 @@ def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     stops at the first where s exceeds t.
     """
     _check_same_shape(s, t)
-    return bool(_below(s._array[None], t._array, s.n)[0])
+    words = np.array((s._array, t._array))
+    for lo, hi in _densest_first(*words.shape, s.n):
+        a, b = _profiles(words, s.n, lo, hi)
+        if (a > b).any():
+            return False
+    return True
 
 
 def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:

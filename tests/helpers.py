@@ -303,6 +303,19 @@ def list_profile(word, n: int) -> list[list[list[int]]]:
     return prof
 
 
+def list_all_pairs_profile(word, n: int) -> list[list[list[int]]]:
+    """The interleaving profile over all symbol pairs, as nested lists:
+    ``prof[i - 1][r][j - 1]`` counts the copies of j before the copy of i
+    with index r (counted from 0) for every j != i, and is 0 for j == i.
+    Its entries of j > i are those of ``list_profile``."""
+    counts = [0] * n
+    prof: list[list[list[int]]] = [[] for _ in range(n)]
+    for sym in word:
+        prof[sym - 1].append(counts[: sym - 1] + [0] + counts[sym:])
+        counts[sym - 1] += 1
+    return prof
+
+
 def list_newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     """True iff the list profile of s is at most that of t at every entry."""
     return all(

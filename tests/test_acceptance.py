@@ -159,8 +159,8 @@ def test_criterion_04_rank_counts_crossings():
 def test_criterion_05_principal_ideal():
     with criterion(5, "principal ideal isomorphism", 60.0):
         expected = {
-            (2, 0): 3, (3, 0): 15, (4, 0): 105,
-            (2, 1): 10, (3, 1): 280, (2, 2): 126,
+            (2, 0): 3, (3, 0): 15, (4, 0): 105, (5, 0): 945, (6, 0): 10_395,
+            (2, 1): 10, (3, 1): 280, (4, 1): 15_400, (2, 2): 126, (3, 2): 126_126,
         }
         for (n, k), count in expected.items():
             spec = LatticeSpec(n, k)

@@ -366,18 +366,41 @@ def test_verify_ideal_isomorphism(n, k, count):
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
-@pytest.mark.parametrize("cells", [1, 352, 400])
+@pytest.mark.parametrize("cells", [1, 352, 400, 30240])
 def test_ideal_check_in_small_chunks(monkeypatch, n, k, cells):
-    # each relabeling is a batch of 280 words at (3,1) and 105 at (4,0), and
-    # a chunk leaves room for the top's row.  1 cell makes chunks of one word,
-    # which divide every batch, and blocks of one column; 352 cells make
-    # chunks of 12 and 10 words (the top just fills the block at (4,0)) and
-    # 400 cells chunks of 13 and 11, so the last chunk of a batch is partial
+    # a chunk holds cells // (N·n) of the 280 words at (3,1) and the 105 at
+    # (4,0), N·n being 27 and 32, and a group cells // (chunk·N·n) of the 6
+    # and 24 relabelings.  1 cell makes chunks of one word and groups of one
+    # relabeling; 352 cells make chunks of 13 and 11 words and 400 cells of
+    # 14 and 12, so the last chunk is partial but for 14 of 280; 30240 cells
+    # hold all the words, in groups of 4 and 9 relabelings, so the last
+    # group is partial
     spec = LatticeSpec(n, k)
     want = verify_ideal_isomorphism(spec)
     assert want.equal and want.total_words in (1680, 2520)
+    rows = []
+    real = barcomb.lattice._profiles
+    monkeypatch.setattr(
+        barcomb.lattice, "_profiles", lambda words, n: rows.append(len(words)) or real(words, n)
+    )
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
     assert verify_ideal_isomorphism(spec) == want
+    # the top's row, then each chunk twice: its words and their reversal
+    step = {1: (1, 1), 352: (13, 11), 400: (14, 12), 30240: (280, 105)}[cells][n - 3]
+    count = want.canonical_count
+    assert rows == [1] + [min(step, count - lo) for lo in range(0, count, step) for _ in "ab"]
+
+
+def test_ideal_check_of_six_bars_in_bounded_memory():
+    # 10 395 words of 12 positions, 720 relabelings: one chunk of words and
+    # groups of five relabelings within the 4 MB of the default cells
+    tracemalloc.start()
+    try:
+        assert verify_ideal_isomorphism(LatticeSpec(6, 0)).equal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_dot_output():
@@ -527,25 +550,40 @@ def brute_force_ideal_report(spec: LatticeSpec, top: tuple[int, ...]) -> IdealRe
 
 
 @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2)])
-@pytest.mark.parametrize("which", ["lower canonical", "relabeled top", "relabeled lower"])
-def test_ideal_check_against_brute_force_with_another_top(monkeypatch, n, k, which):
+@pytest.mark.parametrize(
+    "which", ["lower canonical", "relabeled top", "relabeled lower", "drawn"]
+)
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_ideal_check_against_brute_force_with_another_top(n, k, which, data):
     # a top below the fully nested word leaves canonical words out (extra);
-    # a non-canonical top takes in non-canonical words (missing)
+    # a non-canonical top takes in non-canonical words (missing).  A drawn
+    # top is any word of the shape, canonical or not, and the check runs
+    # with the default cells or with one word and one relabeling a step
     spec = LatticeSpec(n, k)
     elements = reference_lattice(n, k).elements
     lower = elements[len(elements) // 2]
     swap = (2, 1) + tuple(range(3, n + 1))
-    top = {
-        "lower canonical": lower,
-        "relabeled top": relabel(top_element(spec), swap),
-        "relabeled lower": relabel(lower, swap),
-    }[which]
-    monkeypatch.setattr(barcomb.lattice, "top_element", lambda spec: top)
-    got = verify_ideal_isomorphism(spec)
+    if which == "drawn":
+        letters = [sym for sym in range(1, n + 1) for _ in range(spec.m)]
+        top = W(tuple(data.draw(st.permutations(letters), label="top")))
+        cells = data.draw(st.sampled_from([1, barcomb.multiperm._CELLS]), label="cells")
+    else:
+        top = {
+            "lower canonical": lower,
+            "relabeled top": relabel(top_element(spec), swap),
+            "relabeled lower": relabel(lower, swap),
+        }[which]
+        cells = barcomb.multiperm._CELLS
+    with mock.patch.object(barcomb.lattice, "top_element", lambda spec: top), \
+            mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        got = verify_ideal_isomorphism(spec)
     assert got == brute_force_ideal_report(spec, top.word)
-    # the top itself is missing when relabeled; the real top is extra when lower
-    assert got.missing if which.startswith("relabeled") else got.extra
-    assert not got.equal
+    if which != "drawn":
+        # the top itself is missing when relabeled; the real top is extra
+        # when lower
+        assert got.missing if which.startswith("relabeled") else got.extra
+        assert not got.equal
 
 
 def test_spec_rejects_empty_alphabets_and_negative_levels():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import doctest
+import json
 import pickle
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from helpers import (
     inversion_set,
     iota_delta_k,
     iota_second_occurrences,
+    list_all_pairs_profile,
     list_inversion_multiset,
     list_newman_leq,
     list_prec,
@@ -54,7 +56,6 @@ from barcomb.multiperm import (
     rank,
     relabel,
     second_occurrence_subword,
-    _below,
     _profiles,
     _word_array,
 )
@@ -103,6 +104,46 @@ def test_word_validation():
         W((1, 10**12))  # rejected without listing 1..10^12
     s = words(1, 2, 1, 3, 3, 2)
     assert (s.n, s.m) == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        (True, True),
+        (1, True),  # equal to (1, 1), and hashes alike
+        (1.0, 1.0),
+        (1, 2.0, 2, 1),
+        ("1", "1"),
+        (np.True_, np.True_),
+        (np.float64(1), np.float64(1)),
+        (None, None),
+    ],
+)
+def test_words_refuse_symbols_that_are_not_integers(word):
+    with pytest.raises(InvalidWordError, match="must be integers"):
+        W(word)
+
+
+def test_words_store_integer_symbols_as_python_ints():
+    for dtype in (np.uint8, np.int64, np.uint64):
+        s = W(tuple(np.array([1, 2, 2, 1], dtype)))
+        assert all(type(sym) is int for sym in s.word)
+        assert s == words(1, 2, 2, 1) and hash(s) == hash(words(1, 2, 2, 1))
+        text = json.dumps(s.to_json_dict())
+        assert W.from_json_dict(json.loads(text)) == s
+        assert rank(s) == 2
+    mixed = W((np.uint8(1), 2, np.int16(2), 1))
+    assert mixed.word == (1, 2, 2, 1) and all(type(sym) is int for sym in mixed.word)
+
+
+def test_relabel_refuses_images_that_are_not_integers():
+    s = words(1, 2, 1, 2)
+    for pi in [(2.0, 1.0), (True, 2), (2, np.float32(1)), ("2", "1")]:
+        with pytest.raises(InvalidWordError, match="must be integers"):
+            relabel(s, pi)
+    t = relabel(s, np.array([2, 1], np.uint8))
+    assert t == words(2, 1, 2, 1) and all(type(sym) is int for sym in t.word)
+    assert json.loads(json.dumps(t.to_json_dict()))["word"] == [2, 1, 2, 1]
 
 
 def test_serialization():
@@ -323,6 +364,25 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
     ranks = np.arange(n)
     want = np.arange(m)[:, None] * (ranks[None, None, :] > ranks[:, None, None])
     assert (prof[0] == want).all()
+    # reversing the alphabet swaps larger and smaller: read back through the
+    # reversal, the kernel on n + 1 - word counts the smaller symbols, of
+    # which copy r of i follows r + 1 copies each (n - (word - 1) is
+    # n + 1 - word, without n + 1 in the symbols' dtype, which 255 fills)
+    smaller = _profiles(n - (words - 1), n)[:, ::-1, :, ::-1]
+    assert smaller.dtype == counts and smaller.shape == (1, n, m, n)
+    want = (np.arange(m)[:, None] + 1) * (ranks[None, None, :] < ranks[:, None, None])
+    assert (smaller[0] == want).all()
+    # and on shuffled words, the sum is the all-pairs list profile
+    rng = random.Random(n * 1000 + k)
+    batch = []
+    for _ in range(3):
+        word = list(words[0].tolist())
+        rng.shuffle(word)
+        batch.append(word)
+    batch = _word_array(batch, n)
+    both = _profiles(batch, n) + _profiles(n - (batch - 1), n)[:, ::-1, :, ::-1]
+    for row, word in zip(both.tolist(), batch.tolist()):
+        assert row == list_all_pairs_profile(word, n)
 
 
 def test_word_array_passes_arrays_of_its_dtype_uncopied():
@@ -389,47 +449,12 @@ def batch_and_top(draw):
 @given(batch_and_top(), st.sampled_from([1, 5000, barcomb.multiperm._CELLS]))
 def test_below_matches_list_profile_row_by_row(case, cells):
     batch, t, n = case
+    top = W(t)
     with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
-        got = _below(batch, t, n)
-    assert got.dtype == bool and got.shape == (len(batch),)
-    want = [list_newman_leq(W(w), W(t)) for w in batch]
-    assert got.tolist() == want
+        got = [newman_leq(W(w), top) for w in batch]
+    assert all(type(x) is bool for x in got)
+    assert got == [list_newman_leq(W(w), top) for w in batch]
     assert got[batch.index(t)]
-
-
-def test_below_stops_after_the_first_block_every_word_fails(monkeypatch):
-    # each kernel call is logged as (rows, first column, end column).  A chunk
-    # holds one word; its first call reads the column of symbol 6 alone, then
-    # blocks of columns (1, 2), (3, 4) and (5) for that word and t.  A word
-    # fails in the column of the larger symbol of an inversion t lacks, and
-    # its chunk stops there
-    n = 6
-    t = (1, 2, 3, 4, 5, 6) * 2
-    first = [(2, 1) + t[2:], t[:6] + (2, 1) + t[8:]]  # a 2 before a 1
-    last = (1, 2, 3, 4, 6, 5) + t[6:]  # a 6 before a 5
-    calls = []
-    real = barcomb.multiperm._profiles
-    monkeypatch.setattr(
-        barcomb.multiperm,
-        "_profiles",
-        lambda *a: calls.append((len(a[0]), *a[2:])) or real(*a),
-    )
-    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 2 * 12 * 2)
-    assert _below(first, t, n).tolist() == [False, False]
-    assert calls == [(2, 5, 6), (2, 0, 2), (2, 5, 6), (2, 0, 2)]
-    calls.clear()
-    assert _below([first[0], last], t, n).tolist() == [False, False]
-    assert calls == [(2, 5, 6), (2, 0, 2), (2, 5, 6)]  # last fails in column 6
-    calls.clear()
-    assert _below([t, first[1]], t, n).tolist() == [True, False]
-    assert calls == [(2, 5, 6), (2, 0, 2), (2, 2, 4), (2, 4, 5), (2, 5, 6), (2, 0, 2)]
-    # room for the full profiles of three rows: chunks of two words and t,
-    # column 6 and then one block of the rest; a word that fails leaves the
-    # batch before the next call
-    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 3 * 12 * 6)
-    calls.clear()
-    assert _below([t, *first, last], t, n).tolist() == [True, False, False, False]
-    assert calls == [(3, 5, 6), (3, 0, 5), (3, 5, 6), (2, 0, 5)]
 
 
 @pytest.mark.parametrize("order", [newman_leq, prec])
@@ -750,9 +775,9 @@ def test_the_memo_is_no_field():
 
 
 def test_rank_and_orders_of_g_k_words_convert_no_tuple(monkeypatch):
-    # g_k and join fill the memo, so the kernels read its array: every word
-    # that reaches _word_array is an array already.  s <= u, so the orders
-    # read every column of that pair
+    # g_k and join fill the memo, so the kernels read its array and no word
+    # reaches _word_array; fresh words reach it as tuples.  s <= u, so
+    # the orders read every column of that pair
     s, t = (g_k(generate_barcode(50, seed=seed, k=1), 1) for seed in (1, 2))
     spec = LatticeSpec(50, 1)
     u = join(s, t, spec, spec.positions)
@@ -773,4 +798,6 @@ def test_rank_and_orders_of_g_k_words_convert_no_tuple(monkeypatch):
     monkeypatch.setattr(barcomb.multiperm, "_word_array", spy)
     got = results(lambda a: a)
     assert got == want and want[3:] == [False, False, True, False] * 2
-    assert kinds and set(kinds) == {np.ndarray}
+    assert not kinds
+    assert results(lambda a: W(a.word)) == want
+    assert kinds and set(kinds) == {tuple}
