@@ -36,9 +36,12 @@ Meets and joins need no enumeration.  Because the canonical words are a
 principal ideal, they are the meets and joins of the multinomial Newman
 lattice (Bennett and Birkhoff, "Two families of Newman lattices"): the join
 of two words has as its inversion set the transitive closure of the union of
-theirs, closed as a boolean matrix over the symbol copies in
-``barcomb.multiperm``, and reversing words reverses the order, so the meet
-of s and t is the reversed join of their reversals.
+theirs, and reversing words reverses the order, so the meet of s and t is
+the reversed join of their reversals.  ``barcomb.multiperm`` closes the
+union in two ways, and ``_join`` chooses by word length: up to
+``_SHORT_WORD`` positions on the word tuples, as Python int rows
+(``_short_join``), and above it as a boolean matrix over the symbol copies
+(``_newman_join``).
 """
 
 from __future__ import annotations
@@ -55,9 +58,23 @@ import numpy as np
 from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _frozen, _newman_join, _profiles, _word_array
+from .multiperm import (
+    Multipermutation,
+    _frozen,
+    _newman_join,
+    _profiles,
+    _short_join,
+    _word_array,
+)
 
 DEFAULT_POSITION_CAP = 16
+# Meet and join of words of at most this many positions close their
+# inversion sets on Python ints (``_short_join``), longer ones in numpy
+# (``_newman_join``).  The measured crossover: on two symbols, the shape the
+# Python kernel does worst, it is 1.8 times faster at 18 positions and 1.1
+# times slower at 32; every lattice shape of at most 32 positions is faster
+# in Python, and (2,4), of 34, is not.
+_SHORT_WORD = 32
 
 
 @dataclass(frozen=True)
@@ -318,7 +335,8 @@ class HasseDiagram:
     element leaves its memo to its own first use.  Diagrams
     are equal when their specs and arrays are, and hash alike then.
     ``index_of`` and ``in`` binary-search the words, so they need them in
-    lexicographic order, as ``enumerate_lattice`` lists them.
+    lexicographic order, as ``enumerate_lattice`` lists them; a value that
+    is no ``Multipermutation`` is not in the diagram.
     """
 
     def __init__(self, spec: LatticeSpec, words, covers, ranks):
@@ -373,10 +391,15 @@ class HasseDiagram:
     def _keys(self) -> np.ndarray:
         return _word_keys(self.words, self.spec.n)
 
-    def _find(self, s: Multipermutation) -> int | None:
-        """The index of ``s`` among the words, or None."""
+    def _find(self, s) -> int | None:
+        """The index of ``s`` among the words, or None, also when ``s`` is
+        no ``Multipermutation``."""
         n = self.spec.n
-        if len(s.word) != self.words.shape[1] or s.n > n:
+        if (
+            not isinstance(s, Multipermutation)
+            or len(s.word) != self.words.shape[1]
+            or s.n > n
+        ):
             return None
         (key,) = _word_keys(s._array[None], n)
         at = int(np.searchsorted(self._keys, key))
@@ -388,7 +411,7 @@ class HasseDiagram:
             raise NotAnElementError(f"{s} is not an element of this lattice")
         return at
 
-    def __contains__(self, s: Multipermutation) -> bool:
+    def __contains__(self, s) -> bool:
         return self._find(s) is not None
 
     def meet(self, s: Multipermutation, t: Multipermutation) -> Multipermutation:
@@ -485,10 +508,27 @@ def enumerate_lattice(
     return HasseDiagram(spec, words, _covers(words, spec.n), ranks)
 
 
-def _element_word(s: Multipermutation, spec: LatticeSpec) -> np.ndarray:
+def _check_element(s: Multipermutation, spec: LatticeSpec) -> None:
     if s.n != spec.n or s.m != spec.m or not s.is_canonical:
         raise NotAnElementError(f"{s} is not an element of the lattice {spec}")
-    return s._array
+
+
+def _join(
+    s: Multipermutation, t: Multipermutation, spec: LatticeSpec, reverse: bool
+) -> Multipermutation:
+    """The join of two elements, or with ``reverse`` the reversed join of
+    their reversals, their meet.  Words of at most ``_SHORT_WORD`` positions
+    are joined on their tuples by ``_short_join``, and the result's memo
+    gets ``n`` and its canonicity but no array; longer words are joined on
+    their arrays by ``_newman_join``."""
+    _check_element(s, spec)
+    _check_element(t, spec)
+    step = -1 if reverse else 1
+    if spec.positions <= _SHORT_WORD:
+        word = _short_join(s.word[::step], t.word[::step], spec.n)[::step]
+        return Multipermutation._of_valid_word(word, n=spec.n, is_canonical=True)
+    word = _newman_join(s._array[::step], t._array[::step], spec.n)[::step]
+    return Multipermutation._of_array(word, spec.n, canonical=True)
 
 
 def meet(
@@ -499,9 +539,7 @@ def meet(
 ) -> Multipermutation:
     """Greatest common lower bound: the reversed join of the reversals."""
     _check_cap(spec, cap)
-    a, b = _element_word(s, spec), _element_word(t, spec)
-    word = _newman_join(a[::-1], b[::-1], spec.n)[::-1]
-    return Multipermutation._of_array(word, spec.n, canonical=True)
+    return _join(s, t, spec, reverse=True)
 
 
 def join(
@@ -512,8 +550,7 @@ def join(
 ) -> Multipermutation:
     """Least common upper bound, from the closed union of inversion sets."""
     _check_cap(spec, cap)
-    a, b = _element_word(s, spec), _element_word(t, spec)
-    return Multipermutation._of_array(_newman_join(a, b, spec.n), spec.n, canonical=True)
+    return _join(s, t, spec, reverse=False)
 
 
 def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]:

@@ -11,9 +11,11 @@ Beside it each word keeps a memo of what the kernels ask for again and
 again: ``n``, whether it ``is_canonical``, and its word as a read-only array
 in ``_word_array``'s dtype.  Each is worked out at most once per word, and
 not at all where a constructor knows it already: ``f_k``, ``g_k``,
-``canonicalize``, ``delta_k`` and the lattice's meet and join fill it from
-the arrays they compute.  The array costs N·itemsize bytes beside the tuple,
-one byte per position while n < 256.
+``canonicalize``, ``delta_k`` and the lattice's meet and join of long words
+fill it from the arrays they compute; meet and join of short words fill
+``n`` and ``is_canonical`` and leave the array to first use.  The array
+costs N·itemsize bytes beside the tuple, one byte per position while
+n < 256.
 
 Every order question reads one encoding of a word, its *interleaving
 profile*: for each symbol i, each copy of i and each larger symbol j, the
@@ -46,10 +48,14 @@ pairs, and on the words with their alphabet reversed (i -> n + 1 - i) it
 gives the smaller pairs, read back through the reversal.
 
 The join of two words has as its inversion set the transitive closure of
-the union of theirs (Markowsky, "Permutation lattices revisited").
-``_newman_join`` closes that union as a boolean matrix over the copies of
-the symbols and reads the word back off its row and column sums;
-``barcomb.lattice`` builds meet and join on it.
+the union of theirs (Markowsky, "Permutation lattices revisited").  Two
+kernels close that union over the copies of the symbols.  ``_short_join``
+holds each copy's row of larger copies before it as a Python int, closes
+the rows from the largest copy down and inserts each copy into the word as
+its row is closed; it calls no numpy, and serves short words.
+``_newman_join`` closes the union as a boolean matrix, one symbol block at a
+time, and reads the word back off its row and column sums.
+``barcomb.lattice`` builds meet and join on them, choosing by word length.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -129,10 +135,12 @@ class Multipermutation:
             raise InvalidWordError(f"multiplicities must be uniform: {word}")
 
     @classmethod
-    def _of_valid_word(cls, word: tuple[int, ...]) -> "Multipermutation":
-        """Wrap a tuple already known to be a valid word, skipping the checks."""
+    def _of_valid_word(cls, word: tuple[int, ...], **memo) -> "Multipermutation":
+        """Wrap a tuple already known to be a valid word, skipping the checks,
+        with whatever ``memo`` entries the caller knows already."""
         s = object.__new__(cls)
         object.__setattr__(s, "word", word)
+        s.__dict__.update(memo)
         return s
 
     @classmethod
@@ -152,8 +160,7 @@ class Multipermutation:
         view of the array and, unless ``canonical`` is None, whether the
         word is canonical."""
         array = _frozen(array)
-        s = cls._of_valid_word(tuple(array.tolist()))
-        s.__dict__.update(n=n, _array=array)
+        s = cls._of_valid_word(tuple(array.tolist()), n=n, _array=array)
         if canonical is not None:
             s.__dict__["is_canonical"] = canonical
         return s
@@ -312,10 +319,57 @@ def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _short_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
+    """Join of two words of one shape in the multinomial Newman lattice, on
+    Python ints: ``_newman_join``'s result as a tuple, with no numpy call.
+
+    Number the copies 0..N-1 in the order 1_1 < ... < n_m, copy r of symbol
+    s as (s - 1)·m + r.  One pass over each word gives each copy c its row,
+    an int whose bit y is set when the larger copy y stands before c, in s
+    or in t.  The rows are closed from the largest copy down: the rows of
+    larger copies are closed already, so copy c's row is ORed with the
+    closed rows of the copies it holds, skipping a copy that a row ORed in
+    already holds, whose own row that one holds too.
+
+    The word is built in the same loop.  Before copy c, ``order`` is the
+    join restricted to the copies > c, and c stands after exactly the copies
+    of its closed row, the join's inversions at c.  Those are a prefix of
+    ``order``: take x in the row and a copy y > c before x in the join.  If
+    y > x, y is in x's closed row, which c's row holds; if y < x, y stands
+    before c as x does, and is larger than c, so it is in c's row.  So
+    inserting c's symbol at the row's bit count extends ``order`` to the
+    copies >= c, with no O(N²) read-out.
+    """
+    size = len(s)
+    m = size // n
+    rows = [0] * size
+    for word in (s, t):
+        copy = list(range(-m, size, m))  # the next copy of each symbol
+        seen = 0
+        for sym in word:
+            c = copy[sym]
+            copy[sym] = c + 1
+            rows[c] |= seen >> c << c  # the larger copies seen
+            seen |= 1 << c
+    order: list[int] = []
+    for c in range(size - 1, -1, -1):
+        row = todo = rows[c]
+        while todo:
+            low = todo & -todo
+            more = rows[low.bit_length() - 1]
+            row |= more
+            todo = (todo ^ low) & ~more
+        rows[c] = row
+        order.insert(row.bit_count(), c // m + 1)
+    return tuple(order)
+
+
 def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> np.ndarray:
     """Join of two words of one shape in the multinomial Newman lattice.
 
     Its inversion set is the transitive closure of the union of theirs.
+    This block closure serves long words; ``_short_join`` closes the same
+    union on Python ints, faster on short ones.
     Number the copies 0..N-1 in the order 1_1 < ... < n_m; one stable
     argsort of each word gives the position of every copy.  The union is
     the strictly upper-triangular boolean matrix inv[x, y], true when copy

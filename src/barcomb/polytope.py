@@ -29,7 +29,8 @@ from typing import Iterator
 import numpy as np
 
 from . import multiperm
-from .multiperm import _frozen
+from .errors import InvalidWordError
+from .multiperm import _frozen, _integers
 from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
@@ -90,8 +91,21 @@ def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
 
 
 def word_from_vector(vec: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Invert the embedding: recover the word from a vertex vector."""
-    return tuple(_label_words(vec, m).tolist())
+    """Invert the embedding: recover the word from a vertex vector.
+
+    InvalidWordError unless the entries are a permutation of 1..N for some
+    N >= 1 and m >= 1 divides N, as the copy labels of a vertex are.
+
+    >>> word_from_vector((1, 3, 2, 4), 2)
+    (1, 2, 1, 2)
+    """
+    labels, (m,) = _integers(vec, "vertex entries"), _integers((m,), "multiplicities")
+    size = len(labels)
+    if not size or m < 1 or size % m or sorted(labels) != list(range(1, size + 1)):
+        raise InvalidWordError(
+            f"not the vertex of a word of multiplicity {m}: {labels!r}"
+        )
+    return tuple(_label_words(labels, m).tolist())
 
 
 def integer_rank(rows: list[list[int]]) -> int:

@@ -52,6 +52,7 @@ from barcomb.lattice import (
 from barcomb.multiperm import (
     Multipermutation,
     _newman_join,
+    _short_join,
     canonicalize,
     g_k,
     inversion_multiset,
@@ -292,11 +293,23 @@ def test_meet_join_laws_beyond_enumeration(triple):
     assert (lo == s) == newman_leq(s, t) == (hi == t)
 
 
+SHORT = barcomb.lattice._SHORT_WORD
+# words of exactly the short-join bound and of one more position: every
+# shape of multiplicity 1, 2, 3 or 5 that has them, and one symbol
+EDGE_SHAPES = [
+    (size // m, m) for size in (SHORT, SHORT + 1) for m in (1, 2, 3, 5) if size % m == 0
+]
+EDGE_SHAPES += [(1, SHORT), (1, SHORT + 1)]
+
+
 @st.composite
 def word_pairs(draw):
-    """n and two words of one shape over {1..n}, canonical or not, with
-    n <= 12 and m in {1, 2, 3, 5, 9}."""
-    n, m = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3, 5, 9]))
+    """n and two words of one shape over {1..n}, canonical or not: a shape
+    at the short-join bound, or n <= 12 and m in {1, 2, 3, 5, 9}."""
+    n, m = draw(st.one_of(
+        st.sampled_from(EDGE_SHAPES),
+        st.tuples(st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 9])),
+    ))
     letters = [sym for sym in range(1, n + 1) for _ in range(m)]
     return n, tuple(draw(st.permutations(letters))), tuple(draw(st.permutations(letters)))
 
@@ -304,14 +317,53 @@ def word_pairs(draw):
 @settings(deadline=None)
 @given(word_pairs())
 def test_newman_join_matches_list_closure(case):
-    # meet joins reversed words, so the join must hold on every word
+    # both kernels, on the words and on their reversals, whose reversed join
+    # is the meet; then meet and join of the canonical words of a lattice shape
     n, s, t = case
     got = _newman_join(s, t, n)
     assert got.shape == (len(s),) and got.dtype == np.min_scalar_type(n)
     word = tuple(got.tolist())
-    assert word == list_newman_join(s, t, n)
-    assert all(type(sym) is int for sym in word)
     assert W._of_array(got, n) == W._of_valid_word(word) == W(word)
+    for a, b in ((s, t), (s[::-1], t[::-1])):
+        short = _short_join(a, b, n)
+        assert type(short) is tuple and all(type(sym) is int for sym in short)
+        assert short == list_newman_join(a, b, n) == tuple(_newman_join(a, b, n).tolist())
+    m = len(s) // n
+    if m in (2, 3, 5, 9):
+        spec = LatticeSpec(n, (m - 1).bit_length() - 1)
+        cs, ct = canonicalize(W(s)), canonicalize(W(t))
+        assert join(cs, ct, spec, spec.positions).word == list_newman_join(cs.word, ct.word, n)
+        lo = list_newman_join(cs.word[::-1], ct.word[::-1], n)[::-1]
+        assert meet(cs, ct, spec, spec.positions).word == lo
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (2, 2), (16, 0), (11, 1), (2, 4)])
+def test_short_words_reach_no_array_and_long_ones_the_block_closure(n, k, monkeypatch):
+    spec = LatticeSpec(n, k)
+    calls = []
+
+    def spy(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    real_array = barcomb.multiperm._word_array
+    monkeypatch.setattr(barcomb.multiperm, "_word_array", spy("array", real_array))
+    monkeypatch.setattr(barcomb.lattice, "_newman_join", spy("join", _newman_join))
+    s = W(tuple(range(1, n + 1)) * spec.m)  # fresh words, their memo empty
+    top = top_element(spec)
+    lo, hi = meet(s, top, spec, spec.positions), join(s, top, spec, spec.positions)
+    assert lo == s and hi == top
+    short = spec.positions <= SHORT
+    if short:
+        assert calls == []
+    else:
+        assert calls.count("join") == 2
+    for u in (lo, hi):  # a short result leaves its array to first use
+        assert vars(u).keys() - {"_array"} == {"word", "n", "is_canonical"}
+        assert ("_array" in vars(u)) != short and u.n == n and u.is_canonical is True
 
 
 def test_newman_join_matches_list_closure_on_200_bars():
@@ -467,6 +519,17 @@ def test_index_of_round_trips(n, k):
         assert s not in d
         with pytest.raises(NotAnElementError):
             d.index_of(s)
+
+
+@pytest.mark.parametrize(
+    "value", [(1, 2, 2, 1), [1, 2, 2, 1], "1 2 2 1", None, 1, np.array([1, 2, 2, 1])]
+)
+def test_values_that_are_no_words_are_not_elements(value):
+    d = enumerate_lattice(LatticeSpec(2, 0))
+    assert W((1, 2, 2, 1)) in d
+    assert (value in d) is False
+    with pytest.raises(NotAnElementError):
+        d.index_of(value)
 
 
 def test_diagram_is_hashable_value():

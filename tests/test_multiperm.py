@@ -25,6 +25,7 @@ from helpers import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import barcomb.lattice
 import barcomb.multiperm
 from barcomb.barcode import (
     Barcode,
@@ -749,6 +750,9 @@ def test_every_constructor_fills_the_memo_a_fresh_word_would(bars, k, data):
         delta_k(labeled), delta_k(s), delta_k(t), delta_k(drawn),
         meet(s, t, spec, spec.positions), join(s, t, spec, spec.positions),
     ]
+    short = spec.positions <= barcomb.lattice._SHORT_WORD
+    for u in made[-2:]:  # meet and join leave the array of a short word to first use
+        assert ("_array" in vars(u)) != short and vars(u)["n"] == n
     for u in made:
         assert_memo_matches_a_fresh_word(u)
     assert all(vars(u)["is_canonical"] for u in made[2:4] + made[-2:])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import barcomb.multiperm
 import barcomb.polytope
+from barcomb.errors import InvalidWordError
 from barcomb.lattice import LatticeSpec, enumerate_lattice
 from barcomb.multiperm import rank
 from barcomb.polytope import (
@@ -120,6 +121,26 @@ def test_vectors_decode_to_lattice_elements():
         vs = vertices(spec)
         decoded = [word_from_vector(vec, spec.m) for vec in vs.vectors]
         assert decoded == [s.word for s in diagram.elements]
+
+
+@pytest.mark.parametrize(
+    "vec,m",
+    [
+        ((1, 1, 2, 2), 2),  # a repeated entry
+        ((1, 2, 9, 4), 2),  # an entry past N
+        ((0, 1, 2, 3), 2),  # an entry below 1
+        ((1, 2, 3), 2),  # m does not divide N
+        ((2, 1), 0),
+        ((2, 1), -1),
+        ((), 1),
+        ((1.0, 2.0), 1),
+        ((1, 2), 2.0),
+        ((1, 2), True),
+    ],
+)
+def test_word_from_vector_refuses_what_is_no_vertex(vec, m):
+    with pytest.raises(InvalidWordError):
+        word_from_vector(vec, m)
 
 
 def test_identity_vector_is_bottom_and_top_is_unique():
