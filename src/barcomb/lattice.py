@@ -38,10 +38,8 @@ lattice (Bennett and Birkhoff, "Two families of Newman lattices"): the join
 of two words has as its inversion set the transitive closure of the union of
 theirs, and reversing words reverses the order, so the meet of s and t is
 the reversed join of their reversals.  ``barcomb.multiperm`` closes the
-union in two ways, and ``_join`` chooses by word length: up to
-``_SHORT_WORD`` positions on the word tuples, as Python int rows
-(``_short_join``), and above it as a boolean matrix over the symbol copies
-(``_newman_join``).
+union on the word tuples as Python int rows (``_join_words``), at any word
+length.
 """
 
 from __future__ import annotations
@@ -58,23 +56,9 @@ import numpy as np
 from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import (
-    Multipermutation,
-    _frozen,
-    _newman_join,
-    _profiles,
-    _short_join,
-    _word_array,
-)
+from .multiperm import Multipermutation, _frozen, _join_words, _profiles, _word_array
 
 DEFAULT_POSITION_CAP = 16
-# Meet and join of words of at most this many positions close their
-# inversion sets on Python ints (``_short_join``), longer ones in numpy
-# (``_newman_join``).  The measured crossover: on two symbols, the shape the
-# Python kernel does worst, it is 1.8 times faster at 18 positions and 1.1
-# times slower at 32; every lattice shape of at most 32 positions is faster
-# in Python, and (2,4), of 34, is not.
-_SHORT_WORD = 32
 
 
 @dataclass(frozen=True)
@@ -517,18 +501,14 @@ def _join(
     s: Multipermutation, t: Multipermutation, spec: LatticeSpec, reverse: bool
 ) -> Multipermutation:
     """The join of two elements, or with ``reverse`` the reversed join of
-    their reversals, their meet.  Words of at most ``_SHORT_WORD`` positions
-    are joined on their tuples by ``_short_join``, and the result's memo
-    gets ``n`` and its canonicity but no array; longer words are joined on
-    their arrays by ``_newman_join``."""
+    their reversals, their meet, joined on their tuples by ``_join_words``.
+    The result's memo gets ``n`` and its canonicity, and its array is left
+    to first use."""
     _check_element(s, spec)
     _check_element(t, spec)
     step = -1 if reverse else 1
-    if spec.positions <= _SHORT_WORD:
-        word = _short_join(s.word[::step], t.word[::step], spec.n)[::step]
-        return Multipermutation._of_valid_word(word, n=spec.n, is_canonical=True)
-    word = _newman_join(s._array[::step], t._array[::step], spec.n)[::step]
-    return Multipermutation._of_array(word, spec.n, canonical=True)
+    word = _join_words(s.word[::step], t.word[::step], spec.n)[::step]
+    return Multipermutation._of_valid_word(word, n=spec.n, is_canonical=True)
 
 
 def meet(

@@ -11,11 +11,10 @@ Beside it each word keeps a memo of what the kernels ask for again and
 again: ``n``, whether it ``is_canonical``, and its word as a read-only array
 in ``_word_array``'s dtype.  Each is worked out at most once per word, and
 not at all where a constructor knows it already: ``f_k``, ``g_k``,
-``canonicalize``, ``delta_k`` and the lattice's meet and join of long words
-fill it from the arrays they compute; meet and join of short words fill
-``n`` and ``is_canonical`` and leave the array to first use.  The array
-costs N·itemsize bytes beside the tuple, one byte per position while
-n < 256.
+``canonicalize`` and ``delta_k`` fill it from the arrays they compute; the
+lattice's meet and join fill ``n`` and ``is_canonical`` and leave the array
+to first use.  The array costs N·itemsize bytes beside the tuple, one byte
+per position while n < 256.
 
 Every order question reads one encoding of a word, its *interleaving
 profile*: for each symbol i, each copy of i and each larger symbol j, the
@@ -48,14 +47,12 @@ pairs, and on the words with their alphabet reversed (i -> n + 1 - i) it
 gives the smaller pairs, read back through the reversal.
 
 The join of two words has as its inversion set the transitive closure of
-the union of theirs (Markowsky, "Permutation lattices revisited").  Two
-kernels close that union over the copies of the symbols.  ``_short_join``
-holds each copy's row of larger copies before it as a Python int, closes
-the rows from the largest copy down and inserts each copy into the word as
-its row is closed; it calls no numpy, and serves short words.
-``_newman_join`` closes the union as a boolean matrix, one symbol block at a
-time, and reads the word back off its row and column sums.
-``barcomb.lattice`` builds meet and join on them, choosing by word length.
+the union of theirs (Markowsky, "Permutation lattices revisited").  One
+kernel, ``_join_words``, closes that union on the word tuples: it holds
+each copy's row of larger copies before it as a Python int, closes the rows
+from the largest copy down with one closed row ORed per symbol block, and
+inserts each copy into the word as its row is closed; it calls no numpy.
+``barcomb.lattice`` builds meet and join on it.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -319,17 +316,32 @@ def iota(s: Multipermutation | Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _short_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
-    """Join of two words of one shape in the multinomial Newman lattice, on
-    Python ints: ``_newman_join``'s result as a tuple, with no numpy call.
+def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
+    """Join of two words of one shape in the multinomial Newman lattice: the
+    word whose inversion set is the transitive closure of the union of
+    theirs, as a tuple, closed on Python ints with no numpy call.
 
     Number the copies 0..N-1 in the order 1_1 < ... < n_m, copy r of symbol
-    s as (s - 1)·m + r.  One pass over each word gives each copy c its row,
-    an int whose bit y is set when the larger copy y stands before c, in s
-    or in t.  The rows are closed from the largest copy down: the rows of
-    larger copies are closed already, so copy c's row is ORed with the
-    closed rows of the copies it holds, skipping a copy that a row ORed in
-    already holds, whose own row that one holds too.
+    s as (s - 1)·m + r, so each symbol's copies are a block of m bits.  One
+    pass over each word gives each copy c its row, an int whose bit y is set
+    when the larger copy y stands before c, in s or in t.  The rows are
+    closed from the largest copy down: the rows of larger copies are closed
+    already, so copy c's row is ORed with the closed rows of the copies it
+    holds, and one closed row per symbol block is enough:
+
+    * copy r of a symbol stands before copy r + 1 in every word, the join
+      included, so the closed rows of one symbol's copies are nested: each
+      holds the closed rows of the lower copies;
+    * every raw row and every closed row holds a prefix of each larger
+      symbol's copies, so what ``todo`` keeps of a block is an interval that
+      ends at the highest copy of the block in the row.
+
+    So the loop takes the block of the lowest copy in ``todo``, ORs the
+    closed row of that block's highest copy in ``todo``, which holds the
+    closed rows of every copy of the block in the row, and clears the block
+    and that row from ``todo``: a copy the row holds needs nothing more, as
+    its closed row is in it too.  Few symbols with many copies cost one OR
+    per block, not one per copy.
 
     The word is built in the same loop.  Before copy c, ``order`` is the
     join restricted to the copies > c, and c stands after exactly the copies
@@ -338,7 +350,7 @@ def _short_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     y > x, y is in x's closed row, which c's row holds; if y < x, y stands
     before c as x does, and is larger than c, so it is in c's row.  So
     inserting c's symbol at the row's bit count extends ``order`` to the
-    copies >= c, with no O(N²) read-out.
+    copies >= c, with no O(N²) read-out.  The rows take at most N²/8 bytes.
     """
     size = len(s)
     m = size // n
@@ -351,49 +363,19 @@ def _short_join(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
             copy[sym] = c + 1
             rows[c] |= seen >> c << c  # the larger copies seen
             seen |= 1 << c
+    block = (1 << m) - 1
     order: list[int] = []
     for c in range(size - 1, -1, -1):
         row = todo = rows[c]
         while todo:
-            low = todo & -todo
-            more = rows[low.bit_length() - 1]
+            base = (todo & -todo).bit_length() - 1
+            mask = block << (base - base % m)  # the block of the lowest copy
+            more = rows[(todo & mask).bit_length() - 1]
             row |= more
-            todo = (todo ^ low) & ~more
+            todo &= ~(more | mask)
         rows[c] = row
         order.insert(row.bit_count(), c // m + 1)
     return tuple(order)
-
-
-def _newman_join(s: Sequence[int], t: Sequence[int], n: int) -> np.ndarray:
-    """Join of two words of one shape in the multinomial Newman lattice.
-
-    Its inversion set is the transitive closure of the union of theirs.
-    This block closure serves long words; ``_short_join`` closes the same
-    union on Python ints, faster on short ones.
-    Number the copies 0..N-1 in the order 1_1 < ... < n_m; one stable
-    argsort of each word gives the position of every copy.  The union is
-    the strictly upper-triangular boolean matrix inv[x, y], true when copy
-    y > x precedes copy x in s or in t.  It is closed one symbol block of
-    rows at a time, from symbol n - 1 down to 1: a row block is raised by
-    its product with the rows of the larger symbols, which are closed
-    already, so one pass suffices.  Copy x of the join then stands after
-    the row-sum(x) larger copies before it and the x - column-sum(x) smaller
-    ones.  The matrix takes N^2 bytes, and building it briefly twice that.
-    The join comes back as an array in ``_word_array``'s dtype.
-    """
-    ps, pt = np.argsort(_word_array([s, t], n), axis=1, kind="stable")
-    size = len(ps)
-    m = size // n
-    copies = np.arange(size)
-    inv = ps[:, None] > ps
-    inv |= pt[:, None] > pt
-    inv &= copies[:, None] < copies
-    for lo in range(size - 2 * m, -1, -m):
-        hi = lo + m
-        inv[lo:hi, hi:] |= inv[lo:hi, hi:] @ inv[hi:, hi:]
-    word = np.empty(size, dtype=np.min_scalar_type(n))
-    word[inv.sum(axis=1) + copies - inv.sum(axis=0)] = copies // m + 1
-    return word
 
 
 def _profiles(

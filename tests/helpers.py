@@ -7,8 +7,9 @@ replaced, the dense bottleneck solver, the bottleneck
 search over every candidate cost that the floor probe shortened, the
 death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
-orders, pair counts and the closed Newman join read off it, order, meet and
-join by reachability
+orders, pair counts and the closed Newman join read off it, the Newman join
+closed as a boolean matrix one symbol block at a time, which the bit rows
+replaced, order, meet and join by reachability
 over the covers of an enumerated lattice, the word keys built one column at
 a time, the recursive word enumerator
 with its swap-and-lookup cover test, the word stream of tuples and ranks
@@ -352,6 +353,35 @@ def list_newman_join(s, t, n: int) -> tuple[int, ...]:
         for r, row in enumerate(prof[i]):
             word.insert(sum(row) + r, i)
     return tuple(word)
+
+
+def block_newman_join(s, t, n: int) -> tuple[int, ...]:
+    """The Newman join of two words of one shape over {1..n}, closed as a
+    boolean matrix one symbol block at a time: the bit-row join's oracle.
+
+    Number the copies 0..N-1 in the order 1_1 < ... < n_m; one stable
+    argsort of each word gives the position of every copy.  The union is
+    the strictly upper-triangular boolean matrix inv[x, y], true when copy
+    y > x precedes copy x in s or in t.  It is closed one symbol block of
+    rows at a time, from symbol n - 1 down to 1: a row block is raised by
+    its product with the rows of the larger symbols, which are closed
+    already, so one pass suffices.  Copy x of the join then stands after
+    the row-sum(x) larger copies before it and the x - column-sum(x) smaller
+    ones.  It takes N^2 bytes and N^3 time.
+    """
+    ps, pt = np.argsort(np.asarray([s, t]), axis=1, kind="stable")
+    size = len(ps)
+    m = size // n
+    copies = np.arange(size)
+    inv = ps[:, None] > ps
+    inv |= pt[:, None] > pt
+    inv &= copies[:, None] < copies
+    for lo in range(size - 2 * m, -1, -m):
+        hi = lo + m
+        inv[lo:hi, hi:] |= inv[lo:hi, hi:] @ inv[hi:, hi:]
+    word = np.empty(size, dtype=int)
+    word[inv.sum(axis=1) + copies - inv.sum(axis=0)] = copies // m + 1
+    return tuple(word.tolist())
 
 
 def list_pair_counts(s: Multipermutation) -> list[list[int]]:

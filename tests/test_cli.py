@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barcomb.barcode
+import barcomb.lattice
 import barcomb.multiperm
 import barcomb.polytope
 from barcomb.cli import main
@@ -229,9 +230,11 @@ def test_distance_out_of_memory_exits_4(tmp_path, metric):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_meetjoin_out_of_memory_exits_4():
-    # 32 770 positions: the join's boolean matrix over the copies alone takes
-    # 1 GiB; the child may use at most 1 GB.  Each word is a 65 KB argument
+def test_meetjoin_of_32770_positions_fits_in_1_gib():
+    # 32 770 positions: the join holds one int row of larger copies per
+    # copy, at most N^2/8 bytes (134 MB), so it must not exit 4 when the
+    # child may use at most 1 GiB.  Each word is a 65 KB argument, and a
+    # word joined with itself is that word
     word = " ".join(["1 2"] * 16385)
     proc = subprocess.run(
         [sys.executable, "-m", "barcomb.cli", "meetjoin", "--n", "2", "--k", "14",
@@ -240,9 +243,21 @@ def test_meetjoin_out_of_memory_exits_4():
         text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == "" and "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == word + "\n" and proc.stderr == ""
+
+
+def test_meetjoin_out_of_memory_exits_4(capsys, monkeypatch):
+    # a MemoryError inside the join is one line on stderr and exit 4, with
+    # no traceback
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(barcomb.lattice, "_join_words", out_of_memory)
+    for op in ("meet", "join"):
+        assert main(["meetjoin", "--n", "2", "--k", "0", "--op", op, "1 2 2 1", "1 1 2 2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "barcomb: out of memory\n"
 
 
 def _child(*argv):

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     ORACLE_SPECS,
     ReachabilityOrder,
+    block_newman_join,
     column_word_keys,
     dumps_json,
     dumps_vertices_json,
@@ -51,8 +52,7 @@ from barcomb.lattice import (
 )
 from barcomb.multiperm import (
     Multipermutation,
-    _newman_join,
-    _short_join,
+    _join_words,
     canonicalize,
     g_k,
     inversion_multiset,
@@ -293,20 +293,18 @@ def test_meet_join_laws_beyond_enumeration(triple):
     assert (lo == s) == newman_leq(s, t) == (hi == t)
 
 
-SHORT = barcomb.lattice._SHORT_WORD
-# words of exactly the short-join bound and of one more position: every
-# shape of multiplicity 1, 2, 3 or 5 that has them, and one symbol
-EDGE_SHAPES = [
-    (size // m, m) for size in (SHORT, SHORT + 1) for m in (1, 2, 3, 5) if size % m == 0
-]
-EDGE_SHAPES += [(1, SHORT), (1, SHORT + 1)]
+# every shape of 32 or 33 positions with multiplicity 1, 2, 3 or 5, and one
+# symbol of 32 or 33 copies
+EDGE_SHAPES = [(32, 1), (16, 2), (33, 1), (11, 3), (1, 32), (1, 33)]
 
 
 @st.composite
 def word_pairs(draw):
-    """n and two words of one shape over {1..n}, canonical or not: a shape
-    at the short-join bound, or n <= 12 and m in {1, 2, 3, 5, 9}."""
+    """n and two words of one shape over {1..n}, canonical or not: few
+    symbols with many copies (n <= 3, m <= 257), a shape of 32 or 33
+    positions, or n <= 12 and m in {1, 2, 3, 5, 9}."""
     n, m = draw(st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 257)),
         st.sampled_from(EDGE_SHAPES),
         st.tuples(st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 9])),
     ))
@@ -317,19 +315,17 @@ def word_pairs(draw):
 @settings(deadline=None)
 @given(word_pairs())
 def test_newman_join_matches_list_closure(case):
-    # both kernels, on the words and on their reversals, whose reversed join
-    # is the meet; then meet and join of the canonical words of a lattice shape
+    # the bit rows against the list profile and the boolean block closure,
+    # on the words and on their reversals, whose reversed join is the meet;
+    # then meet and join of the canonical words of a lattice shape
     n, s, t = case
-    got = _newman_join(s, t, n)
-    assert got.shape == (len(s),) and got.dtype == np.min_scalar_type(n)
-    word = tuple(got.tolist())
-    assert W._of_array(got, n) == W._of_valid_word(word) == W(word)
     for a, b in ((s, t), (s[::-1], t[::-1])):
-        short = _short_join(a, b, n)
-        assert type(short) is tuple and all(type(sym) is int for sym in short)
-        assert short == list_newman_join(a, b, n) == tuple(_newman_join(a, b, n).tolist())
+        got = _join_words(a, b, n)
+        assert type(got) is tuple and all(type(sym) is int for sym in got)
+        assert got == list_newman_join(a, b, n) == block_newman_join(a, b, n)
+        assert W(got).n == n
     m = len(s) // n
-    if m in (2, 3, 5, 9):
+    if m > 1 and (m - 1) & (m - 2) == 0:  # m = 2^k + 1
         spec = LatticeSpec(n, (m - 1).bit_length() - 1)
         cs, ct = canonicalize(W(s)), canonicalize(W(t))
         assert join(cs, ct, spec, spec.positions).word == list_newman_join(cs.word, ct.word, n)
@@ -338,32 +334,27 @@ def test_newman_join_matches_list_closure(case):
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (2, 2), (16, 0), (11, 1), (2, 4)])
-def test_short_words_reach_no_array_and_long_ones_the_block_closure(n, k, monkeypatch):
+def test_meet_and_join_reach_no_array(n, k, monkeypatch):
+    # words of 2 to 34 positions are joined on their tuples, and each
+    # result's memo gets n and its canonicity but leaves its array to first
+    # use
     spec = LatticeSpec(n, k)
     calls = []
+    real = barcomb.multiperm._word_array
 
-    def spy(name, real):
-        def call(*args):
-            calls.append(name)
-            return real(*args)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-        return call
-
-    real_array = barcomb.multiperm._word_array
-    monkeypatch.setattr(barcomb.multiperm, "_word_array", spy("array", real_array))
-    monkeypatch.setattr(barcomb.lattice, "_newman_join", spy("join", _newman_join))
+    monkeypatch.setattr(barcomb.multiperm, "_word_array", spy)
+    monkeypatch.setattr(barcomb.lattice, "_word_array", spy)
     s = W(tuple(range(1, n + 1)) * spec.m)  # fresh words, their memo empty
     top = top_element(spec)
     lo, hi = meet(s, top, spec, spec.positions), join(s, top, spec, spec.positions)
-    assert lo == s and hi == top
-    short = spec.positions <= SHORT
-    if short:
-        assert calls == []
-    else:
-        assert calls.count("join") == 2
-    for u in (lo, hi):  # a short result leaves its array to first use
-        assert vars(u).keys() - {"_array"} == {"word", "n", "is_canonical"}
-        assert ("_array" in vars(u)) != short and u.n == n and u.is_canonical is True
+    assert lo == s and hi == top and calls == []
+    for u in (lo, hi):
+        assert vars(u).keys() == {"word", "n", "is_canonical"}
+        assert u.n == n and u.is_canonical is True
 
 
 def test_newman_join_matches_list_closure_on_200_bars():
@@ -373,6 +364,15 @@ def test_newman_join_matches_list_closure_on_200_bars():
     assert hi.word == list_newman_join(s.word, t.word, 200)
     assert lo.word == list_newman_join(s.word[::-1], t.word[::-1], 200)[::-1]
     assert hi == W(hi.word) and lo == W(lo.word)
+    assert lo != hi and newman_leq(lo, s) and newman_leq(t, hi)
+
+
+def test_meet_and_join_of_1000_bars_match_the_block_closure():
+    spec = LatticeSpec(1000, 0)
+    s, t = (g_k(generate_barcode(1000, seed=seed, k=0), 0) for seed in (1, 2))
+    lo, hi = meet(s, t, spec, spec.positions), join(s, t, spec, spec.positions)
+    assert hi.word == block_newman_join(s.word, t.word, 1000)
+    assert lo.word == block_newman_join(s.word[::-1], t.word[::-1], 1000)[::-1]
     assert lo != hi and newman_leq(lo, s) and newman_leq(t, hi)
 
 

@@ -750,9 +750,8 @@ def test_every_constructor_fills_the_memo_a_fresh_word_would(bars, k, data):
         delta_k(labeled), delta_k(s), delta_k(t), delta_k(drawn),
         meet(s, t, spec, spec.positions), join(s, t, spec, spec.positions),
     ]
-    short = spec.positions <= barcomb.lattice._SHORT_WORD
-    for u in made[-2:]:  # meet and join leave the array of a short word to first use
-        assert ("_array" in vars(u)) != short and vars(u)["n"] == n
+    for u in made[-2:]:  # meet and join leave the array to first use
+        assert "_array" not in vars(u) and vars(u)["n"] == n
     for u in made:
         assert_memo_matches_a_fresh_word(u)
     assert all(vars(u)["is_canonical"] for u in made[2:4] + made[-2:])
@@ -779,12 +778,14 @@ def test_the_memo_is_no_field():
 
 
 def test_rank_and_orders_of_g_k_words_convert_no_tuple(monkeypatch):
-    # g_k and join fill the memo, so the kernels read its array and no word
-    # reaches _word_array; fresh words reach it as tuples.  s <= u, so
+    # g_k fills the memo, and join leaves the array to first use, made here
+    # from the tuple; then the kernels read the memo's array and no word
+    # reaches _word_array, while fresh words reach it as tuples.  s <= u, so
     # the orders read every column of that pair
     s, t = (g_k(generate_barcode(50, seed=seed, k=1), 1) for seed in (1, 2))
     spec = LatticeSpec(50, 1)
     u = join(s, t, spec, spec.positions)
+    assert "_array" not in vars(u) and np.array_equal(u._array, u.word)
     pairs = [(s, t), (t, s), (s, u), (u, s)]
 
     def results(fresh):
