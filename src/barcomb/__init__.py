@@ -12,15 +12,12 @@ q-Wasserstein distances between affinely aligned barcodes.
 from .barcode import (
     Bar,
     Barcode,
-    IntervalGraph,
     affine_transform,
     crossing_number,
     generate_barcode,
     has_containing_bar,
-    interval_graph,
     is_k_strict,
     read_barcode,
-    sample_points,
 )
 from .distances import (
     Alignment,
@@ -65,7 +62,6 @@ from .polytope import (
     dimension_report,
     pi_partition_blocks,
     vertices,
-    word_from_vector,
 )
 from .rng import SplitMix64
 
@@ -74,15 +70,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Bar",
     "Barcode",
-    "IntervalGraph",
     "affine_transform",
     "crossing_number",
     "generate_barcode",
     "has_containing_bar",
-    "interval_graph",
     "is_k_strict",
     "read_barcode",
-    "sample_points",
     "Alignment",
     "BoundReport",
     "Matching",
@@ -119,7 +112,6 @@ __all__ = [
     "dimension_report",
     "pi_partition_blocks",
     "vertices",
-    "word_from_vector",
     "SplitMix64",
     "__version__",
 ]

@@ -106,9 +106,9 @@ class Barcode:
     A barcode is its endpoints only: ``ends`` is a read-only n x 2 float64
     array whose row i - 1 holds the birth and the death of bar i.
     ``Barcode(bars)`` takes ``Bar`` values, ``from_pairs`` (birth, death)
-    pairs; ``bars`` and ``bar(label)`` build ``Bar`` values from the rows
-    when asked for.  Barcodes are equal when their arrays are equal as
-    numbers, so -0.0 equals 0.0, and equal barcodes hash alike.
+    pairs; ``bars`` builds ``Bar`` values from the rows when asked for.
+    Barcodes are equal when their arrays are equal as numbers, so -0.0
+    equals 0.0, and equal barcodes hash alike.
     """
 
     __slots__ = ("_ends",)
@@ -157,10 +157,6 @@ class Barcode:
         """The bars as ``Bar`` values, built on each call."""
         return tuple(Bar(b, d) for b, d in self._ends.tolist())
 
-    def bar(self, label: int) -> Bar:
-        """The bar with 1-based label ``label``."""
-        return Bar(*self._endpoints(label))
-
     def _endpoints(self, label: int) -> list[float]:
         """[birth, death] of bar ``label``; InvalidLabelError out of range."""
         if not 1 <= label <= len(self._ends):
@@ -169,14 +165,6 @@ class Barcode:
 
     def pairs(self) -> list[tuple[float, float]]:
         return list(map(tuple, self._ends.tolist()))
-
-
-@dataclass(frozen=True)
-class IntervalGraph:
-    """Bars as vertices 1..n; an edge where two open intervals intersect."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
 
 
 # Sample points per level, and word positions per word read at a level.
@@ -232,18 +220,6 @@ def _sample_table(barcode: Barcode, k: int) -> np.ndarray:
             " sample point that is not finite: its length overflows"
         )
     return points
-
-
-def sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
-    """All level-k sample points as (value, bar label), grouped by bar.
-
-    Within a bar the points appear with l ascending, so the first is the
-    birth and the last the death.  A list view of ``_sample_table``, with its
-    errors.
-    """
-    points = _sample_table(barcode, k)
-    labels = np.repeat(np.arange(1, len(points) + 1), points.shape[1])
-    return list(zip(points.ravel().tolist(), labels.tolist()))
 
 
 def require_k_strict(barcode: Barcode, k: int) -> np.ndarray:
@@ -303,19 +279,6 @@ def crossing_number(barcode: Barcode, i: int, j: int) -> int:
     if d1 < d2:
         return 1
     return 2
-
-
-def interval_graph(barcode: Barcode) -> IntervalGraph:
-    """Edge {i, j} iff the open intervals of bars i and j intersect."""
-    pairs = barcode.pairs()
-    n = len(pairs)
-    edges = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            (b1, d1), (b2, d2) = pairs[i - 1], pairs[j - 1]
-            if max(b1, b2) < min(d1, d2):
-                edges.add((i, j))
-    return IntervalGraph(n, frozenset(edges))
 
 
 def affine_transform(barcode: Barcode, alpha: float, delta: float) -> Barcode:

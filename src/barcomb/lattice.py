@@ -6,7 +6,8 @@ relation.  Equivalently (and verified by ``verify_ideal_isomorphism``) it is
 the principal ideal below the fully nested word inside the full multinomial
 Newman lattice.  That lattice is never enumerated: its words are the n!
 symbol relabelings of the canonical words, and the check reads each
-canonical word's profile once and relabels the top's profile instead.
+canonical word's profile over every symbol pair once, one kernel call per
+chunk of words, and relabels the top's profile instead.
 
 An enumerated lattice is arrays end to end.  One private builder,
 ``_word_table``, returns the words as the rows of one array in
@@ -116,7 +117,8 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     on the counts still to place and on the largest symbol placed.  So the
     first ceil(N/2) positions are walked once per prefix, and the words of
     the last N/2 positions are built once per such state, and made an array
-    once, shared by every prefix that reaches it.
+    once, shared by every prefix that reaches it.  Both halves are built one
+    position at a time, with no recursion, so N meets no depth limit.
     """
     size = n * m
     split = size - size // 2
@@ -129,39 +131,38 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             left = rem[s - 1]
             if left:
                 larger_placed = m * (n - s) - sum(rem[s:])
-                yield s * m - left + 1, rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s), larger_placed
+                after = rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s)
+                yield s * m - left + 1, after, larger_placed
 
-    tails: dict[tuple[tuple[int, ...], int], tuple[list, list]] = {}
-
-    def tail(rem: tuple[int, ...], seen: int) -> tuple[list, list]:
-        """The completions of a state and the rank each adds, in order."""
-        key = (rem, seen)
-        if key not in tails:
-            words, steps = ([], []) if any(rem) else ([()], [0])
-            for copy, after, after_seen, step in moves(rem, seen):
-                sub_words, sub_steps = tail(after, after_seen)
+    # every prefix of ceil(N/2) positions, in order, with its state and rank
+    heads = [((), ((m,) * n, 0), 0)]
+    for _ in range(split):
+        heads = [
+            (prefix + (copy,), after, rnk + step)
+            for prefix, state, rnk in heads
+            for copy, after, step in moves(*state)
+        ]
+    prefixes, states, offsets = zip(*heads)
+    levels = [dict.fromkeys(states)]  # the states after each position, and their moves
+    for _ in range(size - split):
+        level = levels[-1]
+        for state in level:
+            level[state] = tuple(moves(*state))
+        levels.append(dict.fromkeys(a for nexts in level.values() for _, a, _ in nexts))
+    tails = {state: ([()], [0]) for state in levels.pop()}  # all placed: one empty tail
+    for level in reversed(levels):
+        for state, nexts in level.items():
+            words, steps = [], []
+            for copy, after, step in nexts:
+                sub_words, sub_steps = tails[after]
                 head = (copy,)
                 words += [head + w for w in sub_words]
                 steps += [step + r for r in sub_steps]
-            tails[key] = (words, steps)
-        return tails[key]
-
-    heads: list[tuple[tuple[int, ...], tuple[tuple[int, ...], int], int]] = []
-
-    def walk(prefix: tuple[int, ...], rem: tuple[int, ...], seen: int, rnk: int):
-        if len(prefix) == split:
-            heads.append((prefix, (rem, seen), rnk))
-            return
-        for copy, after, after_seen, step in moves(rem, seen):
-            walk(prefix + (copy,), after, after_seen, rnk + step)
-
-    walk((), (m,) * n, 0, 0)
-    prefixes, states, offsets = zip(*heads)
-    tables = {}  # each state reached, its completions as arrays
-    for state in states:
-        if state not in tables:
-            words, steps = tail(*state)
-            tables[state] = np.array(words, label), np.array(steps, rank)
+            tails[state] = words, steps
+    tables = {  # each state reached, its completions as arrays
+        state: (np.array(tails[state][0], label), np.array(tails[state][1], rank))
+        for state in levels[0]
+    }
     completions = [tables[state] for state in states]
     counts = [len(r) for _, r in completions]
     labels = np.empty((sum(counts), size), label)
@@ -430,13 +431,6 @@ class HasseDiagram:
         """Graphviz source; node ids are the lexicographic element indices."""
         return "".join(self.dot_chunks())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "elements": self.words.tolist(),
-            "covers": self.cover_array.tolist(),
-            "ranks": self.rank_array.tolist(),
-        }
-
     def json_chunks(self) -> Iterator[str]:
         """``to_json`` in pieces of at most a few MB, like ``dot_chunks``."""
         words, covers, ranks = self._fields()
@@ -449,7 +443,8 @@ class HasseDiagram:
         yield "}"
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, written from the arrays."""
+        """``json.dumps`` of ``{"elements": ..., "covers": ..., "ranks": ...}``,
+        the three arrays as lists, written from the arrays."""
         return "".join(self.json_chunks())
 
 
@@ -574,12 +569,11 @@ def verify_ideal_isomorphism(
     word canonical.  So the canonical words, relabeled by each of the n!
     symbol permutations, cover the full lattice once.  No relabeled word is
     built to be tested.  Let F_w[i, r, j] count the copies of j before copy
-    r of i in w, for every pair of symbols i != j: ``_profiles`` gives the
-    pairs with j > i, and on the reversed word n + 1 - w, read back through
-    the reversal, the pairs with j < i, since reversing the alphabet swaps
-    larger and smaller.  Relabeling w by pi puts it at or below the top with
-    profile P exactly when F_w[i, r, j] <= P[pi(i), r, pi(j)] wherever
-    pi(j) > pi(i); elsewhere the bound is m, which every count meets.  So
+    r of i in w, for every pair of symbols, as one ``_profiles`` call with
+    no entry zeroed gives it (F_w[i, r, i] = r + 1).  Relabeling w by pi
+    puts it at or below the top with profile P exactly when
+    F_w[i, r, j] <= P[pi(i), r, pi(j)] wherever pi(j) > pi(i); elsewhere,
+    the diagonal included, the bound is m, which every count meets.  So
     each chunk of words, its profiles read once, is compared with the top's
     profile read through a group of relabelings in one broadcast.  The chunk
     keeps its one-hot within ``multiperm._CELLS`` entries, and the group the
@@ -605,7 +599,7 @@ def verify_ideal_isomorphism(
     ideal, extra, missing = 0, [], []
     for start in range(0, count, step):
         chunk = words[start : start + step]
-        profile = _profiles(chunk, n) + _profiles(n + 1 - chunk, n)[:, ::-1, :, ::-1]
+        profile = _profiles(chunk, n, larger_only=False)
         # entries as rows: reducing over the first axis ANDs whole rows
         profile = np.ascontiguousarray(profile.reshape(len(chunk), -1).T)[:, None]
         for first in range(0, len(perms), group):

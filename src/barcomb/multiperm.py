@@ -30,8 +30,9 @@ order, so the profile is exactly the inversion set of ``iota(s)``, and
 ``rank``, the orders, ``inversion_multiset`` and the lattice's ideal check
 read the profile from one numpy kernel, ``_profiles``, that builds it for a
 batch of words: a scattered one-hot of the symbols, one ``cumsum`` along the
-word and one gather at the positions of the copies.  It counts larger
-symbols only and is zero elsewhere, so readers compare and sum whole arrays.
+word and one gather at the positions of the copies.  For the orders and
+``rank`` it zeroes every entry but those of larger symbols, so they compare
+and sum whole arrays.
 Words reach it as their memo's array, and symbols and counts take the
 smallest unsigned dtype that holds n and m.  Memory is bounded by ``_CELLS``
 one-hot entries: long words are walked in blocks of symbol columns.
@@ -42,9 +43,8 @@ column, and two independent words almost always fail there, so one kernel
 call on one column refuses them.  Only then come
 the other columns, in blocks, and a test stops at the first block where it
 fails.  The lattice's ideal check reads whole profiles of chunks of words
-instead, over every symbol pair: the kernel on the words gives the larger
-pairs, and on the words with their alphabet reversed (i -> n + 1 - i) it
-gives the smaller pairs, read back through the reversal.
+instead, over every symbol pair, from one kernel call per chunk that zeroes
+no entry.
 
 The join of two words has as its inversion set the transitive closure of
 the union of theirs (Markowsky, "Permutation lattices revisited").  One
@@ -379,7 +379,7 @@ def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _profiles(
-    words: np.ndarray, n: int, lo: int = 0, hi: int | None = None
+    words: np.ndarray, n: int, lo: int = 0, hi: int | None = None, larger_only: bool = True
 ) -> np.ndarray:
     """Interleaving profiles of a batch of words of one shape, as an array.
 
@@ -390,7 +390,8 @@ def _profiles(
     one-hot of the symbols lo + 1..hi is scattered, summed along the word,
     and read at the positions of the copies, which a stable argsort lists
     symbol by symbol in copy order.  Counts have the smallest unsigned dtype
-    that holds m.
+    that holds m.  With ``larger_only=False`` no entry is zeroed: every symbol
+    is counted, and entry [c, i, r, i] is r + 1, the copy itself included.
     """
     hi = n if hi is None else hi
     count, size = words.shape
@@ -404,7 +405,8 @@ def _profiles(
     order += np.arange(0, count * size, size)[:, None]  # rows of the flattened batch
     prof = seen.reshape(-1, width).take(order.ravel(), axis=0)
     prof = prof.reshape(count, n, m, width)
-    prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]  # larger symbols only
+    if larger_only:
+        prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]
     return prof
 
 

@@ -29,15 +29,13 @@ from typing import Iterator
 import numpy as np
 
 from . import multiperm
-from .errors import InvalidWordError
-from .multiperm import _frozen, _integers
+from .multiperm import _frozen
 from .lattice import (
     DEFAULT_POSITION_CAP,
     LatticeSpec,
     _check_cap,
     _joined,
     _json_rows,
-    _label_words,
     _text_blocks,
     _word_table,
     top_element,
@@ -88,24 +86,6 @@ def vertices(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> VertexSet:
     labels copy r of symbol s as (s - 1) * m + r in word order."""
     _check_cap(spec, cap)
     return VertexSet(spec.positions, _word_table(spec.n, spec.m)[0])
-
-
-def word_from_vector(vec: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Invert the embedding: recover the word from a vertex vector.
-
-    InvalidWordError unless the entries are a permutation of 1..N for some
-    N >= 1 and m >= 1 divides N, as the copy labels of a vertex are.
-
-    >>> word_from_vector((1, 3, 2, 4), 2)
-    (1, 2, 1, 2)
-    """
-    labels, (m,) = _integers(vec, "vertex entries"), _integers((m,), "multiplicities")
-    size = len(labels)
-    if not size or m < 1 or size % m or sorted(labels) != list(range(1, size + 1)):
-        raise InvalidWordError(
-            f"not the vertex of a word of multiplicity {m}: {labels!r}"
-        )
-    return tuple(_label_words(labels, m).tolist())
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -212,8 +192,8 @@ def _dimension_report(spec: LatticeSpec, vertex_set: VertexSet) -> dict:
 
 
 def vertices_csv_chunks(vertex_set: VertexSet) -> Iterator[str]:
-    """``format_vertices_csv`` in blocks of whole lines of at most a few MB,
-    like ``HasseDiagram.dot_chunks``."""
+    """One line per vector, its entries separated by commas, in blocks of
+    whole lines of at most a few MB, like ``HasseDiagram.dot_chunks``."""
     vecs = vertex_set.vectors
     if not len(vecs):
         yield "\n"  # no vectors: one empty line
@@ -222,15 +202,7 @@ def vertices_csv_chunks(vertex_set: VertexSet) -> Iterator[str]:
 
 
 def vertices_json_chunks(vertex_set: VertexSet) -> Iterator[str]:
-    """``format_vertices_json`` in pieces of at most a few MB."""
+    """``json.dumps`` of the vectors as a list of lists, in pieces of at
+    most a few MB."""
     return _json_rows(vertex_set.vectors)
 
-
-def format_vertices_csv(vertex_set: VertexSet) -> str:
-    """One line per vector, its entries separated by commas."""
-    return "".join(vertices_csv_chunks(vertex_set))
-
-
-def format_vertices_json(vertex_set: VertexSet) -> str:
-    """``json.dumps`` of the vectors as a list of lists."""
-    return "".join(vertices_json_chunks(vertex_set))

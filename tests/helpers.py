@@ -3,7 +3,7 @@ slow paths kept as oracles: the CSV and JSON parsers that read one line or
 entry at a time into a ``Bar`` each, which the endpoint array replaced, the
 barcode maps as (value, label) tuples sorted in Python, canonicalized
 through a dict and halved through ``iota``, which the float64 sample table
-replaced, the dense bottleneck solver, the bottleneck
+replaced, the interval graph as a Python loop over bar pairs, the dense bottleneck solver, the bottleneck
 search over every candidate cost that the floor probe shortened, the
 death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
@@ -15,6 +15,7 @@ a time, the recursive word enumerator
 with its swap-and-lookup cover test, the word stream of tuples and ranks
 that the array word table replaced, vertex vectors built one word at a
 time, the affine dimension by Bareiss elimination on the difference rows,
+the decoding of a vertex vector into its word, checked to be a vertex,
 the polytope's block count by walking one sorting chain over ``iota``
 tuples, and the DOT, JSON and CSV writers that format one line at a
 time."""
@@ -28,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from barcomb.barcode import Bar, Barcode, require_k_strict, sample_points
+from barcomb.barcode import Bar, Barcode, require_k_strict
 from barcomb.distances import (
     _far_covers,
     _ground_costs,
@@ -36,7 +37,7 @@ from barcomb.distances import (
     _witness,
     bottleneck_cost,
 )
-from barcomb.errors import InvalidBarError, NotStrictError, ParseError
+from barcomb.errors import InvalidBarError, InvalidWordError, NotStrictError, ParseError
 from barcomb.lattice import HasseDiagram, LatticeSpec, top_element
 from barcomb.multiperm import Multipermutation, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
@@ -103,7 +104,7 @@ def entry_parse_barcode_json(text: str) -> Barcode:
 
 def min_gap(barcode: Barcode, k: int) -> float:
     """Smallest spacing between level-k sample points."""
-    values = sorted(v for v, _ in sample_points(barcode, k))
+    values = sorted(v for v, _ in tuple_sample_points(barcode, k))
     return min(b - a for a, b in zip(values, values[1:]))
 
 
@@ -117,6 +118,19 @@ def tuple_sample_points(barcode: Barcode, k: int) -> list[tuple[float, int]]:
         for ell in range(step + 1):
             points.append((birth + ell * length / step, label))
     return points
+
+
+def interval_graph(barcode: Barcode) -> frozenset[tuple[int, int]]:
+    """The interval graph's edges: the label pairs (i, j), i < j, of bars
+    whose open intervals intersect.  On a 0-strict barcode these are the
+    pairs of crossing number 1 or 2."""
+    pairs = barcode.pairs()
+    return frozenset(
+        (i, j)
+        for i, (b1, d1) in enumerate(pairs, start=1)
+        for j, (b2, d2) in enumerate(pairs[i:], start=i + 1)
+        if max(b1, b2) < min(d1, d2)
+    )
 
 
 def tuple_require_k_strict(barcode: Barcode, k: int) -> list[tuple[float, int]]:
@@ -527,6 +541,23 @@ def reference_vertices(n: int, k: int) -> VertexSet:
         tuple((sym - 1) * m + copy for sym, copy in iota(s)) for s in diagram.elements
     )
     return VertexSet(diagram.spec.positions, vectors)
+
+
+def word_from_vector(vec, m) -> tuple[int, ...]:
+    """The word a vertex vector labels, copy label l standing for symbol
+    (l - 1) // m + 1, once the vector is checked to be one: InvalidWordError
+    unless m and the entries are Python ints, m >= 1 divides N >= 1, and
+    the entries are a permutation of 1..N."""
+    labels = tuple(vec)
+    if (
+        any(type(v) is not int for v in (*labels, m))
+        or m < 1
+        or not labels
+        or len(labels) % m
+        or sorted(labels) != list(range(1, len(labels) + 1))
+    ):
+        raise InvalidWordError(f"not the vertex of a word of multiplicity {m}: {labels!r}")
+    return tuple((label - 1) // m + 1 for label in labels)
 
 
 def word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:

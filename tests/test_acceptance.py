@@ -11,14 +11,13 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
-from helpers import fit_slope, min_gap, star_barcode
+from helpers import fit_slope, interval_graph, min_gap, star_barcode
 
 from barcomb.barcode import (
     Barcode,
     affine_transform,
     crossing_number,
     generate_barcode,
-    interval_graph,
 )
 from barcomb.distances import (
     align,
@@ -73,7 +72,7 @@ def birth_sorted_graph(barcode):
     )
     name = {label: pos for pos, label in enumerate(order, start=1)}
     return frozenset(
-        tuple(sorted((name[i], name[j]))) for i, j in interval_graph(barcode).edges
+        tuple(sorted((name[i], name[j]))) for i, j in interval_graph(barcode)
     )
 
 

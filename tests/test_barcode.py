@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -9,7 +10,12 @@ import warnings
 from unittest import mock
 
 import pytest
-from helpers import entry_parse_barcode_json, line_parse_barcode_csv
+from helpers import (
+    entry_parse_barcode_json,
+    interval_graph,
+    line_parse_barcode_csv,
+    tuple_sample_points,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +23,7 @@ import barcomb.barcode
 from barcomb.barcode import (
     Bar,
     Barcode,
+    _sample_table,
     affine_transform,
     crossing_number,
     format_barcode_csv,
@@ -24,13 +31,11 @@ from barcomb.barcode import (
     format_from_extension,
     generate_barcode,
     has_containing_bar,
-    interval_graph,
     is_k_strict,
     parse_barcode_csv,
     parse_barcode_json,
     read_barcode,
     require_k_strict,
-    sample_points,
 )
 from barcomb.distances import (
     bottleneck,
@@ -87,28 +92,27 @@ def test_barcode_needs_a_bar():
 
 
 def test_labels_are_one_based():
-    assert B1.bar(1) == Bar(1.0, 2.0)
-    assert B1.bar(3) == Bar(2.5, 2.75)
-    with pytest.raises(InvalidLabelError):
-        B1.bar(0)
-    with pytest.raises(InvalidLabelError):
-        B1.bar(4)
+    assert B1.bars[0] == Bar(1.0, 2.0)
+    assert B1.bars[2] == Bar(2.5, 2.75)
+    assert crossing_number(B1, 1, 3) == 0 and crossing_number(B1, 2, 3) == 2
+    for label in (0, 4):
+        with pytest.raises(InvalidLabelError):
+            crossing_number(B1, label, 2)
 
 
 def test_sample_points_endpoints_only():
-    assert sample_points(Barcode.from_pairs([(0, 1)]), 0) == [(0.0, 1), (1.0, 1)]
+    assert _sample_table(Barcode.from_pairs([(0, 1)]), 0).tolist() == [[0.0, 1.0]]
 
 
 def test_sample_points_quartiles():
-    pts = sample_points(Barcode.from_pairs([(0, 1)]), 2)
-    assert pts == [(0.0, 1), (0.25, 1), (0.5, 1), (0.75, 1), (1.0, 1)]
+    points = _sample_table(Barcode.from_pairs([(0, 1)]), 2)
+    assert points.tolist() == [[0.0, 0.25, 0.5, 0.75, 1.0]]
 
 
 def test_sample_points_midpoints():
-    pts = sample_points(Barcode.from_pairs([(1.0, 2.5), (1.5, 4.0), (3.0, 3.5)]), 1)
-    values = {v for v, _ in pts}
-    assert {1.75, 2.75, 3.25} <= values
-    assert len(pts) == 9
+    points = _sample_table(Barcode.from_pairs([(1.0, 2.5), (1.5, 4.0), (3.0, 3.5)]), 1)
+    assert points.shape == (3, 3)  # a row per bar: birth, midpoint, death
+    assert points[:, 1].tolist() == [1.75, 2.75, 3.25]
 
 
 def test_sample_points_refine_by_halving():
@@ -117,15 +121,9 @@ def test_sample_points_refine_by_halving():
     for _ in range(50):
         bc = random_barcode(rng, rng.randint(1, 5))
         for k in range(4):
-            coarse = sample_points(bc, k)
-            fine = sample_points(bc, k + 1)
-            per_bar = (1 << (k + 1)) + 1
-            picked = [
-                fine[i]
-                for i in range(len(fine))
-                if (i % per_bar) % 2 == 0
-            ]
-            assert picked == coarse
+            coarse = _sample_table(bc, k)
+            assert coarse.ravel().tolist() == [v for v, _ in tuple_sample_points(bc, k)]
+            assert _sample_table(bc, k + 1)[:, ::2].tolist() == coarse.tolist()
 
 
 def test_strictness_examples():
@@ -170,7 +168,8 @@ def test_strictness_is_exact_distinctness(bars, k):
         (p, q) for p, q in zip(points, points[1:]) if p[0] == q[0]
     )
     assert is_k_strict(barcode, k) == distinct
-    assert sorted(sample_points(barcode, k)) == points
+    table = _sample_table(barcode, k).tolist()
+    assert sorted((v, label) for label, row in enumerate(table, 1) for v in row) == points
     if distinct:
         assert require_k_strict(barcode, k).tolist() == [label for _, label in points]
     else:
@@ -189,7 +188,7 @@ def test_an_overflowing_bar_length_is_refused_naming_the_bar(pairs, k):
     # its points would be nan (l = 0) and inf, which no sort orders
     barcode = Barcode.from_pairs(pairs)
     label = pairs.index(BIG) + 1
-    for call in (sample_points, require_k_strict, is_k_strict, g_k):
+    for call in (_sample_table, require_k_strict, is_k_strict, g_k):
         with pytest.raises(InvalidBarError, match=rf"^bar {label} \(-1e\+308, 1e\+308\)"):
             call(barcode, k)
 
@@ -244,7 +243,7 @@ def test_require_k_strict_returns_the_sorted_points():
     for _ in range(20):
         bc = random_barcode(rng, rng.randint(1, 6))
         for k in range(3):
-            labels = [label for _, label in sorted(sample_points(bc, k))]
+            labels = [label for _, label in sorted(tuple_sample_points(bc, k))]
             assert require_k_strict(bc, k).tolist() == labels
     with pytest.raises(NotStrictError):
         require_k_strict(Barcode.from_pairs([(-1, 1), (-2, 2)]), 1)
@@ -253,24 +252,24 @@ def test_require_k_strict_returns_the_sorted_points():
 def test_sample_points_cap(monkeypatch):
     bc = Barcode.from_pairs([(0, 1), (2, 3)])
     with pytest.raises(TooLargeError, match="cap is"):
-        sample_points(bc, 40)  # would be 2^41 points; nothing is built
+        _sample_table(bc, 40)  # would be 2^41 points; nothing is built
     with pytest.raises(TooLargeError):
-        sample_points(bc, 10**6)
+        _sample_table(bc, 10**6)
     with pytest.raises(TooLargeError):
         is_k_strict(bc, 30)
     monkeypatch.setattr(barcomb.barcode, "MAX_SAMPLE_POINTS", 10)
-    assert len(sample_points(bc, 2)) == 10  # exactly at the cap
+    assert _sample_table(bc, 2).size == 10  # exactly at the cap
     with pytest.raises(TooLargeError):
-        sample_points(bc, 3)
+        _sample_table(bc, 3)
     with pytest.raises(TooLargeError):
-        sample_points(Barcode.from_pairs([(0, 1), (2, 3), (4, 5)]), 2)
+        _sample_table(Barcode.from_pairs([(0, 1), (2, 3), (4, 5)]), 2)
 
 
 def test_negative_levels_are_invalid_levels():
     # one barcomb error that is also a ValueError, naming the level
     bc = Barcode.from_pairs([(0, 1), (2, 3)])
     for call in (
-        lambda: sample_points(bc, -1),
+        lambda: _sample_table(bc, -1),
         lambda: g_k(bc, -1),
         lambda: is_k_strict(bc, -1),
         lambda: generate_barcode(2, seed=1, k=-1),
@@ -283,10 +282,17 @@ def test_negative_levels_are_invalid_levels():
 
 
 def test_interval_graph():
-    assert interval_graph(B1).edges == frozenset({(1, 2), (2, 3)})
-    assert interval_graph(Barcode.from_pairs([(0, 1)])).edges == frozenset()
+    # the oracle behind the acceptance criteria, on fixed barcodes; on
+    # 0-strict barcodes its edges are the pairs that cross
+    assert interval_graph(B1) == frozenset({(1, 2), (2, 3)})
+    assert interval_graph(Barcode.from_pairs([(0, 1)])) == frozenset()
     got = interval_graph(Barcode.from_pairs([(0, 10), (1, 2), (3, 4)]))
-    assert got.edges == frozenset({(1, 2), (1, 3)})
+    assert got == frozenset({(1, 2), (1, 3)})
+    rng = random.Random(3)
+    for _ in range(30):
+        bc = random_barcode(rng, rng.randint(1, 6))
+        pairs = itertools.combinations(range(1, len(bc) + 1), 2)
+        assert interval_graph(bc) == {p for p in pairs if crossing_number(bc, *p) >= 1}
 
 
 def test_affine_transform():

@@ -379,6 +379,21 @@ def test_hasse_size_cap(capsys):
     assert code == 4
 
 
+def test_one_bar_at_level_11_exits_0(capsys):
+    # 2049 positions, more than Python's default recursion limit: the word
+    # table is built one position at a time, so hasse and polytope answer
+    # rather than end in a RecursionError traceback
+    size = ["--n", "1", "--k", "11", "--cap", "5000"]
+    assert main(["hasse", *size, "--json", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"elements": [[1] * 2049], "covers": [], "ranks": [0]}
+    assert err == ""
+    assert main(["polytope", *size, "--dim"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"ambient": 2049, "dim": 0, "expected": 2047, "blocks": 2049}
+    assert err == ""
+
+
 def test_meetjoin(capsys):
     code, out = run(
         capsys,

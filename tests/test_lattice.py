@@ -432,15 +432,27 @@ def test_ideal_check_in_small_chunks(monkeypatch, n, k, cells):
     assert want.equal and want.total_words in (1680, 2520)
     rows = []
     real = barcomb.lattice._profiles
-    monkeypatch.setattr(
-        barcomb.lattice, "_profiles", lambda words, n: rows.append(len(words)) or real(words, n)
-    )
+
+    def spy(words, n, **masked):
+        rows.append((len(words), masked))
+        return real(words, n, **masked)
+
+    monkeypatch.setattr(barcomb.lattice, "_profiles", spy)
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
     assert verify_ideal_isomorphism(spec) == want
-    # the top's row, then each chunk twice: its words and their reversal
+    # the top's row, then each chunk once, over every symbol pair
     step = {1: (1, 1), 352: (13, 11), 400: (14, 12), 30240: (280, 105)}[cells][n - 3]
     count = want.canonical_count
-    assert rows == [1] + [min(step, count - lo) for lo in range(0, count, step) for _ in "ab"]
+    chunks = [(min(step, count - lo), {"larger_only": False}) for lo in range(0, count, step)]
+    assert rows == [(1, {})] + chunks
+
+
+def test_word_table_deeper_than_the_recursion_limit():
+    # one bar at level 11 has one word of 2049 positions
+    spec = LatticeSpec(1, 11)
+    assert rank_vector(spec, cap=spec.positions) == [1]
+    report = verify_ideal_isomorphism(spec, cap=spec.positions)
+    assert report.equal and report.canonical_count == report.total_words == 1
 
 
 def test_ideal_check_of_six_bars_in_bounded_memory():
@@ -468,8 +480,7 @@ def test_dot_output():
 
 def test_json_output():
     d = enumerate_lattice(LatticeSpec(2, 0))
-    payload = d.to_json_dict()
-    assert payload == {
+    assert json.loads(d.to_json()) == {
         "elements": [[1, 1, 2, 2], [1, 2, 1, 2], [1, 2, 2, 1]],
         "covers": [[0, 1], [1, 2]],
         "ranks": [0, 1, 2],
@@ -706,7 +717,6 @@ def test_emitters_keep_their_bytes(n, k):
     d = enumerate_lattice(spec, cap=spec.positions)
     assert text_mismatch(d.to_dot(), fstring_dot(d)) is None
     assert text_mismatch(d.to_json(), dumps_json(d)) is None
-    assert d.to_json() == json.dumps(d.to_json_dict())
 
 
 def hand_built_diagrams() -> list[HasseDiagram]:
@@ -769,7 +779,8 @@ def test_emitters_in_small_blocks(monkeypatch, cells):
     want += [joined_vertices_csv(vs), dumps_vertices_json(vs)]
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
     got = [diagram.to_dot(), diagram.to_json()]
-    got += [polytope.format_vertices_csv(vs), polytope.format_vertices_json(vs)]
+    got += ["".join(polytope.vertices_csv_chunks(vs))]
+    got += ["".join(polytope.vertices_json_chunks(vs))]
     assert [text_mismatch(*pair) for pair in zip(got, want)] == [None] * 4
     # to_dot joins these chunks, one block of whole lines each
     chunks = list(diagram.dot_chunks())

@@ -11,6 +11,7 @@ from helpers import (
     joined_vertices_csv,
     reference_vertices,
     text_mismatch,
+    word_from_vector,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +25,11 @@ from barcomb.polytope import (
     VertexSet,
     affine_dimension,
     dimension_report,
-    format_vertices_csv,
-    format_vertices_json,
     integer_rank,
     pi_partition_blocks,
     vertices,
-    word_from_vector,
+    vertices_csv_chunks,
+    vertices_json_chunks,
 )
 from barcomb.polytope import _gram_rank
 
@@ -119,7 +119,8 @@ def test_vectors_decode_to_lattice_elements():
         spec = LatticeSpec(n, k)
         diagram = enumerate_lattice(spec)
         vs = vertices(spec)
-        decoded = [word_from_vector(vec, spec.m) for vec in vs.vectors]
+        # row i is a vertex, and it labels element i
+        decoded = [word_from_vector(row, spec.m) for row in vs.vectors.tolist()]
         assert decoded == [s.word for s in diagram.elements]
 
 
@@ -139,6 +140,8 @@ def test_vectors_decode_to_lattice_elements():
     ],
 )
 def test_word_from_vector_refuses_what_is_no_vertex(vec, m):
+    # the decoding oracle above refuses what is no vertex, so a row that is
+    # none cannot pass as an element
     with pytest.raises(InvalidWordError):
         word_from_vector(vec, m)
 
@@ -168,8 +171,8 @@ def test_identity_vector_is_bottom_and_top_is_unique():
 
 def test_emitters():
     vs = VertexSet(4, ((1, 2, 3, 4), (1, 3, 2, 4)))
-    assert format_vertices_csv(vs) == "1,2,3,4\n1,3,2,4\n"
-    assert json.loads(format_vertices_json(vs)) == [[1, 2, 3, 4], [1, 3, 2, 4]]
+    assert "".join(vertices_csv_chunks(vs)) == "1,2,3,4\n1,3,2,4\n"
+    assert json.loads("".join(vertices_json_chunks(vs))) == [[1, 2, 3, 4], [1, 3, 2, 4]]
 
 
 @pytest.mark.parametrize(
@@ -184,8 +187,8 @@ def test_emitters():
     ],
 )
 def test_vertex_writers_of_hand_built_sets(vs):
-    assert format_vertices_csv(vs) == joined_vertices_csv(vs)
-    assert format_vertices_json(vs) == dumps_vertices_json(vs)
+    assert "".join(vertices_csv_chunks(vs)) == joined_vertices_csv(vs)
+    assert "".join(vertices_json_chunks(vs)) == dumps_vertices_json(vs)
 
 
 @pytest.mark.parametrize("n,k", ORACLE_SPECS)
@@ -195,8 +198,8 @@ def test_vertices_and_dimension_match_oracles(n, k):
     reference = reference_vertices(n, k)
     assert vs == reference
     assert affine_dimension(vs) == bareiss_affine_dimension(reference)
-    assert text_mismatch(format_vertices_csv(vs), joined_vertices_csv(vs)) is None
-    assert text_mismatch(format_vertices_json(vs), dumps_vertices_json(vs)) is None
+    assert text_mismatch("".join(vertices_csv_chunks(vs)), joined_vertices_csv(vs)) is None
+    assert text_mismatch("".join(vertices_json_chunks(vs)), dumps_vertices_json(vs)) is None
 
 
 def test_vertex_labels_beyond_one_byte():
