@@ -3,7 +3,8 @@ slow paths kept as oracles: the CSV and JSON parsers that read one line or
 entry at a time into a ``Bar`` each, which the endpoint array replaced, the
 barcode maps as (value, label) tuples sorted in Python, canonicalized
 through a dict and halved through ``iota``, which the float64 sample table
-replaced, the interval graph as a Python loop over bar pairs, the dense bottleneck solver, the bottleneck
+replaced, the interval graph as a Python loop over bar pairs, the dense
+bottleneck solver, the bottleneck
 search over every candidate cost that the floor probe shortened, the
 death-order permutation from two sorts of the bars, inversion sets of
 embedded permutations, the interleaving profile as nested lists with the
