@@ -2,12 +2,14 @@
 
 The level-k lattice on n bars consists of all canonical multipermutations
 with alphabet size n and multiplicity m = 2^k + 1, ordered by the Newman
-relation.  Equivalently (and verified by ``verify_ideal_isomorphism``) it is
-the principal ideal below the fully nested word inside the full multinomial
-Newman lattice.  That lattice is never enumerated: its words are the n!
-symbol relabelings of the canonical words, and the check reads each
-canonical word's profile over every symbol pair once, one kernel call per
-chunk of words, and relabels the top's profile instead.
+relation.  Equivalently it is the principal ideal below the fully nested
+word inside the full multinomial Newman lattice: the top's profile is 0 at
+every first copy and m at every later one, so a word lies below it exactly
+when no larger symbol precedes one of its first copies, which is when it is
+canonical.  ``verify_ideal_isomorphism`` checks that shape on the top's
+profile and takes the counts from the multinomial formula, enumerating
+nothing; the tests keep the sweep over every relabeling of every canonical
+word as its oracle.
 
 An enumerated lattice is arrays end to end.  One private builder,
 ``_word_table``, returns the words as the rows of one array in
@@ -46,10 +48,10 @@ length.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,7 +59,7 @@ import numpy as np
 from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _frozen, _join_words, _profiles, _word_array
+from .multiperm import Multipermutation, _blocks, _frozen, _join_words, _word_array
 
 DEFAULT_POSITION_CAP = 16
 
@@ -536,15 +538,14 @@ def rank_vector(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> list[int]
 
 @dataclass(frozen=True)
 class IdealReport:
-    """Result of checking canonical words against the ideal below the top."""
+    """Result of checking canonical words against the ideal below the top:
+    ``ideal_count`` is None when the top does not have the nested profile."""
 
     spec: LatticeSpec
     canonical_count: int
-    ideal_count: int
+    ideal_count: int | None
     total_words: int
     equal: bool
-    missing: tuple[tuple[int, ...], ...]  # in ideal, not canonical
-    extra: tuple[tuple[int, ...], ...]  # canonical, not in ideal
 
     def to_json_dict(self) -> dict:
         return {
@@ -554,68 +555,38 @@ class IdealReport:
             "ideal_count": self.ideal_count,
             "total_words": self.total_words,
             "equal": self.equal,
-            "missing": [list(w) for w in self.missing],
-            "extra": [list(w) for w in self.extra],
         }
 
 
-def verify_ideal_isomorphism(
-    spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP
-) -> IdealReport:
+def verify_ideal_isomorphism(spec: LatticeSpec) -> IdealReport:
     """Check that canonical words are exactly the ideal below the top.
 
-    Every word of the full multinomial Newman lattice is exactly one
-    relabeling of exactly one canonical word, and only the identity keeps a
-    word canonical.  So the canonical words, relabeled by each of the n!
-    symbol permutations, cover the full lattice once.  No relabeled word is
-    built to be tested.  Let F_w[i, r, j] count the copies of j before copy
-    r of i in w, for every pair of symbols, as one ``_profiles`` call with
-    no entry zeroed gives it (F_w[i, r, i] = r + 1).  Relabeling w by pi
-    puts it at or below the top with profile P exactly when
-    F_w[i, r, j] <= P[pi(i), r, pi(j)] wherever pi(j) > pi(i); elsewhere,
-    the diagonal included, the bound is m, which every count meets.  So
-    each chunk of words, its profiles read once, is compared with the top's
-    profile read through a group of relabelings in one broadcast.  The chunk
-    keeps its one-hot within ``multiperm._CELLS`` entries, and the group the
-    comparison within as many booleans; the top's profile under all n!
-    relabelings takes n!·N·n bytes, 5 MB at (8,0).  The identity comes
-    first: its words not below the top are ``extra``; the words below the
-    top under any other relabeling are ``missing``, and only they are
-    relabeled.
+    A word is at or below another when its larger-pair profile
+    (``_profiles``) is at most the other's at every entry.  In the top
+    ``1 2 .. n n .. n .. 1 .. 1`` no larger symbol stands before a first
+    copy, and every copy of every larger symbol stands before every later
+    copy, so its profile is 0 at each first copy and m, which bounds
+    nothing, at each later one.  So a word lies at or below the top exactly
+    when no larger symbol precedes one of its first copies: when it is
+    canonical.
+
+    The check compares the top's profile, read in blocks of symbol columns
+    within ``multiperm._CELLS`` entries, with that nested shape, and takes
+    the counts from formulas: the shape has N!/(m!)^n words, the product of
+    C(s·m, m) over s = 2..n, and relabeling acts freely on them, as first
+    occurrences tell the symbols apart, so each orbit of n! words holds one
+    canonical word.  ``ideal_count`` is the canonical count when the shape
+    holds and None otherwise.  Nothing is enumerated, so no position cap
+    applies; the tests keep the sweep over every relabeling of every
+    canonical word as the oracle.
     """
-    _check_cap(spec, cap)
     n, m = spec.n, spec.m
-    (top,) = _profiles(top_element(spec)._array[None], n)
     symbols = np.arange(n)
-    bound = np.where(symbols > symbols[:, None, None], top, m)
-    perms = np.array(list(permutations(range(n))))  # the identity first
-    pi, pj = perms[:, :, None, None], perms[:, None, None, :]
-    # bound[pi(i), r, pi(j)], one row per entry [i, r, j] and a column each pi
-    tops = bound[pi, np.arange(m)[:, None], pj].reshape(len(perms), -1).T[:, :, None]
-    words = _label_words(_word_table(n, m)[0], m)
-    count, size = words.shape
-    step = max(1, multiperm._CELLS // (size * n))
-    group = max(1, multiperm._CELLS // (min(step, count) * size * n))
-    ideal, extra, missing = 0, [], []
-    for start in range(0, count, step):
-        chunk = words[start : start + step]
-        profile = _profiles(chunk, n, larger_only=False)
-        # entries as rows: reducing over the first axis ANDs whole rows
-        profile = np.ascontiguousarray(profile.reshape(len(chunk), -1).T)[:, None]
-        for first in range(0, len(perms), group):
-            below = (profile <= tops[:, first : first + group]).all(axis=0)
-            ideal += int(below.sum())
-            if not first:  # the identity
-                extra += chunk[~below[0]].tolist()
-                below[0] = False
-            relabelings, rows = np.nonzero(below)
-            missing += (perms[first + relabelings[:, None], chunk[rows] - 1] + 1).tolist()
-    return IdealReport(
-        spec=spec,
-        canonical_count=count,
-        ideal_count=ideal,
-        total_words=count * len(perms),
-        equal=not missing and not extra,
-        missing=tuple(sorted(map(tuple, missing))),
-        extra=tuple(map(tuple, extra)),
-    )
+    later = np.arange(m)[:, None] > 0  # every copy but the first
+    nested = True
+    for lo, block in _blocks(top_element(spec)._array[None], n):
+        larger = symbols[lo : lo + block.shape[-1]] > symbols[:, None, None]
+        nested &= bool((block[0] == m * (larger & later)).all())
+    total = math.prod(math.comb(s * m, m) for s in range(2, n + 1))
+    canonical = total // math.factorial(n)
+    return IdealReport(spec, canonical, canonical if nested else None, total, nested)

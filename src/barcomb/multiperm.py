@@ -378,9 +378,7 @@ def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _profiles(
-    words: np.ndarray, n: int, lo: int = 0, hi: int | None = None, larger_only: bool = True
-) -> np.ndarray:
+def _profiles(words: np.ndarray, n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Interleaving profiles of a batch of words of one shape, as an array.
 
     ``words`` is a (count, n*m) array of symbols 1..n.  Entry [c, i, r, j]
@@ -390,8 +388,7 @@ def _profiles(
     one-hot of the symbols lo + 1..hi is scattered, summed along the word,
     and read at the positions of the copies, which a stable argsort lists
     symbol by symbol in copy order.  Counts have the smallest unsigned dtype
-    that holds m.  With ``larger_only=False`` no entry is zeroed: every symbol
-    is counted, and entry [c, i, r, i] is r + 1, the copy itself included.
+    that holds m.
     """
     hi = n if hi is None else hi
     count, size = words.shape
@@ -405,8 +402,7 @@ def _profiles(
     order += np.arange(0, count * size, size)[:, None]  # rows of the flattened batch
     prof = seen.reshape(-1, width).take(order.ravel(), axis=0)
     prof = prof.reshape(count, n, m, width)
-    if larger_only:
-        prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]
+    prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]
     return prof
 
 

@@ -177,7 +177,9 @@ def pi_partition_blocks(spec: LatticeSpec) -> int:
 
 
 def dimension_report(spec: LatticeSpec, cap: int = DEFAULT_POSITION_CAP) -> dict:
-    """JSON-ready summary: ambient dimension, exact dim, formula, blocks."""
+    """JSON-ready summary: ambient dimension, exact dim, formula, blocks.
+    The formula is N - 2 for n >= 2 and 0 for n = 1, whose lattice is one
+    point."""
     return _dimension_report(spec, vertices(spec, cap))
 
 
@@ -186,7 +188,7 @@ def _dimension_report(spec: LatticeSpec, vertex_set: VertexSet) -> dict:
     return {
         "ambient": spec.positions,
         "dim": affine_dimension(vertex_set),
-        "expected": spec.positions - 2,
+        "expected": spec.positions - 2 if spec.n > 1 else 0,
         "blocks": pi_partition_blocks(spec),
     }
 

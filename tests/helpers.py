@@ -13,7 +13,9 @@ closed as a boolean matrix one symbol block at a time, which the bit rows
 replaced, order, meet and join by reachability
 over the covers of an enumerated lattice, the word keys built one column at
 a time, the recursive word enumerator
-with its swap-and-lookup cover test, the word stream of tuples and ranks
+with its swap-and-lookup cover test, the ideal check as a sweep over every
+relabeling of every canonical word, which the top's profile shape and the
+count formula replaced, the word stream of tuples and ranks
 that the array word table replaced, vertex vectors built one word at a
 time, the affine dimension by Bareiss elimination on the difference rows,
 the decoding of a vertex vector into its word, checked to be a vertex,
@@ -25,11 +27,13 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import permutations
 from operator import le
 from typing import Iterator
 
 import numpy as np
 
+from barcomb import multiperm
 from barcomb.barcode import Bar, Barcode, require_k_strict
 from barcomb.distances import (
     _far_covers,
@@ -39,8 +43,15 @@ from barcomb.distances import (
     bottleneck_cost,
 )
 from barcomb.errors import InvalidBarError, InvalidWordError, NotStrictError, ParseError
-from barcomb.lattice import HasseDiagram, LatticeSpec, top_element
-from barcomb.multiperm import Multipermutation, iota, rank
+from barcomb.lattice import (
+    HasseDiagram,
+    IdealReport,
+    LatticeSpec,
+    _label_words,
+    _word_table,
+    top_element,
+)
+from barcomb.multiperm import Multipermutation, _profiles, iota, rank
 from barcomb.polytope import VertexSet, integer_rank
 
 
@@ -522,6 +533,62 @@ def reference_lattice(n: int, k: int) -> HasseDiagram:
     ranks = tuple(rank(s) for s in elements)
     words = [s.word for s in elements]
     return HasseDiagram(spec, words, tuple(sorted(covers)), ranks)
+
+
+def relabeling_sweep(
+    spec: LatticeSpec, top: Multipermutation
+) -> tuple[IdealReport, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The ideal check by exhaustion, the oracle of
+    ``verify_ideal_isomorphism``: the report for the ideal below ``top``,
+    the words in it that are not canonical (missing), and the canonical
+    words not in it (extra).
+
+    Every word of the full multinomial Newman lattice is exactly one
+    relabeling of exactly one canonical word, and only the identity keeps a
+    word canonical.  So the canonical words, relabeled by each of the n!
+    symbol permutations, cover the full lattice once.  No relabeled word is
+    built to be tested.  Let F_w[i, r, j] count the copies of j before copy
+    r of i in w, for every pair of symbols i != j, as the sum of two
+    ``_profiles`` calls gives it, the second on the reversed alphabet; the
+    diagonal is 0.  Relabeling w by pi puts it at or below the top with
+    profile P exactly when F_w[i, r, j] <= P[pi(i), r, pi(j)] wherever
+    pi(j) > pi(i); elsewhere, the diagonal included, the bound is m, which
+    every count meets.  So each chunk of words, its profiles read once, is
+    compared with the top's profile read through a group of relabelings in
+    one broadcast.  The chunk keeps its one-hot within ``multiperm._CELLS``
+    entries, and the group the comparison within as many booleans.  The
+    identity comes first: its words not below the top are extra; the words
+    below the top under any other relabeling are missing, and only they are
+    relabeled.
+    """
+    n, m = spec.n, spec.m
+    (profile,) = _profiles(top._array[None], n)
+    symbols = np.arange(n)
+    bound = np.where(symbols > symbols[:, None, None], profile, m)
+    perms = np.array(list(permutations(range(n))))  # the identity first
+    pi, pj = perms[:, :, None, None], perms[:, None, None, :]
+    # bound[pi(i), r, pi(j)], one row per entry [i, r, j] and a column each pi
+    tops = bound[pi, np.arange(m)[:, None], pj].reshape(len(perms), -1).T[:, :, None]
+    words = _label_words(_word_table(n, m)[0], m)
+    count, size = words.shape
+    step = max(1, multiperm._CELLS // (size * n))
+    group = max(1, multiperm._CELLS // (min(step, count) * size * n))
+    ideal, extra, missing = 0, [], []
+    for start in range(0, count, step):
+        chunk = words[start : start + step]
+        profile = _profiles(chunk, n) + _profiles(n - (chunk - 1), n)[:, ::-1, :, ::-1]
+        # entries as rows: reducing over the first axis ANDs whole rows
+        profile = np.ascontiguousarray(profile.reshape(len(chunk), -1).T)[:, None]
+        for first in range(0, len(perms), group):
+            below = (profile <= tops[:, first : first + group]).all(axis=0)
+            ideal += int(below.sum())
+            if not first:  # the identity
+                extra += chunk[~below[0]].tolist()
+                below[0] = False
+            relabelings, rows = np.nonzero(below)
+            missing += (perms[first + relabelings[:, None], chunk[rows] - 1] + 1).tolist()
+    report = IdealReport(spec, count, ideal, count * len(perms), not missing and not extra)
+    return report, tuple(sorted(map(tuple, missing))), tuple(map(tuple, extra))
 
 
 def column_word_keys(words: np.ndarray, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
-from helpers import fit_slope, interval_graph, min_gap, star_barcode
+from helpers import fit_slope, interval_graph, min_gap, relabeling_sweep, star_barcode
 
 from barcomb.barcode import (
     Barcode,
@@ -166,6 +166,9 @@ def test_criterion_05_principal_ideal():
             report = verify_ideal_isomorphism(spec)
             assert report.equal
             assert report.canonical_count == report.ideal_count == count
+            # the sweep over every relabeling of every canonical word agrees
+            swept, missing, extra = relabeling_sweep(spec, top_element(spec))
+            assert swept == report and not missing and not extra
             m = spec.m
             formula = math.factorial(n * m) // (
                 math.factorial(m) ** n * math.factorial(n)

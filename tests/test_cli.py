@@ -390,7 +390,12 @@ def test_one_bar_at_level_11_exits_0(capsys):
     assert err == ""
     assert main(["polytope", *size, "--dim"]) == 0
     out, err = capsys.readouterr()
-    assert json.loads(out) == {"ambient": 2049, "dim": 0, "expected": 2047, "blocks": 2049}
+    assert json.loads(out) == {"ambient": 2049, "dim": 0, "expected": 0, "blocks": 2049}
+    assert err == ""
+    # one bar has one word: the polytope is a point, of dimension 0
+    assert main(["polytope", "--n", "1", "--k", "1", "--dim"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"ambient": 3, "dim": 0, "expected": 0, "blocks": 3}
     assert err == ""
 
 

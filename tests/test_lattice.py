@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import helpers
 import numpy as np
 import pytest
 from helpers import (
@@ -21,6 +22,7 @@ from helpers import (
     list_newman_leq,
     recursive_words,
     reference_lattice,
+    relabeling_sweep,
     text_mismatch,
     word_stream,
     word_vectors,
@@ -379,8 +381,11 @@ def test_meet_and_join_of_1000_bars_match_the_block_closure():
 def test_size_cap():
     with pytest.raises(TooLargeError):
         enumerate_lattice(LatticeSpec(9, 1))
-    with pytest.raises(TooLargeError):
-        verify_ideal_isomorphism(LatticeSpec(17, 0))
+    # the ideal check enumerates nothing, so no cap stops it
+    report = verify_ideal_isomorphism(LatticeSpec(17, 0))
+    assert report.equal and report.ideal_count == report.canonical_count
+    assert report.total_words == math.factorial(34) // 2**17
+    assert report.canonical_count == report.total_words // math.factorial(17)
     # raising the cap unlocks the enumeration
     d = enumerate_lattice(LatticeSpec(6, 0), cap=12)
     assert len(d.elements) == 10395
@@ -412,9 +417,33 @@ def test_verify_ideal_isomorphism(n, k, count):
     report = verify_ideal_isomorphism(LatticeSpec(n, k))
     assert report.equal
     assert report.canonical_count == report.ideal_count == count
-    assert not report.missing and not report.extra
-    payload = report.to_json_dict()
-    assert payload["equal"] is True and payload["canonical_count"] == count
+    assert report.to_json_dict() == {
+        "n": n, "k": k, "canonical_count": count, "ideal_count": count,
+        "total_words": count * math.factorial(n), "equal": True,
+    }
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (5, 3)])
+def test_ideal_check_beyond_enumeration(n, k):
+    # 9.2·10^12 and 1.6·10^26 canonical words: the check reads the top's
+    # profile and the formula, and builds no word table
+    spec = LatticeSpec(n, k)
+    m = spec.m
+    multinomial = math.factorial(n * m) // math.factorial(m) ** n
+    with mock.patch.object(barcomb.lattice, "_word_table", side_effect=AssertionError):
+        report = verify_ideal_isomorphism(spec)
+    assert report.equal and report.total_words == multinomial
+    assert report.canonical_count == report.ideal_count == multinomial // math.factorial(n)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]
+)
+def test_rank_vectors_are_palindromes_summing_to_the_count_formula(n, k):
+    spec = LatticeSpec(n, k)
+    vec = rank_vector(spec, cap=spec.positions)
+    assert vec == vec[::-1]
+    assert sum(vec) == verify_ideal_isomorphism(spec).canonical_count
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
@@ -428,39 +457,43 @@ def test_ideal_check_in_small_chunks(monkeypatch, n, k, cells):
     # hold all the words, in groups of 4 and 9 relabelings, so the last
     # group is partial
     spec = LatticeSpec(n, k)
-    want = verify_ideal_isomorphism(spec)
-    assert want.equal and want.total_words in (1680, 2520)
+    top = top_element(spec)
+    want = relabeling_sweep(spec, top)
+    assert want[0] == verify_ideal_isomorphism(spec)
+    assert want[0].total_words in (1680, 2520)
     rows = []
-    real = barcomb.lattice._profiles
+    real = helpers._profiles
 
-    def spy(words, n, **masked):
-        rows.append((len(words), masked))
-        return real(words, n, **masked)
+    def spy(words, n):
+        rows.append(len(words))
+        return real(words, n)
 
-    monkeypatch.setattr(barcomb.lattice, "_profiles", spy)
+    monkeypatch.setattr(helpers, "_profiles", spy)
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", cells)
-    assert verify_ideal_isomorphism(spec) == want
-    # the top's row, then each chunk once, over every symbol pair
+    assert relabeling_sweep(spec, top) == want
+    # the top's row, then each chunk twice, on the alphabet and its reversal
     step = {1: (1, 1), 352: (13, 11), 400: (14, 12), 30240: (280, 105)}[cells][n - 3]
-    count = want.canonical_count
-    chunks = [(min(step, count - lo), {"larger_only": False}) for lo in range(0, count, step)]
-    assert rows == [(1, {})] + chunks
+    count = want[0].canonical_count
+    chunks = [min(step, count - lo) for lo in range(0, count, step)]
+    assert rows == [1] + [size for size in chunks for _ in range(2)]
 
 
 def test_word_table_deeper_than_the_recursion_limit():
     # one bar at level 11 has one word of 2049 positions
     spec = LatticeSpec(1, 11)
     assert rank_vector(spec, cap=spec.positions) == [1]
-    report = verify_ideal_isomorphism(spec, cap=spec.positions)
+    report = relabeling_sweep(spec, top_element(spec))[0]
     assert report.equal and report.canonical_count == report.total_words == 1
+    assert report == verify_ideal_isomorphism(spec)
 
 
 def test_ideal_check_of_six_bars_in_bounded_memory():
     # 10 395 words of 12 positions, 720 relabelings: one chunk of words and
     # groups of five relabelings within the 4 MB of the default cells
+    spec = LatticeSpec(6, 0)
     tracemalloc.start()
     try:
-        assert verify_ideal_isomorphism(LatticeSpec(6, 0)).equal
+        assert relabeling_sweep(spec, top_element(spec))[0].equal
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,17 +643,17 @@ def test_relabeled_word_stream_is_the_full_lattice(n, k):
     assert sorted(relabeled) == list(recursive_words(n, m, False))
 
 
-def brute_force_ideal_report(spec: LatticeSpec, top: tuple[int, ...]) -> IdealReport:
+def brute_force_ideal_report(spec: LatticeSpec, top: tuple[int, ...]):
     """The ideal check by two recursive enumerations, one list profile test
-    per word, and a set difference."""
+    per word, and a set difference: the report, missing and extra, as
+    ``relabeling_sweep`` gives them."""
     canonical = set(recursive_words(spec.n, spec.m, True))
     full = list(recursive_words(spec.n, spec.m, False))
     ideal = {w for w in full if list_newman_leq(W(w), W(top))}
     missing, extra = sorted(ideal - canonical), sorted(canonical - ideal)
-    return IdealReport(
-        spec, len(canonical), len(ideal), len(full), not missing and not extra,
-        tuple(missing), tuple(extra),
-    )
+    equal = not missing and not extra
+    report = IdealReport(spec, len(canonical), len(ideal), len(full), equal)
+    return report, tuple(missing), tuple(extra)
 
 
 @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2)])
@@ -632,8 +665,10 @@ def brute_force_ideal_report(spec: LatticeSpec, top: tuple[int, ...]) -> IdealRe
 def test_ideal_check_against_brute_force_with_another_top(n, k, which, data):
     # a top below the fully nested word leaves canonical words out (extra);
     # a non-canonical top takes in non-canonical words (missing).  A drawn
-    # top is any word of the shape, canonical or not, and the check runs
-    # with the default cells or with one word and one relabeling a step
+    # top is any word of the shape, canonical or not, and the oracle runs
+    # with the default cells or with one word and one relabeling a step.
+    # The profile fixes the word, so the library finds the nested shape on
+    # exactly the fully nested top, and the oracle finds equality there only
     spec = LatticeSpec(n, k)
     elements = reference_lattice(n, k).elements
     lower = elements[len(elements) // 2]
@@ -649,14 +684,19 @@ def test_ideal_check_against_brute_force_with_another_top(n, k, which, data):
             "relabeled lower": relabel(lower, swap),
         }[which]
         cells = barcomb.multiperm._CELLS
-    with mock.patch.object(barcomb.lattice, "top_element", lambda spec: top), \
-            mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+    with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        swept = relabeling_sweep(spec, top)
+    assert swept == brute_force_ideal_report(spec, top.word)
+    report, missing, extra = swept
+    with mock.patch.object(barcomb.lattice, "top_element", lambda spec: top):
         got = verify_ideal_isomorphism(spec)
-    assert got == brute_force_ideal_report(spec, top.word)
+    assert got.equal == report.equal == (top == top_element(spec))
+    assert (got.canonical_count, got.total_words) == (report.canonical_count, report.total_words)
+    assert got.ideal_count == (report.ideal_count if report.equal else None)
     if which != "drawn":
         # the top itself is missing when relabeled; the real top is extra
         # when lower
-        assert got.missing if which.startswith("relabeled") else got.extra
+        assert missing if which.startswith("relabeled") else extra
         assert not got.equal
 
 

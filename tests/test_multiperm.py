@@ -384,14 +384,6 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
     both = _profiles(batch, n) + _profiles(n - (batch - 1), n)[:, ::-1, :, ::-1]
     for row, word in zip(both.tolist(), batch.tolist()):
         assert row == list_all_pairs_profile(word, n)
-    # which one call that zeroes no entry gives, but for its diagonal: copy
-    # r of i counts itself, r + 1 copies of i
-    whole = _profiles(batch, n, larger_only=False)
-    assert whole.dtype == counts and whole.shape == both.shape
-    diagonal = np.arange(n)
-    assert (whole[:, diagonal, :, diagonal] == np.arange(1, m + 1)).all()
-    whole[:, diagonal, :, diagonal] = 0
-    assert (whole == both).all()
 
 
 def test_word_array_passes_arrays_of_its_dtype_uncopied():
