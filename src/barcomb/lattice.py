@@ -14,15 +14,19 @@ word as its oracle.
 An enumerated lattice is arrays end to end.  One private builder,
 ``_word_table``, returns the words as the rows of one array in
 lexicographic order, with their ranks, so indices, Hasse diagrams, vertex
-vectors and DOT/JSON output are byte-stable.  It numbers the copies of
+vectors and DOT/JSON output are byte-stable.  It builds them in one
+backward pass: the copies left of each symbol are the whole state of a
+canonical prefix, and each state's completions are copied from those of
+the states one copy below it, so no prefix is walked and a long word of
+few symbols costs memory linear in its length.  It numbers the copies of
 each symbol as ``iota`` does, so its rows are the polytope's vertices, and
 ``_label_words`` reads the words from them.  Covers are adjacent swaps of
 an increasing symbol pair whose result is still canonical; ``_covers``
 writes them as (lower index, upper index) rows of one array, found by
-binary search over the words read as numbers, and ``index_of`` searches
-the same numbers.  A diagram holds the words, covers and ranks as arrays,
-and builds its tuples of elements, covers and ranks only when they are
-asked for.
+binary search over the words read as numbers, one pass per position that
+holds a swap, and ``index_of`` searches the same numbers.  A diagram holds
+the words, covers and ranks as arrays, and builds its tuples of elements,
+covers and ranks only when they are asked for.
 
 The DOT and JSON emitters, the vertex writers of ``barcomb.polytope`` and
 the word that ``barcomb invariant`` prints format no line in Python.  One
@@ -49,9 +53,11 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -111,68 +117,54 @@ def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     ranks in the narrowest unsigned dtype that holds the top's.
 
     A symbol may start only after the previous symbol has appeared, which
-    yields exactly the canonical words.  The label and the rank are carried
-    along: with ``left`` copies of s to place the next is copy m - left + 1,
-    and placing s adds the number of larger symbols already placed.
+    yields exactly the canonical words.  The next symbol, its label and its
+    rank step depend only on the copies left of each symbol: with ``left``
+    copies of s to place the next is copy m - left + 1, placing s adds the
+    number of larger symbols already placed, m (n - s) less their copies
+    left, and s may come next when it has copies left and s - 1 has
+    appeared.  The symbols that have appeared are 1..t, each with fewer than
+    m copies left, and the rest have all m, so the copies-left tuple also
+    tells which have appeared, and it is the whole state.  The states are
+    those tuples for t = 0..n.
 
-    The completions of a prefix, and what they add to its rank, depend only
-    on the counts still to place and on the largest symbol placed.  So the
-    first ceil(N/2) positions are walked once per prefix, and the words of
-    the last N/2 positions are built once per such state, and made an array
-    once, shared by every prefix that reaches it.  Both halves are built one
-    position at a time, with no recursion, so N meets no depth limit.
+    Each state's completions are built once, as one label array and one
+    rank array, from the completions of the states one copy below it, in
+    increasing order of the symbol placed, so they come out in
+    lexicographic order.  The states are taken in increasing total of
+    copies left, and only the states one copy below are kept; the state
+    with every copy left holds the table.  The arrays below the top are
+    column-major, so that prepending a column copies whole columns; the
+    table itself is row-major, as its readers take rows.  Nothing recurses,
+    so N meets no depth limit.
     """
     size = n * m
-    split = size - size // 2
     label = np.min_scalar_type(size)
     rank = np.min_scalar_type(n * (n - 1) // 2 * (m - 1) * m)
-
-    def moves(rem: tuple[int, ...], seen: int):
-        """Each next copy label with the state after it and its rank step."""
-        for s in range(1, min(n, seen + 1) + 1):
-            left = rem[s - 1]
-            if left:
-                larger_placed = m * (n - s) - sum(rem[s:])
-                after = rem[: s - 1] + (left - 1,) + rem[s:], max(seen, s)
-                yield s * m - left + 1, after, larger_placed
-
-    # every prefix of ceil(N/2) positions, in order, with its state and rank
-    heads = [((), ((m,) * n, 0), 0)]
-    for _ in range(split):
-        heads = [
-            (prefix + (copy,), after, rnk + step)
-            for prefix, state, rnk in heads
-            for copy, after, step in moves(*state)
-        ]
-    prefixes, states, offsets = zip(*heads)
-    levels = [dict.fromkeys(states)]  # the states after each position, and their moves
-    for _ in range(size - split):
-        level = levels[-1]
-        for state in level:
-            level[state] = tuple(moves(*state))
-        levels.append(dict.fromkeys(a for nexts in level.values() for _, a, _ in nexts))
-    tails = {state: ([()], [0]) for state in levels.pop()}  # all placed: one empty tail
-    for level in reversed(levels):
-        for state, nexts in level.items():
-            words, steps = [], []
-            for copy, after, step in nexts:
-                sub_words, sub_steps = tails[after]
-                head = (copy,)
-                words += [head + w for w in sub_words]
-                steps += [step + r for r in sub_steps]
-            tails[state] = words, steps
-    tables = {  # each state reached, its completions as arrays
-        state: (np.array(tails[state][0], label), np.array(tails[state][1], rank))
-        for state in levels[0]
-    }
-    completions = [tables[state] for state in states]
-    counts = [len(r) for _, r in completions]
-    labels = np.empty((sum(counts), size), label)
-    labels[:, :split] = np.repeat(np.array(prefixes, label), counts, axis=0)
-    labels[:, split:] = np.concatenate([w for w, _ in completions])
-    ranks = np.repeat(np.array(offsets, rank), counts)
-    ranks += np.concatenate([r for _, r in completions])
-    return labels, ranks
+    levels = [[] for _ in range(size + 1)]  # the states by total copies left
+    for started in range(n + 1):
+        for head in product(range(m), repeat=started):
+            state = head + (m,) * (n - started)
+            levels[sum(state)].append(state)
+    below = {(0,) * n: (np.empty((1, 0), label), np.zeros(1, rank))}  # all placed
+    for left in range(1, size + 1):
+        tables = {}
+        for state in levels[left]:
+            started = n - state.count(m)  # symbols 1..started have appeared
+            nexts = [s for s in range(min(n, started + 1)) if state[s]]  # symbol s + 1
+            subs = [below[state[:s] + (state[s] - 1,) + state[s + 1 :]] for s in nexts]
+            count = sum(len(sub_ranks) for _, sub_ranks in subs)
+            labels = np.empty((count, left), label, order="C" if left == size else "F")
+            ranks = np.empty(count, rank)
+            lo = 0
+            for s, (sub_labels, sub_ranks) in zip(nexts, subs):
+                hi = lo + len(sub_ranks)
+                labels[lo:hi, 0] = (s + 1) * m - state[s] + 1
+                labels[lo:hi, 1:] = sub_labels
+                np.add(sub_ranks, m * (n - 1 - s) - sum(state[s + 1 :]), out=ranks[lo:hi])
+                lo = hi
+            tables[state] = labels, ranks
+        below = tables
+    return below[(m,) * n]
 
 
 def _label_words(labels, m: int) -> np.ndarray:
@@ -184,13 +176,13 @@ def _label_words(labels, m: int) -> np.ndarray:
 def _word_keys(words: np.ndarray, n: int) -> np.ndarray:
     """Words over symbols 1..n, one row each, read as base-(n+1) numbers,
     which sort as the words do: each row's product with the place values
-    (n+1)^(N-1-p), int64 while (n+1)^N fits, else Python integers.
-    ``einsum`` casts the words a buffer at a time, so no wide copy of a
-    large table is made."""
+    (n+1)^(N-1-p), a running product, int64 while (n+1)^N fits, else Python
+    integers.  ``einsum`` casts the words a buffer at a time, so no wide
+    copy of a large table is made."""
     size = words.shape[1]
     dtype = np.int64 if (n + 1) ** size < 2**63 else object
-    places = np.array([(n + 1) ** p for p in range(size - 1, -1, -1)], dtype=dtype)
-    return np.einsum("ij,j->i", words, places)
+    places = list(accumulate(repeat(n + 1, size - 1), operator.mul, initial=1))[::-1]
+    return np.einsum("ij,j->i", words, np.array(places, dtype=dtype))
 
 
 def _covers(words: np.ndarray, n: int) -> np.ndarray:
@@ -217,7 +209,8 @@ def _covers(words: np.ndarray, n: int) -> np.ndarray:
     per_element = swaps.sum(axis=1)
     free = np.cumsum(per_element) - per_element  # each element's next row
     pairs = np.empty((int(per_element.sum()), 2), np.min_scalar_type(max(count - 1, 0)))
-    for p in range(size - 2, 0, -1):
+    held = np.flatnonzero(swaps.any(axis=0)) + 1  # the positions that hold a swap
+    for p in held[::-1].tolist():
         lower = np.flatnonzero(swaps[:, p - 1])
         a, b = words[lower, p], words[lower, p + 1]
         step = (b - a).astype(keys.dtype) * (n * (n + 1) ** (size - 2 - p))

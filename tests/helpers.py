@@ -630,13 +630,14 @@ def word_from_vector(vec, m) -> tuple[int, ...]:
 
 def word_stream(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The canonical words of {1^m .. n^m} with their ranks, in
-    lexicographic order, as tuples: the oracle of ``lattice._word_table``.
+    lexicographic order, as tuples.
 
     A symbol may start only after the previous symbol has appeared, and
     placing symbol s adds the number of larger symbols already placed to the
-    rank.  The first ceil(N/2) positions are walked once per prefix, and the
-    completions of the rest are built once per state (counts still to place,
-    largest symbol placed) and shared by every prefix that reaches it.
+    rank.  The first ceil(N/2) positions are walked once per prefix, by
+    recursion, and the completions of the rest are built once per state
+    (counts still to place, largest symbol placed), recursively and
+    memoized, and shared by every prefix that reaches it.
     """
     size = n * m
     split = size - size // 2

@@ -487,6 +487,27 @@ def test_word_table_deeper_than_the_recursion_limit():
     assert report == verify_ideal_isomorphism(spec)
 
 
+def test_one_long_word_enumerates_in_linear_memory():
+    # one bar at level 14: one word of 16 385 positions.  Each completion
+    # is built from the one a copy shorter, which is then dropped, so two
+    # rows of labels are held at a time; the peak, about 18 MB, is the
+    # place values of the word's Python-int key, N^2 / 2 bits
+    spec = LatticeSpec(1, 14)
+    tracemalloc.start()
+    try:
+        diagram = enumerate_lattice(spec, cap=spec.positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    top = top_element(spec)
+    assert diagram.elements == (top,)
+    vectors = polytope.vertices(spec, cap=spec.positions).vectors
+    assert vectors.tolist() == [list(range(1, spec.m + 1))]  # the top's copies in order
+    assert diagram.rank_vector() == [1]
+    assert diagram.cover_array.shape == (0, 2) and diagram.covers == ()
+
+
 def test_ideal_check_of_six_bars_in_bounded_memory():
     # 10 395 words of 12 positions, 720 relabelings: one chunk of words and
     # groups of five relabelings within the 4 MB of the default cells
