@@ -175,14 +175,22 @@ def _label_words(labels, m: int) -> np.ndarray:
 
 def _word_keys(words: np.ndarray, n: int) -> np.ndarray:
     """Words over symbols 1..n, one row each, read as base-(n+1) numbers,
-    which sort as the words do: each row's product with the place values
-    (n+1)^(N-1-p), a running product, int64 while (n+1)^N fits, else Python
-    integers.  ``einsum`` casts the words a buffer at a time, so no wide
-    copy of a large table is made."""
+    which sort as the words do.
+
+    While (n+1)^N fits int64, each row's product with the place values
+    (n+1)^(N-1-p), a running product; ``einsum`` casts the words a buffer at
+    a time, so no wide copy of a large table is made.  Past int64 the keys
+    are Python integers built by Horner's rule, the keys times n + 1 plus
+    the next column, so nothing of N·log2(n+1) bits is held beside them:
+    the N place values would take N²·log2(n+1)/2 bits."""
     size = words.shape[1]
-    dtype = np.int64 if (n + 1) ** size < 2**63 else object
+    if (n + 1) ** size >= 2**63:
+        keys = np.zeros(len(words), dtype=object)
+        for column in words.T:
+            keys = keys * (n + 1) + column
+        return keys
     places = list(accumulate(repeat(n + 1, size - 1), operator.mul, initial=1))[::-1]
-    return np.einsum("ij,j->i", words, np.array(places, dtype=dtype))
+    return np.einsum("ij,j->i", words, np.array(places, dtype=np.int64))
 
 
 def _covers(words: np.ndarray, n: int) -> np.ndarray:

@@ -22,26 +22,29 @@ number of copies of j that precede that copy of i.  Copies of j stay in
 order, so the profile is exactly the inversion set of ``iota(s)``, and
 
 * ``rank`` is the profile's total, the inversion count of the word;
+  words of at most five copies per symbol count it in one walk over
+  Python-int bit rows instead, which is cheaper there than the N·n
+  profile cells;
 * ``inversion_multiset`` sums the profile over copies, and ``prec`` compares
   those sums;
 * ``newman_leq``, the multinomial Newman order (s <= t iff the inversion set
   of iota(s) is contained in that of iota(t)), compares profiles entrywise.
 
-``rank``, the orders, ``inversion_multiset`` and the lattice's ideal check
-read the profile from one numpy kernel, ``_profiles``, that builds it for a
-batch of words: a scattered one-hot of the symbols, one ``cumsum`` along the
-word and one gather at the positions of the copies.  For the orders and
-``rank`` it zeroes every entry but those of larger symbols, so they compare
-and sum whole arrays.
+The orders, ``inversion_multiset``, the lattice's ideal check and ``rank``
+on its other words read the profile from one numpy kernel, ``_profiles``,
+that builds it for a batch of words: a scattered one-hot of the symbols,
+one ``cumsum`` along the word and one gather at the positions of the copies.
+For the orders and ``rank`` it zeroes every entry but those of larger
+symbols, so they compare and sum whole arrays.
 Words reach it as their memo's array, and symbols and counts take the
 smallest unsigned dtype that holds n and m.  Memory is bounded by ``_CELLS``
 one-hot entries: long words are walked in blocks of symbol columns.
-``rank`` and ``inversion_multiset`` read every column, block by block in
-column order.  The order tests read the column of the largest symbol first
-(``_densest_first``): it holds (n - 1)·m entries per word, the most of any
-column, and two independent words almost always fail there, so one kernel
-call on one column refuses them.  Only then come
-the other columns, in blocks, and a test stops at the first block where it
+``inversion_multiset``, and ``rank`` on the profile, read every column,
+block by block in column order.  The order tests read the column of the
+largest symbol first (``_densest_first``): it holds (n - 1)·m entries per
+word, the most of any column, and two independent words almost always fail
+there, so one kernel call on one column refuses them.  Only then come the
+other columns, in blocks, and a test stops at the first block where it
 fails.  The lattice's ideal check reads whole profiles of chunks of words
 instead, over every symbol pair, from one kernel call per chunk that zeroes
 no entry.
@@ -50,9 +53,10 @@ The join of two words has as its inversion set the transitive closure of
 the union of theirs (Markowsky, "Permutation lattices revisited").  One
 kernel, ``_join_words``, closes that union on the word tuples: it holds
 each copy's row of larger copies before it as a Python int, closes the rows
-from the largest copy down with one closed row ORed per symbol block, and
-inserts each copy into the word as its row is closed; it calls no numpy.
-``barcomb.lattice`` builds meet and join on it.
+from the largest copy down with one closed row ORed per symbol block that
+holds a copy with a nonempty closed row, and inserts each copy into the
+word as its row is closed; it calls no numpy.  ``barcomb.lattice`` builds
+meet and join on it.
 
 A word is *canonical* when the first occurrences of 1, 2, ..., n appear in
 that order; canonical words are exactly the orbit representatives under
@@ -64,8 +68,9 @@ points of a k-strict barcode, an array that ``require_k_strict`` sorts once;
 ``g_k`` is its canonicalization, the labeling- and scale-invariant of the
 barcode at level k, relabeled on the array by ``_canonical``, the one
 first-occurrence relabeling that ``canonicalize`` uses too.  The
-death-order permutation ``phi`` is read off g_0.  ``delta_k`` and
-``phi`` read copy indices from one stable argsort (``_copies``).
+death-order permutation ``phi`` is read off g_0.  ``delta_k``, ``phi``
+and ``rank``'s bit rows read copy labels from one stable argsort
+(``_labels``).
 """
 
 from __future__ import annotations
@@ -82,6 +87,8 @@ from .errors import InvalidWordError, NotCanonicalError, ShapeMismatchError
 
 # One-hot entries per block of ``_profiles``: a few MB at one byte each.
 _CELLS = 1 << 22
+# The most copies per symbol at which ``rank`` walks bit rows, not profiles.
+_BIT_ROWS = 5
 
 
 class _once:
@@ -341,7 +348,14 @@ def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     closed rows of every copy of the block in the row, and clears the block
     and that row from ``todo``: a copy the row holds needs nothing more, as
     its closed row is in it too.  Few symbols with many copies cost one OR
-    per block, not one per copy.
+    per block, not one per copy.  A copy whose closed row is empty adds
+    nothing, so ``todo`` starts without the copies of ``empty``: as the
+    closed rows of a symbol's copies are nested, its copies in ``empty``
+    are its lowest, and what ``todo`` keeps of a block is still an interval
+    that ends at the highest copy of the block in the row.  The join of
+    1 2 .. n 1 2 .. n with itself, whose first copies have empty rows,
+    costs no OR at all, where ORing those rows would take one per pair of
+    symbols.
 
     The word is built in the same loop.  Before copy c, ``order`` is the
     join restricted to the copies > c, and c stands after exactly the copies
@@ -364,9 +378,11 @@ def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
             rows[c] |= seen >> c << c  # the larger copies seen
             seen |= 1 << c
     block = (1 << m) - 1
+    empty = 0  # the copies whose closed row is empty
     order: list[int] = []
     for c in range(size - 1, -1, -1):
-        row = todo = rows[c]
+        row = rows[c]
+        todo = row & ~empty
         while todo:
             base = (todo & -todo).bit_length() - 1
             mask = block << (base - base % m)  # the block of the lowest copy
@@ -374,6 +390,8 @@ def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
             row |= more
             todo &= ~(more | mask)
         rows[c] = row
+        if not row:
+            empty |= 1 << c
         order.insert(row.bit_count(), c // m + 1)
     return tuple(order)
 
@@ -497,8 +515,51 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
 
 
 def rank(s: Multipermutation) -> int:
-    """Total inversion count, the profile's sum: the grading of the lattices."""
-    return sum(int(prof.sum()) for _, prof in _blocks(s._array[None], s.n))
+    """Total inversion count of ``iota(s)``, the profile's sum: the grading
+    of the lattices.
+
+    A word of at most ``_BIT_ROWS`` copies per symbol is counted in one
+    walk over Python-int bit rows instead.  Its copies carry their
+    ``_labels``: copy r of symbol i is (i - 1)·m + r - 1.  The walk keeps
+    ``seen``, the int whose bit l is set when the copy labelled l has been
+    passed, and adds at each copy c the seen bits above c.  These are
+    exactly the larger copies before c: a label above c is a later copy of
+    c's own symbol, which stands after c and so is not seen yet, or a copy
+    of a larger symbol.  The sum over the copies is the inversion count.
+
+    The walk makes O(N²) bit operations, O(N²/64) machine words, in N
+    Python steps; the profile reads N·n one-hot cells in a few numpy calls
+    per block of columns.  So bit rows win when m is small, where n is most
+    of N, and lose when m is large: the top of (2,16) takes 3 to 6 ms from
+    the profile and 0.5 to 0.8 s from bit rows.  Bit-row time over profile time, the
+    median of repeated calls on shuffled words of n symbols and m = 2^k + 1
+    copies each, on one core of a shared Xeon VM with Python 3.11 and numpy
+    2.4 (below 1: bit rows win):
+
+    ====  ====  ====  ====  ====  ====  ====  ====  ====
+    m     n=10  20    40    80    160   300   1000  3000
+    ====  ====  ====  ====  ====  ====  ====  ====  ====
+    2     0.22  0.39  0.52  0.53  0.48  0.24  0.08  0.05
+    3     0.28  0.41  0.60  0.66  0.54  0.33  0.13  0.08
+    5     0.38  0.59  0.84  1.01  0.71  0.45  0.13  0.17
+    9     0.59  0.92  1.29  1.47  0.66  0.47  0.24  0.23
+    17    0.87  1.41  2.14  1.24  0.85  1.03  0.46  0.32
+    33    1.41  2.85  2.36  1.86  1.43  1.28  0.35  0.67
+    65    2.33  4.01  6.34  3.26  3.31  1.97  1.43  1.25
+    ====  ====  ====  ====  ====  ====  ====  ====  ====
+
+    So bit rows are taken for m <= 5, where they are at most as slow as the
+    profile: at m = 9 they lose for n = 40..80, at m = 17 for n up to 80,
+    and at m = 65 for every n.  The ``perfbench`` invariants of k <= 2 take
+    them, those of k = 3 the profile.
+    """
+    if s.m > _BIT_ROWS:
+        return sum(int(prof.sum()) for _, prof in _blocks(s._array[None], s.n))
+    total = seen = 0
+    for c in _labels(s)[1].tolist():
+        total += (seen >> c).bit_count()  # the larger copies seen
+        seen |= 1 << c
+    return total
 
 
 def delta_k(s: Multipermutation) -> Multipermutation:
@@ -516,26 +577,27 @@ def delta_k(s: Multipermutation) -> Multipermutation:
         raise ShapeMismatchError(
             f"multiplicity {m} is not 2^(k+1)+1 for any k >= 0"
         )
-    word, copies = _copies(s)
+    word, labels = _labels(s)
     # first occurrences are copy 0 and stay, in order: canonicity is kept
     canonical = s.__dict__.get("is_canonical")
-    return Multipermutation._of_array(word[copies % 2 == 0], s.n, canonical)
+    return Multipermutation._of_array(word[labels % m % 2 == 0], s.n, canonical)
 
 
-def _copies(s: Multipermutation) -> tuple[np.ndarray, np.ndarray]:
-    """The word as an array, and the copy index, counted from 0, at each of
-    its positions: one stable argsort lists the positions symbol by symbol
-    in copy order."""
+def _labels(s: Multipermutation) -> tuple[np.ndarray, np.ndarray]:
+    """The word as an array, and the label of the copy at each of its
+    positions, copy r of symbol i labelled (i - 1)·m + r - 1, so a label's
+    copy index, counted from 0, is its remainder mod m: one stable argsort
+    lists the positions symbol by symbol in copy order."""
     word = s._array
-    copies = np.empty(len(word), dtype=np.intp)
-    copies[np.argsort(word, kind="stable")] = np.arange(len(word)) % s.m
-    return word, copies
+    labels = np.empty(len(word), dtype=np.intp)
+    labels[np.argsort(word, kind="stable")] = np.arange(len(word))
+    return word, labels
 
 
 def second_occurrence_subword(s: Multipermutation) -> tuple[int, ...]:
     """The symbols at their second occurrences, in word order."""
-    word, copies = _copies(s)
-    return tuple(word[copies == 1].tolist())
+    word, labels = _labels(s)
+    return tuple(word[labels % s.m == 1].tolist())
 
 
 def phi(barcode: Barcode) -> tuple[int, ...]:

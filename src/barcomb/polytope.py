@@ -170,8 +170,7 @@ def pi_partition_blocks(spec: LatticeSpec) -> int:
     edges are the swap positions used.  The polytope dimension is N minus
     this count.
     """
-    word, copies = multiperm._copies(top_element(spec))
-    labels = (word - 1).astype(np.intp) * spec.m + copies + 1
+    labels = multiperm._labels(top_element(spec))[1] + 1
     cuts = np.maximum.accumulate(labels) > np.arange(1, len(labels) + 1)
     return spec.positions - int(cuts.sum())
 

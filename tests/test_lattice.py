@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import random
 import tracemalloc
 from unittest import mock
@@ -335,6 +336,24 @@ def test_newman_join_matches_list_closure(case):
         assert meet(cs, ct, spec, spec.positions).word == lo
 
 
+@pytest.mark.parametrize("n,m", [(200, 2), (30, 5), (3, 40)])
+def test_join_of_near_rising_words_matches_the_block_closure(n, m):
+    # 1 2 .. n repeated m times and words a few adjacent swaps from it: the
+    # first copies, and many more, have empty closed rows, which the join
+    # leaves out of its OR loop
+    rising = tuple(range(1, n + 1)) * m
+    assert _join_words(rising, rising, n) == rising
+    rng = random.Random(n * m)
+    near = []
+    for _ in range(4):
+        word = list(rising)
+        for p in rng.sample(range(len(word) - 1), 12):
+            word[p], word[p + 1] = word[p + 1], word[p]
+        near.append(tuple(word))
+    for a, b in [(rising, near[0]), (near[1], near[2]), (near[3], near[3][::-1])]:
+        assert _join_words(a, b, n) == block_newman_join(a, b, n) == list_newman_join(a, b, n)
+
+
 @pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (2, 2), (16, 0), (11, 1), (2, 4)])
 def test_meet_and_join_reach_no_array(n, k, monkeypatch):
     # words of 2 to 34 positions are joined on their tuples, and each
@@ -490,8 +509,9 @@ def test_word_table_deeper_than_the_recursion_limit():
 def test_one_long_word_enumerates_in_linear_memory():
     # one bar at level 14: one word of 16 385 positions.  Each completion
     # is built from the one a copy shorter, which is then dropped, so two
-    # rows of labels are held at a time; the peak, about 18 MB, is the
-    # place values of the word's Python-int key, N^2 / 2 bits
+    # rows of labels are held at a time; the peak, about 3 MB, is the word
+    # table's.  The word's Python-int key is built by Horner's rule: its
+    # N place values would take N^2 / 2 bits, 18 MB
     spec = LatticeSpec(1, 14)
     tracemalloc.start()
     try:
@@ -499,7 +519,7 @@ def test_one_long_word_enumerates_in_linear_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
     top = top_element(spec)
     assert diagram.elements == (top,)
     vectors = polytope.vertices(spec, cap=spec.positions).vectors
@@ -769,6 +789,8 @@ def test_word_keys_match_the_column_oracle_in_python_integers():
     got = barcomb.lattice._word_keys(words, 4)
     assert got.dtype == object and {type(key) for key in got} == {int}
     assert got.tolist() == column_word_keys(words, 4).tolist()
+    places = [5 ** (35 - p) for p in range(36)]
+    assert got.tolist() == [sum(map(operator.mul, row, places)) for row in words.tolist()]
     assert got[0] == 5**36 - 1 and got[1] == (5**36 - 1) // 4
 
 

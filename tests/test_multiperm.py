@@ -22,7 +22,7 @@ from helpers import (
     tuple_f_k,
     two_sort_phi,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import barcomb.lattice
@@ -42,7 +42,7 @@ from barcomb.errors import (
     NotStrictError,
     ShapeMismatchError,
 )
-from barcomb.lattice import LatticeSpec, enumerate_lattice, join, meet
+from barcomb.lattice import LatticeSpec, enumerate_lattice, join, meet, top_element
 from barcomb.multiperm import (
     Multipermutation,
     canonicalize,
@@ -57,6 +57,7 @@ from barcomb.multiperm import (
     rank,
     relabel,
     second_occurrence_subword,
+    _blocks,
     _profiles,
     _word_array,
 )
@@ -583,6 +584,50 @@ def test_rank():
     assert total == 3
     assert rank(words(1, 1, 2, 2, 3, 3)) == 0
     assert rank(words(1, 2, 2, 2, 1, 1)) == 6
+
+
+def profile_sum(s):
+    return sum(int(prof.sum()) for _, prof in _blocks(s._array[None], s.n))
+
+
+@st.composite
+def rank_words(draw):
+    """A word of n <= 60 symbols with m in {2, 3, 5, 9, 17} copies each, on
+    both sides of the bit-row rule, canonical or not."""
+    m = draw(st.sampled_from([2, 3, 5, 9, 17]))
+    letters = [sym for sym in range(1, draw(st.integers(1, 60)) + 1) for _ in range(m)]
+    s = W(tuple(draw(st.permutations(letters))))
+    return canonicalize(s) if draw(st.booleans()) else s
+
+
+@settings(deadline=None, max_examples=60)
+@given(rank_words())
+@example(W((5, 4, 3, 2, 1) * 5))  # m = 5, the most copies on bit rows
+@example(W((5, 4, 3, 2, 1) * 9))  # m = 9, on the profile
+def test_rank_matches_the_profile_sum_and_the_inversion_set(s):
+    assert rank(s) == profile_sum(s) == len(inversion_set(iota(s)))
+
+
+@pytest.mark.parametrize("m,profile", [(2, False), (5, False), (9, True), (17, True)])
+def test_rank_walks_bit_rows_up_to_five_copies(monkeypatch, m, profile):
+    rng = random.Random(m)
+    cases = [random_word(rng, 40, m), canonicalize(random_word(rng, 40, m))]
+    want = [len(inversion_set(iota(s))) for s in cases]
+    assert [profile_sum(s) for s in cases] == want
+    calls = []
+    real = barcomb.multiperm._profiles
+    monkeypatch.setattr(
+        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
+    )
+    assert [rank(s) for s in cases] == want
+    assert bool(calls) == profile
+
+
+def test_rank_of_two_symbols_at_level_18_reads_the_profile():
+    # 524 290 positions: each of the 2^k trailing ones follows every two; the
+    # profile reads N·n cells in milliseconds, where bit rows take seconds
+    n, k = 2, 18
+    assert rank(top_element(LatticeSpec(n, k))) == n * (n - 1) // 2 * 2**k * (2**k + 1)
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(2 * n))))
