@@ -9,7 +9,8 @@ CSV parser a block of about 2^20 characters of lines at a time), and the
 sample table, the distances and the affine maps read it, so no ``Bar``
 value is built unless one is asked for.  All values are immutable and all
 operations here are pure functions, so they are safe to share between
-threads.
+threads; a barcode's one memo, the sample order below, is idempotent, so
+threads that race on it at worst sort twice.
 
 Levels: at level k every bar contributes the 2^k + 1 points
 
@@ -20,10 +21,13 @@ cannot drift and flip an ordering.  One builder writes them as an
 n x (2^k + 1) float64 array, a row per bar, from the barcode's endpoint
 array; a point that is not finite, where a bar's length overflows, is
 refused.  A barcode is k-strict when all of these points, over all bars,
-are pairwise distinct as doubles.  The one check, ``require_k_strict``,
-sorts the array with one stable argsort and returns the bar labels in sorted
-order, so the level-k word needs no second sort; ``is_k_strict`` is its
-boolean form.
+are pairwise distinct as doubles.  The one check sorts the array with one
+argsort, and the barcode keeps that order for the highest level it has
+found strict.  The level-(k-1) points of a bar are its level-k points
+of even l, bit for bit, so that order, restricted, orders every lower level
+too: ``require_k_strict`` reads the bar labels of a level's sorted points
+from it, so the level-k word needs no second sort, and a lower level needs
+no table and no sort; ``is_k_strict`` is its boolean form.
 """
 
 from __future__ import annotations
@@ -111,11 +115,14 @@ class Barcode:
     equals 0.0, and equal barcodes hash alike.
     """
 
-    __slots__ = ("_ends",)
+    # ``_order`` is None, or (k, the sample order that ``_strict_order``
+    # found strict at level k); no comparison, hash, repr or copy reads it
+    __slots__ = ("_ends", "_order")
 
     def __init__(self, bars: Iterable[Bar]):
         rows = [(bar.birth, bar.death) for bar in bars]
         self._ends = _checked(np.array(rows, dtype=float).reshape(-1, 2))
+        self._order = None
 
     @classmethod
     def _of_ends(cls, ends: np.ndarray) -> "Barcode":
@@ -123,6 +130,7 @@ class Barcode:
         once ``_checked`` passes it."""
         barcode = object.__new__(cls)
         barcode._ends = _checked(ends)
+        barcode._order = None
         return barcode
 
     @classmethod
@@ -168,13 +176,16 @@ class Barcode:
 
 
 # Sample points per level, and word positions per word read at a level.
-# Measured at the cap (838 860 bars at k = 2): reading the 32 MB CSV file
-# peaks at 61 MB (its text, and the lines and fields of one block as Python
-# strings) and keeps 13 MB of endpoints; ``require_k_strict`` peaks at 116 MB
-# more (the float64 table, its argsort and the sorted values) and returns the
-# word as 17 MB of uint32 labels; ``barcomb invariant``, which relabels that
-# array and writes its text in blocks, peaks at 172 MB RSS.  ``g_k``'s word,
-# a tuple of Python ints, would hold 144 MB more.
+# Measured at the cap (838 860 bars at k = 2), traced: reading the 32 MB CSV
+# file peaks at 61 MiB (its text, and the lines and fields of one block as
+# Python strings) and keeps 13 MiB of endpoints; ``require_k_strict`` peaks
+# at 100 MiB more (the float64 table, its argsort and the sorted values),
+# keeps the sample order on the barcode as 16 MiB of uint32, and returns the
+# word as 16 MiB of uint32 labels; levels 1 and 0, read from that order,
+# then peak at 62 MiB more and sort nothing.  ``barcomb invariant``, which
+# drops the barcode, relabels the word and writes its text in blocks, peaks
+# at 156 MiB RSS.  ``g_k``'s word, a tuple of Python ints, would hold 144 MB
+# more.
 MAX_SAMPLE_POINTS = 1 << 22
 
 
@@ -222,36 +233,87 @@ def _sample_table(barcode: Barcode, k: int) -> np.ndarray:
     return points
 
 
-def require_k_strict(barcode: Barcode, k: int) -> np.ndarray:
-    """The bar labels of the level-k sample points in sorted order, in the
-    smallest unsigned dtype that holds n; NotStrictError, listing every
-    adjacent pair of equal points as ((value, label), (value, label)), if
-    any two coincide.
+def _strict_order(barcode: Barcode, k: int) -> tuple[int, np.ndarray]:
+    """(top, order) with top >= k: ``order`` is the stable argsort of the
+    flattened level-top sample table, found strict, in the narrowest
+    unsigned dtype.  The barcode keeps the highest such pair it has found
+    and sorts only when asked for a level above it; NotStrictError, as
+    ``require_k_strict`` raises it, and InvalidBarError from
+    ``_sample_table`` keep nothing.
 
-    One stable argsort of the bar-major points keeps equal points in label
-    order, as sorting (value, label) tuples does.  Doubles are compared
-    exactly.  At k = 0 this is ordinary strictness: distinct births,
-    distinct deaths, and no birth equal to any death.
+    The table is sorted by numpy's default argsort, which is not stable
+    but is several times faster on large tables (0.22 s against 0.68 s at
+    the sample cap, on a shared 2-vCPU Xeon VM with AVX-512, numpy 2.4):
+    when no two points are equal, the sorted order is the only one, so it
+    is the stable argsort.  Only when two points tie is the table sorted
+    again, stably, so that NotStrictError lists the ties in label order.
+
+    Position (i - 1) * (2^top + 1) + l of the table holds the point l of bar
+    i, and the level-k points are the level-top points with l divisible by
+    2^s, s = top - k, bit for bit whenever the level-top table is finite.
+    With d = fl(death - birth), fl(l * 2^s * d) = 2^s * fl(l * d): a power
+    of two scales a rounded product exactly unless it overflows, which a
+    finite table rules out, and in the subnormal range the integer
+    multiples of d are exact.  Then fl(2^s * fl(l * d) / 2^top) and
+    fl(fl(l * d) / 2^k) round the same real number once, and the same birth
+    is added.  Distinct points stay distinct in any subset, so the level-top
+    order, restricted to those positions, is the level-k order, and no
+    level below top needs a table or a sort.  A table that is not finite
+    raises at its level and stores nothing, though a lower level's table
+    may be finite.  The memo is idempotent: any pair stored is right for
+    its level, so threads that race on it at worst sort twice.
     """
+    require_level_size(len(barcode), k, "sample points")
+    memo = barcode._order
+    if memo is not None and memo[0] >= k:
+        return memo
     points = _sample_table(barcode, k).ravel()
-    order = np.argsort(points, kind="stable")
+    order = np.argsort(points)
     values = points[order]
-    labels = np.floor_divide(order, (1 << k) + 1, out=order).astype(
-        np.min_scalar_type(len(barcode))
-    )
-    labels += 1
     ties = np.flatnonzero(values[1:] == values[:-1])
     if ties.size:
-        lower = zip(values[ties].tolist(), labels[ties].tolist())
-        upper = zip(values[ties + 1].tolist(), labels[ties + 1].tolist())
+        order = np.argsort(points, kind="stable")
+        values = points[order]
+        m = (1 << k) + 1
+        lower = zip(values[ties].tolist(), (order[ties] // m + 1).tolist())
+        upper = zip(values[ties + 1].tolist(), (order[ties + 1] // m + 1).tolist())
         raise NotStrictError(k, zip(lower, upper))
+    del points, values
+    order = order.astype(np.min_scalar_type(order.size - 1))
+    order.setflags(write=False)
+    barcode._order = memo = k, order
+    return memo
+
+
+def require_k_strict(barcode: Barcode, k: int) -> np.ndarray:
+    """The bar labels of the level-k sample points in sorted order, in the
+    smallest unsigned dtype that holds n, as a fresh array; NotStrictError,
+    listing every adjacent pair of equal points as ((value, label), (value,
+    label)), if any two coincide.
+
+    The ties are listed from a stable argsort of the bar-major points, which
+    keeps equal points in label order, as sorting (value, label) tuples
+    does.  Doubles are compared exactly.  At k = 0 this is ordinary
+    strictness: distinct births, distinct deaths, and no birth equal to any
+    death.  The labels are read from ``_strict_order``, which sorts once for
+    this level and every level below it.
+    """
+    top, order = _strict_order(barcode, k)
+    m = (1 << top) + 1
+    if top == k:
+        labels = order // m
+    else:  # the positions whose point l is divisible by 2^(top - k)
+        labels, points = np.divmod(order, m)
+        labels = labels[(points & ((1 << (top - k)) - 1)) == 0]
+    labels = labels.astype(np.min_scalar_type(len(barcode)), copy=False)
+    labels += 1
     return labels
 
 
 def is_k_strict(barcode: Barcode, k: int) -> bool:
     """True iff all level-k sample points are pairwise distinct."""
     try:
-        require_k_strict(barcode, k)
+        _strict_order(barcode, k)
     except NotStrictError:
         return False
     return True

@@ -46,8 +46,9 @@ def _print_json(obj) -> None:
 
 
 def _cmd_invariant(args) -> int:
-    barcode = bc.read_barcode(args.input, args.format)
-    word = bc.require_k_strict(barcode, args.k)  # the labels of f_k
+    # the labels of f_k; the barcode, and the sample order it keeps, is
+    # dropped before the word is relabeled and written
+    word = bc.require_k_strict(bc.read_barcode(args.input, args.format), args.k)
     if not args.labeled:
         word = mp._canonical(word, (1 << args.k) + 1)  # g_k
     # the text of print(word), written block by block, never as one string

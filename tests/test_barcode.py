@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import (
     entry_parse_barcode_json,
@@ -16,7 +17,7 @@ from helpers import (
     line_parse_barcode_csv,
     tuple_sample_points,
 )
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barcomb.barcode
@@ -53,7 +54,7 @@ from barcomb.errors import (
     ParseError,
     TooLargeError,
 )
-from barcomb.multiperm import g_k
+from barcomb.multiperm import f_k, g_k
 
 B1 = Barcode.from_pairs([(1.0, 2.0), (1.5, 3.0), (2.5, 2.75)])
 
@@ -199,6 +200,113 @@ def test_a_point_past_the_double_range_is_refused_at_its_level():
     assert g_k(barcode, 0).word == (1, 2, 1, 2)
     with pytest.raises(InvalidBarError, match="^bar 2 "):
         g_k(barcode, 1)
+
+
+# One sort serves a level and every level below it: each barcode keeps the
+# order of the highest level it found strict.  A memoized barcode must answer
+# at any level, in any order of levels, as a fresh barcode of the same
+# endpoints does.
+
+TINY = 5e-324  # the least subnormal double
+NORMAL = 2.0**-1022  # the least normal double
+
+
+def _ulp_bars(anchor):
+    """Bars a few ulps of ``anchor`` long, starting a few ulps from it."""
+    ulp = math.ulp(anchor)
+    return st.tuples(st.integers(0, 40), st.integers(1, 12)).map(
+        lambda t: (anchor + t[0] * ulp, anchor + (t[0] + t[1]) * ulp)
+    )
+
+
+# Small integer grids make ties common; bars a few ulps long near the
+# subnormal range make the level-k points round; lengths near the top of
+# the double range make a level-k table overflow where a lower level's does
+# not, and (-1e308, 1e308) overflows at every level.
+level_barcodes = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(1, 8)).map(lambda t: (t[0], t[0] + t[1])),
+        min_size=1, max_size=5,
+    ),
+    st.sampled_from([0.0, NORMAL, -NORMAL, 1.0]).flatmap(
+        lambda anchor: st.lists(_ulp_bars(anchor), min_size=1, max_size=5)
+    ),
+    st.lists(
+        st.sampled_from([(-1.0, 1.0), (3.0, 4.0), (0.0, 1e308), (0.0, 2.0**1023),
+                         (-1e308, 0.5e308), (-1e308, 1e308)]),
+        min_size=1, max_size=4, unique=True,
+    ),
+)
+
+
+def level_outcomes(make, j):
+    """What ``require_k_strict``, ``is_k_strict``, ``f_k`` and ``g_k`` give
+    at level j on ``make()``: each value with its dtype, or the error each
+    raises, by type, message and collisions.  Each returned array is then
+    overwritten, so no later call may read it."""
+    out = []
+    for call in (require_k_strict, is_k_strict, f_k, g_k):
+        try:
+            got = call(make(), j)
+        except BarcombError as exc:
+            out.append((type(exc), str(exc), getattr(exc, "collisions", None)))
+            continue
+        if isinstance(got, np.ndarray):
+            out.append((got.tolist(), got.dtype))
+            got[:] = 0
+        elif isinstance(got, bool):
+            out.append(got)
+        else:
+            out.append((got.word, got._array.dtype))
+    return out
+
+
+@settings(deadline=None)
+@given(level_barcodes, st.lists(st.integers(0, 4), min_size=1, max_size=8))
+@example([(0, 1), (2, 5), (3, 4)], [0, 1, 2, 3])  # ascending
+@example([(0, 1), (2, 5), (3, 4)], [3, 2, 1, 0])  # descending
+@example([(0, 1), (2, 5), (3, 4)], [2, 2, 0, 0, 2, 4, 4])  # repeated
+@example([(0.0, 3 * TINY), (TINY, 2 * TINY), (2 * TINY, 7 * TINY)], [4, 2, 0, 3, 1])
+@example([(NORMAL - 3 * TINY, NORMAL + 5 * TINY), (NORMAL, NORMAL + TINY)], [3, 0, 2])
+@example([(-1.0, 1.0), (0.0, 1e308)], [1, 0, 1, 0])  # overflows at 1, not at 0
+@example([(0.0, 2.0**1023), (3.0, 4.0)], [0, 1, 0])
+@example([(-1, 1), (-2, 2)], [1, 0, 1, 0, 2])  # midpoint tie: strict at 0 only
+def test_levels_in_any_order_match_a_fresh_barcode(pairs, levels):
+    barcode = Barcode.from_pairs(pairs)
+    ends = barcode.ends
+
+    def fresh():
+        return Barcode._of_ends(np.array(ends))
+
+    for j in levels:
+        assert level_outcomes(lambda: barcode, j) == level_outcomes(fresh, j)
+    if barcode._order is not None:
+        assert not barcode._order[1].flags.writeable
+    for clone in (copy.copy(barcode), copy.deepcopy(barcode),
+                  pickle.loads(pickle.dumps(barcode))):
+        assert clone._order is None  # no memo is carried
+        assert clone == barcode and hash(clone) == hash(barcode)
+        assert repr(clone) == repr(barcode) == repr(fresh())
+        for j in levels[:2]:
+            assert level_outcomes(lambda: clone, j) == level_outcomes(fresh, j)
+
+
+def test_one_sort_serves_every_lower_level(monkeypatch):
+    calls = []
+    real = barcomb.barcode._sample_table
+
+    def spy(barcode, k):
+        calls.append(k)
+        return real(barcode, k)
+
+    monkeypatch.setattr(barcomb.barcode, "_sample_table", spy)
+    barcode = Barcode.from_pairs([(0.11, 1.37), (0.29, 2.53), (0.71, 0.93)])
+    assert is_k_strict(barcode, 2)
+    f_k(barcode, 2), f_k(barcode, 1), g_k(barcode, 0)
+    assert calls == [2]
+    f_k(barcode, 3)  # a level above sorts again, and serves the rest
+    require_k_strict(barcode, 1), is_k_strict(barcode, 3)
+    assert calls == [2, 3]
 
 
 def test_crossing_number_cases():
