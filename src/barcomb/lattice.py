@@ -65,7 +65,7 @@ import numpy as np
 from . import multiperm
 from .barcode import require_level_size
 from .errors import InvalidLevelError, NotAnElementError, TooLargeError
-from .multiperm import Multipermutation, _blocks, _frozen, _join_words, _word_array
+from .multiperm import Multipermutation, _frozen, _join_words, _profiles, _word_array
 
 DEFAULT_POSITION_CAP = 16
 
@@ -104,10 +104,9 @@ def top_element(spec: LatticeSpec) -> Multipermutation:
     >>> str(top_element(LatticeSpec(3, 1)))
     '1 2 3 3 3 2 2 1 1'
     """
-    word = list(range(1, spec.n + 1))
-    for sym in range(spec.n, 0, -1):
-        word.extend([sym] * (spec.m - 1))
-    return Multipermutation(tuple(word))
+    symbols = _word_array(range(1, spec.n + 1), spec.n)
+    word = np.concatenate((symbols, np.repeat(symbols[::-1], spec.m - 1)))
+    return Multipermutation._of_array(word, spec.n, canonical=True)
 
 
 def _word_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -520,14 +519,13 @@ def _join(
     s: Multipermutation, t: Multipermutation, spec: LatticeSpec, reverse: bool
 ) -> Multipermutation:
     """The join of two elements, or with ``reverse`` the reversed join of
-    their reversals, their meet, joined on their tuples by ``_join_words``.
-    The result's memo gets ``n`` and its canonicity, and its array is left
-    to first use."""
+    their reversals, their meet, joined on their tuples by ``_join_words``,
+    with its memo filled."""
     _check_element(s, spec)
     _check_element(t, spec)
     step = -1 if reverse else 1
     word = _join_words(s.word[::step], t.word[::step], spec.n)[::step]
-    return Multipermutation._of_valid_word(word, n=spec.n, is_canonical=True)
+    return Multipermutation._of_array(_word_array(word, spec.n), spec.n, canonical=True)
 
 
 def meet(
@@ -606,7 +604,7 @@ def verify_ideal_isomorphism(spec: LatticeSpec) -> IdealReport:
     symbols = np.arange(n)
     later = np.arange(m)[:, None] > 0  # every copy but the first
     nested = True
-    for lo, block in _blocks(top_element(spec)._array[None], n):
+    for lo, block in _profiles(top_element(spec)._array[None], n):
         larger = symbols[lo : lo + block.shape[-1]] > symbols[:, None, None]
         nested &= bool((block[0] == m * (larger & later)).all())
     total = math.prod(math.comb(s * m, m) for s in range(2, n + 1))

@@ -11,10 +11,10 @@ Beside it each word keeps a memo of what the kernels ask for again and
 again: ``n``, whether it ``is_canonical``, and its word as a read-only array
 in ``_word_array``'s dtype.  Each is worked out at most once per word, and
 not at all where a constructor knows it already: ``f_k``, ``g_k``,
-``canonicalize`` and ``delta_k`` fill it from the arrays they compute; the
-lattice's meet and join fill ``n`` and ``is_canonical`` and leave the array
-to first use.  The array costs N·itemsize bytes beside the tuple, one byte
-per position while n < 256.
+``canonicalize``, ``delta_k``, ``relabel`` and the lattice's top, meet and
+join build their words through one private constructor, ``_of_array``,
+which fills it from the word's array.  The array costs N·itemsize bytes
+beside the tuple, one byte per position while n < 256.
 
 Every order question reads one encoding of a word, its *interleaving
 profile*: for each symbol i, each copy of i and each larger symbol j, the
@@ -32,22 +32,17 @@ order, so the profile is exactly the inversion set of ``iota(s)``, and
 
 The orders, ``inversion_multiset``, the lattice's ideal check and ``rank``
 on its other words read the profile from one numpy kernel, ``_profiles``,
-that builds it for a batch of words: a scattered one-hot of the symbols,
-one ``cumsum`` along the word and one gather at the positions of the copies.
-For the orders and ``rank`` it zeroes every entry but those of larger
-symbols, so they compare and sum whole arrays.
-Words reach it as their memo's array, and symbols and counts take the
-smallest unsigned dtype that holds n and m.  Memory is bounded by ``_CELLS``
-one-hot entries: long words are walked in blocks of symbol columns.
-``inversion_multiset``, and ``rank`` on the profile, read every column,
-block by block in column order.  The order tests read the column of the
-largest symbol first (``_densest_first``): it holds (n - 1)·m entries per
-word, the most of any column, and two independent words almost always fail
-there, so one kernel call on one column refuses them.  Only then come the
-other columns, in blocks, and a test stops at the first block where it
-fails.  The lattice's ideal check reads whole profiles of chunks of words
-instead, over every symbol pair, from one kernel call per chunk that zeroes
-no entry.
+that walks it for a batch of words in blocks of symbol columns: one stable
+argsort of the batch gives the positions of the copies, and each block is a
+scattered one-hot of its symbols, one ``cumsum`` along the word and one
+gather at those positions, with every entry but those of larger symbols
+zeroed, so callers compare and sum whole blocks.  Words reach it as their
+memo's array, and symbols and counts take the smallest unsigned dtype that
+holds n and m.  Memory is bounded by ``_CELLS`` one-hot entries per block.
+``inversion_multiset``, ``rank`` on the profile and the ideal check read
+every column in order; the order tests (``_profile_leq``) read the largest
+symbol's column first, which refuses most pairs that are not ordered, and
+stop at the first block where they fail.
 
 The join of two words has as its inversion set the transitive closure of
 the union of theirs (Markowsky, "Permutation lattices revisited").  One
@@ -139,18 +134,10 @@ class Multipermutation:
             raise InvalidWordError(f"multiplicities must be uniform: {word}")
 
     @classmethod
-    def _of_valid_word(cls, word: tuple[int, ...], **memo) -> "Multipermutation":
-        """Wrap a tuple already known to be a valid word, skipping the checks,
-        with whatever ``memo`` entries the caller knows already."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "word", word)
-        s.__dict__.update(memo)
-        return s
-
-    @classmethod
     def _of_valid_words(cls, words: Sequence[tuple[int, ...]]) -> tuple["Multipermutation", ...]:
-        """``_of_valid_word`` of each word, built in one batch: no Python
-        frame runs per word, and each memo is left to first use."""
+        """Wrap tuples already known to be valid words, skipping the checks,
+        in one batch: no Python frame runs per word, and each memo is left
+        to first use."""
         batch = tuple(map(object.__new__, repeat(cls, len(words))))
         deque(map(object.__setattr__, batch, repeat("word"), words), 0)
         return batch
@@ -162,9 +149,11 @@ class Multipermutation:
         """Wrap a valid word over {1..n}, given as a 1-D array in
         ``_word_array``'s dtype, with its memo filled: ``n``, a read-only
         view of the array and, unless ``canonical`` is None, whether the
-        word is canonical."""
+        word is canonical.  The checks are skipped."""
         array = _frozen(array)
-        s = cls._of_valid_word(tuple(array.tolist()), n=n, _array=array)
+        s = object.__new__(cls)
+        object.__setattr__(s, "word", tuple(array.tolist()))
+        s.__dict__.update(n=n, _array=array)
         if canonical is not None:
             s.__dict__["is_canonical"] = canonical
         return s
@@ -264,7 +253,7 @@ def relabel(s: Multipermutation, pi: Sequence[int]) -> Multipermutation:
     n, pi = s.n, _integers(pi, "a permutation's images")
     if sorted(pi) != list(range(1, n + 1)):
         raise InvalidWordError(f"not a permutation of 1..{n}: {pi!r}")
-    return Multipermutation(tuple(pi[sym - 1] for sym in s.word))
+    return Multipermutation._of_array(_word_array((0, *pi), n)[s._array], n)
 
 
 def canonicalize(s: Multipermutation) -> Multipermutation:
@@ -396,57 +385,47 @@ def _join_words(s: Sequence[int], t: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _profiles(words: np.ndarray, n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Interleaving profiles of a batch of words of one shape, as an array.
+def _profiles(
+    words: np.ndarray, n: int, spans: Sequence[tuple[int, int]] | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Interleaving profiles of a batch of words of one shape, walked in
+    blocks of symbol columns.
 
-    ``words`` is a (count, n*m) array of symbols 1..n.  Entry [c, i, r, j]
-    of the (count, n, m, hi - lo) result counts the copies of symbol
-    lo + j + 1 before the copy of i + 1 with index r (counted from 0) in word
-    c when that symbol is larger than i + 1, and is zero otherwise.  A
-    one-hot of the symbols lo + 1..hi is scattered, summed along the word,
-    and read at the positions of the copies, which a stable argsort lists
-    symbol by symbol in copy order.  Counts have the smallest unsigned dtype
-    that holds m.
+    ``words`` is a (count, n*m) array of symbols 1..n.  For each column span
+    (lo, hi), by default ``_spans`` of every column in order, this yields lo
+    and a (count, n, m, hi - lo) block: entry [c, i, r, j] counts the copies
+    of symbol lo + j + 1 before the copy of i + 1 with index r (counted from
+    0) in word c when that symbol is larger than i + 1, and is zero
+    otherwise.  One stable argsort of the batch lists the positions of the
+    copies; each block scatters a one-hot of its symbols, sums it along the
+    word and reads it there.  Counts have the smallest unsigned dtype that
+    holds m.
     """
-    hi = n if hi is None else hi
     count, size = words.shape
-    m, width = size // n, hi - lo
+    m = size // n
     dtype = np.min_scalar_type(m)
-    at = np.flatnonzero((words > lo) & (words <= hi))
-    seen = np.zeros((count, size, width), dtype)
-    seen.reshape(-1)[at * width + (words.reshape(-1)[at] - (lo + 1))] = 1
-    np.cumsum(seen, axis=1, dtype=dtype, out=seen)  # copies up to each position
     order = np.argsort(words, axis=1, kind="stable")
     order += np.arange(0, count * size, size)[:, None]  # rows of the flattened batch
-    prof = seen.reshape(-1, width).take(order.ravel(), axis=0)
-    prof = prof.reshape(count, n, m, width)
-    prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]
-    return prof
+    order, flat = order.ravel(), words.reshape(-1)
+    for lo, hi in _spans(words, 0, n) if spans is None else spans:
+        width = hi - lo
+        at = np.flatnonzero((words > lo) & (words <= hi))
+        seen = np.zeros((count, size, width), dtype)
+        seen.reshape(-1)[at * width + (flat[at] - (lo + 1))] = 1
+        np.cumsum(seen, axis=1, dtype=dtype, out=seen)  # copies up to each position
+        prof = seen.reshape(-1, width).take(order, axis=0).reshape(count, n, m, width)
+        prof *= np.arange(lo, hi) > np.arange(n)[:, None, None]
+        yield lo, prof
 
 
-def _spans(count: int, size: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+def _spans(words: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """Symbol columns lo..hi in blocks, each given by its first and end
-    column, whose profiles for ``count`` words of ``size`` positions hold at
-    most ``_CELLS`` one-hot entries, so memory stays bounded however long the
-    words are."""
-    width = max(1, _CELLS // (count * size))
+    column, whose profiles of ``words`` hold at most ``_CELLS`` one-hot
+    entries, or one column each where a column alone holds more, so memory
+    stays bounded however long the words are."""
+    width = max(1, _CELLS // words.size)
     for start in range(lo, hi, width):
         yield start, min(start + width, hi)
-
-
-def _blocks(words: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The profiles of ``words`` in blocks of symbol columns, in column
-    order, each with its first column."""
-    for lo, hi in _spans(*words.shape, 0, n):
-        yield lo, _profiles(words, n, lo, hi)
-
-
-def _densest_first(count: int, size: int, n: int) -> Iterator[tuple[int, int]]:
-    """The column spans an order test reads: the largest symbol's column
-    alone, the densest with (n - 1)·m entries per word, then the other
-    columns in ``_spans`` blocks."""
-    yield n - 1, n
-    yield from _spans(count, size, 0, n - 1)
 
 
 def _word_array(words: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -465,15 +444,22 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def newman_leq(s: Multipermutation, t: Multipermutation) -> bool:
     """Multinomial Newman order: inversions of iota(s) within iota(t).
 
-    Holds iff the profile of s is at most that of t at every entry.  The
-    largest symbol's column is compared first and refuses most pairs that
-    are not ordered; the other columns follow block by block, and the test
-    stops at the first where s exceeds t.
+    Holds iff the profile of s is at most that of t at every entry
+    (``_profile_leq``).
     """
     _check_same_shape(s, t)
-    words = np.array((s._array, t._array))
-    for lo, hi in _densest_first(*words.shape, s.n):
-        a, b = _profiles(words, s.n, lo, hi)
+    return _profile_leq(s, t, counts=False)
+
+
+def _profile_leq(s: Multipermutation, t: Multipermutation, counts: bool) -> bool:
+    """True iff s's profile, or with ``counts`` its pair counts (summed over
+    copies), is at most t's everywhere.  The largest symbol's column comes
+    first, the densest with (n - 1)·m entries per word, where two independent
+    words almost always fail; then the others in ``_spans`` blocks, up to the
+    first block where s exceeds t."""
+    words, n = np.array((s._array, t._array)), s.n
+    for _, block in _profiles(words, n, [(n - 1, n), *_spans(words, 0, n - 1)]):
+        a, b = block.sum(axis=2, dtype=np.min_scalar_type(s.m**2)) if counts else block
         if (a > b).any():
             return False
     return True
@@ -487,7 +473,7 @@ def inversion_multiset(s: Multipermutation) -> Counter[tuple[int, int]]:
     [((2, 1), 2), ((3, 1), 1), ((3, 2), 1), ((4, 1), 2), ((4, 3), 2)]
     """
     counts: Counter[tuple[int, int]] = Counter()
-    for lo, prof in _blocks(s._array[None], s.n):
+    for lo, prof in _profiles(s._array[None], s.n):
         (totals,) = prof.sum(axis=2, dtype=np.min_scalar_type(s.m**2))
         for i, j in zip(*np.nonzero(totals)):
             counts[(lo + int(j) + 1, int(i) + 1)] = int(totals[i, j])
@@ -499,19 +485,13 @@ def prec(s: Multipermutation, t: Multipermutation) -> bool:
 
     Agrees with ``newman_leq`` on canonical words of multiplicity 2, the
     classical statement; the test suite checks this exhaustively.  Reads the
-    pair counts in the column order of ``newman_leq``, the largest symbol's
-    first, and stops at the first span where a count of s exceeds t's.
+    pair counts as ``newman_leq`` reads the profile (``_profile_leq``).
     """
     _check_same_shape(s, t)
     for u in (s, t):
         if not u.is_canonical:
             raise NotCanonicalError(f"not canonical: {u}")
-    words, dtype = np.array((s._array, t._array)), np.min_scalar_type(s.m**2)
-    for lo, hi in _densest_first(*words.shape, s.n):
-        a, b = _profiles(words, s.n, lo, hi).sum(axis=2, dtype=dtype)  # pair counts
-        if (a > b).any():
-            return False
-    return True
+    return _profile_leq(s, t, counts=True)
 
 
 def rank(s: Multipermutation) -> int:
@@ -554,7 +534,7 @@ def rank(s: Multipermutation) -> int:
     them, those of k = 3 the profile.
     """
     if s.m > _BIT_ROWS:
-        return sum(int(prof.sum()) for _, prof in _blocks(s._array[None], s.n))
+        return sum(int(prof.sum()) for _, prof in _profiles(s._array[None], s.n))
     total = seen = 0
     for c in _labels(s)[1].tolist():
         total += (seen >> c).bit_count()  # the larger copies seen

@@ -330,6 +330,13 @@ def list_profile(word, n: int) -> list[list[list[int]]]:
     return prof
 
 
+def whole_profile(words: np.ndarray, n: int) -> np.ndarray:
+    """The interleaving profiles of a batch of words over every symbol
+    column, as one array: the blocks ``_profiles`` walks, joined in column
+    order."""
+    return np.concatenate([block for _, block in _profiles(words, n)], axis=-1)
+
+
 def list_all_pairs_profile(word, n: int) -> list[list[list[int]]]:
     """The interleaving profile over all symbol pairs, as nested lists:
     ``prof[i - 1][r][j - 1]`` counts the copies of j before the copy of i
@@ -549,7 +556,7 @@ def relabeling_sweep(
     symbol permutations, cover the full lattice once.  No relabeled word is
     built to be tested.  Let F_w[i, r, j] count the copies of j before copy
     r of i in w, for every pair of symbols i != j, as the sum of two
-    ``_profiles`` calls gives it, the second on the reversed alphabet; the
+    ``whole_profile`` calls gives it, the second on the reversed alphabet; the
     diagonal is 0.  Relabeling w by pi puts it at or below the top with
     profile P exactly when F_w[i, r, j] <= P[pi(i), r, pi(j)] wherever
     pi(j) > pi(i); elsewhere, the diagonal included, the bound is m, which
@@ -562,7 +569,7 @@ def relabeling_sweep(
     relabeled.
     """
     n, m = spec.n, spec.m
-    (profile,) = _profiles(top._array[None], n)
+    (profile,) = whole_profile(top._array[None], n)
     symbols = np.arange(n)
     bound = np.where(symbols > symbols[:, None, None], profile, m)
     perms = np.array(list(permutations(range(n))))  # the identity first
@@ -576,7 +583,8 @@ def relabeling_sweep(
     ideal, extra, missing = 0, [], []
     for start in range(0, count, step):
         chunk = words[start : start + step]
-        profile = _profiles(chunk, n) + _profiles(n - (chunk - 1), n)[:, ::-1, :, ::-1]
+        reversed_profile = whole_profile(n - (chunk - 1), n)[:, ::-1, :, ::-1]
+        profile = whole_profile(chunk, n) + reversed_profile
         # entries as rows: reducing over the first axis ANDs whole rows
         profile = np.ascontiguousarray(profile.reshape(len(chunk), -1).T)[:, None]
         for first in range(0, len(perms), group):

@@ -56,6 +56,7 @@ from barcomb.lattice import (
 from barcomb.multiperm import (
     Multipermutation,
     _join_words,
+    _word_array,
     canonicalize,
     g_k,
     inversion_multiset,
@@ -356,10 +357,11 @@ def test_join_of_near_rising_words_matches_the_block_closure(n, m):
 
 @pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (2, 2), (16, 0), (11, 1), (2, 4)])
 def test_meet_and_join_reach_no_array(n, k, monkeypatch):
-    # words of 2 to 34 positions are joined on their tuples, and each
-    # result's memo gets n and its canonicity but leaves its array to first
-    # use
+    # words of 2 to 34 positions are joined on their tuples: no array of a
+    # fresh word is made, and each result's memo is filled from one array
+    # made of the joined tuple
     spec = LatticeSpec(n, k)
+    top = top_element(spec)
     calls = []
     real = barcomb.multiperm._word_array
 
@@ -369,13 +371,32 @@ def test_meet_and_join_reach_no_array(n, k, monkeypatch):
 
     monkeypatch.setattr(barcomb.multiperm, "_word_array", spy)
     monkeypatch.setattr(barcomb.lattice, "_word_array", spy)
-    s = W(tuple(range(1, n + 1)) * spec.m)  # fresh words, their memo empty
-    top = top_element(spec)
+    s = W(tuple(range(1, n + 1)) * spec.m)  # a fresh word, its memo empty
     lo, hi = meet(s, top, spec, spec.positions), join(s, top, spec, spec.positions)
-    assert lo == s and hi == top and calls == []
+    assert lo == s and hi == top and "_array" not in vars(s)
+    assert calls == [(lo.word, n), (hi.word, n)]
     for u in (lo, hi):
-        assert vars(u).keys() == {"word", "n", "is_canonical"}
+        assert vars(u).keys() == {"word", "n", "is_canonical", "_array"}
         assert u.n == n and u.is_canonical is True
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (2, 2), (16, 0), (11, 1), (2, 4), (256, 0)])
+def test_built_words_carry_their_word_array(n, k):
+    # meet, join, relabel and the top build through _of_array, with the
+    # array _word_array makes of the word: its values and its dtype
+    spec = LatticeSpec(n, k)
+    top = top_element(spec)
+    s = W(tuple(range(1, n + 1)) * spec.m)
+    built = [
+        top, meet(s, top, spec, spec.positions), join(s, top, spec, spec.positions),
+        relabel(top, range(n, 0, -1)), relabel(s, range(1, n + 1)),
+    ]
+    assert built[0] == built[2] and built[1] == built[4] == s
+    for u in built:
+        want = _word_array(u.word, n)
+        assert u._array.dtype == want.dtype and np.array_equal(u._array, want)
+        assert not u._array.flags.writeable and vars(u)["n"] == n
+    assert all(vars(u)["is_canonical"] for u in built[:3])
 
 
 def test_newman_join_matches_list_closure_on_200_bars():

@@ -19,8 +19,10 @@ from helpers import (
     list_inversion_multiset,
     list_newman_leq,
     list_prec,
+    list_profile,
     tuple_f_k,
     two_sort_phi,
+    whole_profile,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -57,7 +59,6 @@ from barcomb.multiperm import (
     rank,
     relabel,
     second_occurrence_subword,
-    _blocks,
     _profiles,
     _word_array,
 )
@@ -359,7 +360,7 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
     m = (1 << k) + 1
     words = _word_array([tuple(range(1, n + 1)) * m], n)
     assert words.dtype == symbols
-    prof = _profiles(words, n)
+    prof = whole_profile(words, n)
     assert prof.dtype == counts and prof.shape == (1, n, m, n)
     # copy r of i sits in the r-th run of 1..n, after r copies of every
     # j > i; entries of j <= i are zero
@@ -370,7 +371,7 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
     # reversal, the kernel on n + 1 - word counts the smaller symbols, of
     # which copy r of i follows r + 1 copies each (n - (word - 1) is
     # n + 1 - word, without n + 1 in the symbols' dtype, which 255 fills)
-    smaller = _profiles(n - (words - 1), n)[:, ::-1, :, ::-1]
+    smaller = whole_profile(n - (words - 1), n)[:, ::-1, :, ::-1]
     assert smaller.dtype == counts and smaller.shape == (1, n, m, n)
     want = (np.arange(m)[:, None] + 1) * (ranks[None, None, :] < ranks[:, None, None])
     assert (smaller[0] == want).all()
@@ -382,7 +383,7 @@ def test_profile_array_dtypes_and_entries(n, k, symbols, counts):
         rng.shuffle(word)
         batch.append(word)
     batch = _word_array(batch, n)
-    both = _profiles(batch, n) + _profiles(n - (batch - 1), n)[:, ::-1, :, ::-1]
+    both = whole_profile(batch, n) + whole_profile(n - (batch - 1), n)[:, ::-1, :, ::-1]
     for row, word in zip(both.tolist(), batch.tolist()):
         assert row == list_all_pairs_profile(word, n)
 
@@ -420,6 +421,9 @@ def word_triples(draw):
 def test_array_orders_match_list_profile(triple, cells):
     s, t, u = triple
     with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        profiles = whole_profile(_word_array([x.word for x in triple], s.n), s.n)
+        want = [list_profile(x.word, s.n) for x in triple]
+        assert [as_list_profile(p) for p in profiles] == want
         assert newman_leq(s, t) and list_newman_leq(s, t)
         for x in triple:
             assert inversion_multiset(x) == list_inversion_multiset(x)
@@ -454,9 +458,59 @@ def test_below_matches_list_profile_row_by_row(case, cells):
     top = W(t)
     with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
         got = [newman_leq(W(w), top) for w in batch]
+        profiles = whole_profile(_word_array(batch, n), n)
+    assert [as_list_profile(p) for p in profiles] == [list_profile(w, n) for w in batch]
     assert all(type(x) is bool for x in got)
     assert got == [list_newman_leq(W(w), top) for w in batch]
     assert got[batch.index(t)]
+
+
+def as_list_profile(profile: np.ndarray) -> list:
+    """One word's profile array in ``list_profile``'s layout: the entries of
+    larger symbols only, after an empty list for symbol 0."""
+    return [[]] + [[row[i + 1 :] for row in rows] for i, rows in enumerate(profile.tolist())]
+
+
+@st.composite
+def word_batches(draw):
+    """Words of one shape over n symbols, on both sides of the symbols'
+    dtype edge, as a word array."""
+    n, m = draw(st.sampled_from([1, 255, 256, 300])), draw(st.integers(1, 3))
+    letters = [sym for sym in range(1, n + 1) for _ in range(m)]
+    batch = draw(st.lists(st.permutations(letters), min_size=1, max_size=3))
+    return _word_array(batch, n), n
+
+
+@settings(deadline=None, max_examples=30)
+@given(word_batches(), st.sampled_from([1, 5000, barcomb.multiperm._CELLS]))
+def test_the_default_spans_walk_every_column_once_within_the_cells(case, cells):
+    words, n = case
+    with mock.patch.object(barcomb.multiperm, "_CELLS", cells):
+        blocks = list(_profiles(words, n))
+    ends = [lo + block.shape[-1] for lo, block in blocks]
+    assert [lo for lo, _ in blocks] == [0, *ends[:-1]] and ends[-1] == n
+    for _, block in blocks:
+        # one-hot entries within the cells, unless one column alone exceeds them
+        width = block.shape[-1]
+        assert width >= 1 and (width == 1 or words.size * width <= cells)
+    profiles = np.concatenate([block for _, block in blocks], axis=-1)
+    want = [list_profile(w, n) for w in words.tolist()]
+    assert [as_list_profile(p) for p in profiles] == want
+
+
+def spy_spans(monkeypatch) -> list[tuple[int, int]]:
+    """Make ``_profiles`` record the span of each block it yields, in the
+    returned list."""
+    spans = []
+    real = barcomb.multiperm._profiles
+
+    def spy(words, n, given=None):
+        for lo, block in real(words, n, given):
+            spans.append((lo, lo + block.shape[-1]))
+            yield lo, block
+
+    monkeypatch.setattr(barcomb.multiperm, "_profiles", spy)
+    return spans
 
 
 @pytest.mark.parametrize("order", [newman_leq, prec])
@@ -466,21 +520,34 @@ def test_orders_refuse_in_the_largest_column_first(monkeypatch, order):
     t = words(1, 2, 3, 4, 1, 2, 3, 4)
     high = words(1, 2, 3, 4, 1, 2, 4, 3)  # a 4 before a 3: only column 4 fails
     low = words(1, 2, 3, 4, 1, 3, 2, 4)  # a 3 before a 2: only column 3 fails
-    calls = []
-    real = barcomb.multiperm._profiles
-    monkeypatch.setattr(
-        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
-    )
+    calls = spy_spans(monkeypatch)
     monkeypatch.setattr(barcomb.multiperm, "_CELLS", 2 * 8)
     oracle = list_newman_leq if order is newman_leq else list_prec
     assert not order(high, t) and not oracle(high, t)
-    assert calls == [(3, 4)]  # refused after one call
+    assert calls == [(3, 4)]  # refused after one block
     calls.clear()
     assert not order(low, t) and not oracle(low, t)
     assert calls == [(3, 4), (0, 1), (1, 2), (2, 3)]
     calls.clear()
     assert order(t, high) and order(t, low) and oracle(t, high) and oracle(t, low)
     assert calls == [(3, 4), (0, 1), (1, 2), (2, 3)] * 2
+
+
+@pytest.mark.parametrize("order", [newman_leq, prec])
+def test_orders_sort_the_pair_once(monkeypatch, order):
+    # an ordered pair at (4, 2) with one column a block: four blocks, the
+    # column of 4 and then those of 1, 2 and 3, from one sort of the pair
+    spec = LatticeSpec(4, 2)
+    s, t = W(tuple(sym for sym in range(1, 5) for _ in range(spec.m))), top_element(spec)
+    for u in (s, t):
+        u._array, u.is_canonical  # fill the memo before counting sorts
+    spans = spy_spans(monkeypatch)
+    monkeypatch.setattr(barcomb.multiperm, "_CELLS", 2 * spec.positions)
+    sorts = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or real(*a, **kw))
+    assert order(s, t)
+    assert spans == [(3, 4), (0, 1), (1, 2), (2, 3)] and len(sorts) == 1
 
 
 def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
@@ -501,11 +568,7 @@ def test_long_words_in_bounded_memory(monkeypatch, tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 100 * 2**20  # unblocked, one one-hot of both words is 64 MB
 
-    calls = []
-    real = barcomb.multiperm._profiles
-    monkeypatch.setattr(
-        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
-    )
+    calls = spy_spans(monkeypatch)
     width = barcomb.multiperm._CELLS // (2 * len(base))  # columns a block
     assert not newman_leq(u, v)  # u passes column n, fails in the first block
     assert calls == [(n - 1, n), (0, width)]
@@ -587,7 +650,7 @@ def test_rank():
 
 
 def profile_sum(s):
-    return sum(int(prof.sum()) for _, prof in _blocks(s._array[None], s.n))
+    return sum(int(prof.sum()) for _, prof in _profiles(s._array[None], s.n))
 
 
 @st.composite
@@ -614,11 +677,7 @@ def test_rank_walks_bit_rows_up_to_five_copies(monkeypatch, m, profile):
     cases = [random_word(rng, 40, m), canonicalize(random_word(rng, 40, m))]
     want = [len(inversion_set(iota(s))) for s in cases]
     assert [profile_sum(s) for s in cases] == want
-    calls = []
-    real = barcomb.multiperm._profiles
-    monkeypatch.setattr(
-        barcomb.multiperm, "_profiles", lambda *a: calls.append(a[2:]) or real(*a)
-    )
+    calls = spy_spans(monkeypatch)
     assert [rank(s) for s in cases] == want
     assert bool(calls) == profile
 
@@ -793,13 +852,14 @@ def test_every_constructor_fills_the_memo_a_fresh_word_would(bars, k, data):
     made = [
         drawn, labeled, s, t, halved, canonicalize(labeled), f_k(barcode, k), g_k(barcode, k),
         delta_k(labeled), delta_k(s), delta_k(t), delta_k(drawn),
+        relabel(drawn, range(n, 0, -1)), top_element(spec),
         meet(s, t, spec, spec.positions), join(s, t, spec, spec.positions),
     ]
-    for u in made[-2:]:  # meet and join leave the array to first use
-        assert "_array" not in vars(u) and vars(u)["n"] == n
+    for u in made[-4:]:  # relabel, the top, meet and join fill the array
+        assert "_array" in vars(u) and vars(u)["n"] == n
     for u in made:
         assert_memo_matches_a_fresh_word(u)
-    assert all(vars(u)["is_canonical"] for u in made[2:4] + made[-2:])
+    assert all(vars(u)["is_canonical"] for u in made[2:4] + made[-3:])
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 0)])
@@ -823,14 +883,13 @@ def test_the_memo_is_no_field():
 
 
 def test_rank_and_orders_of_g_k_words_convert_no_tuple(monkeypatch):
-    # g_k fills the memo, and join leaves the array to first use, made here
-    # from the tuple; then the kernels read the memo's array and no word
-    # reaches _word_array, while fresh words reach it as tuples.  s <= u, so
-    # the orders read every column of that pair
+    # g_k and join fill the memo; then the kernels read the memo's array
+    # and no word reaches _word_array, while fresh words reach it as tuples.
+    # s <= u, so the orders read every column of that pair
     s, t = (g_k(generate_barcode(50, seed=seed, k=1), 1) for seed in (1, 2))
     spec = LatticeSpec(50, 1)
     u = join(s, t, spec, spec.positions)
-    assert "_array" not in vars(u) and np.array_equal(u._array, u.word)
+    assert "_array" in vars(u) and np.array_equal(u._array, u.word)
     pairs = [(s, t), (t, s), (s, u), (u, s)]
 
     def results(fresh):
